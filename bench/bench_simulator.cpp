@@ -4,9 +4,9 @@
 // experiment stands on: interactions/second of the random scheduler across
 // protocol shapes and population sizes, and configurations/second of the
 // bottom-SCC verifier. Before the google-benchmark tables this binary
-// prints two engine reports (DESIGN.md S21): per-agent vs count-based vs
-// count+null-skip effective throughput on the converted n=1 Czerner
-// protocol, and ensemble wall-clock scaling over thread counts.
+// prints two engine reports (DESIGN.md S21): per-agent vs count+null-skip
+// effective throughput on the converted n=1 Czerner protocol, and
+// ensemble wall-clock scaling over thread counts.
 //
 // With --json[=path] the binary instead writes a machine-readable engine
 // report (default BENCH_engine.json) and exits — the CI perf-smoke job's
@@ -27,8 +27,6 @@
 #include "czerner/construction.hpp"
 #include "engine/count_sim.hpp"
 #include "engine/ensemble.hpp"
-#include "engine/simd.hpp"
-#include "isa/compiled.hpp"
 #include "pp/simulator.hpp"
 #include "pp/verifier.hpp"
 
@@ -66,12 +64,11 @@ struct EngineRow {
 
 struct EngineComparison {
   std::uint32_t m;
-  EngineRow rows[3];
+  EngineRow rows[2];
 };
 
 EngineComparison measure_engines(std::uint32_t extra_agents,
-                                 double budget_seconds,
-                                 isa::Dispatch dispatch) {
+                                 double budget_seconds) {
   const auto lowered =
       compile::lower_program(czerner::build_construction(1).program);
   const auto conv = compile::machine_to_protocol(lowered.machine);
@@ -83,7 +80,7 @@ EngineComparison measure_engines(std::uint32_t extra_agents,
   result.m = conv.num_pointers + extra_agents;
 
   {
-    pp::Simulator sim(conv.protocol, initial, 13, dispatch);
+    pp::Simulator sim(conv.protocol, initial, 13);
     const auto start = std::chrono::steady_clock::now();
     run_for(budget_seconds, [&] { sim.step(); });
     const double elapsed =
@@ -93,32 +90,28 @@ EngineComparison measure_engines(std::uint32_t extra_agents,
     result.rows[0] = {"per-agent", sim.interactions(), sim.metrics().firings,
                       elapsed};
   }
-  for (int skip = 0; skip <= 1; ++skip) {
-    engine::CountSimOptions options;
-    options.null_skip = skip != 0;
-    options.dispatch = dispatch;
-    engine::CountSimulator sim(conv.protocol, index, initial, 13, options);
+  {
+    engine::CountSimulator sim(conv.protocol, index, initial, 13);
     const auto start = std::chrono::steady_clock::now();
     run_for(budget_seconds, [&] { sim.step(); });
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
-    result.rows[1 + skip] = {skip ? "count+null-skip" : "count-based",
-                             sim.interactions(), sim.metrics().firings,
-                             elapsed};
+    result.rows[1] = {"count+null-skip", sim.interactions(),
+                      sim.metrics().firings, elapsed};
   }
   return result;
 }
 
 void print_engine_comparison(std::uint32_t extra_agents,
-                             double budget_seconds, isa::Dispatch dispatch) {
+                             double budget_seconds) {
   const EngineComparison comparison =
-      measure_engines(extra_agents, budget_seconds, dispatch);
+      measure_engines(extra_agents, budget_seconds);
   std::printf(
       "\n=== Engine comparison: converted Czerner n=1, m = %u agents, "
-      "%.1fs budget per engine, %s dispatch ===\n",
-      comparison.m, budget_seconds, isa::to_string(dispatch));
+      "%.1fs budget per engine ===\n",
+      comparison.m, budget_seconds);
   std::printf("%-16s %18s %14s %20s %10s\n", "engine", "interactions",
               "firings", "eff. interactions/s", "speedup");
   const double base =
@@ -136,55 +129,43 @@ void print_engine_comparison(std::uint32_t extra_agents,
 
 // ---------------------------------------------------------------------------
 // Machine-readable perf regression report (--json[=path]). One row per
-// (m, engine mode, dispatch mode, harness, batch width) on the converted
-// Czerner n=1 protocol; the perf-smoke CI job validates the schema and
-// archives the file so throughput trends stay visible across commits.
-// firings_per_sec is the regression metric (work actually done);
-// effective_meetings_per_sec counts closed-form-skipped null meetings too
-// and is the figure comparable across engine modes. Schema v2 added the
-// "dispatch" field (S26). Schema v3 (S28) adds "harness" — "step" rows
-// drive one simulator's step() loop, "fleet" rows drive run_ensemble at
-// threads = 1 — and "batch", the lockstep lane width (1 on every scalar
-// row). Fleet rows exist for batch 1 vs 8 vs 16 on count+null-skip so the
-// lockstep win (or shortfall) is measured where it ships, and their
-// physics counters are bit-identical across widths by construction.
+// (m, engine mode, harness) on the converted Czerner n=1 protocol; the
+// perf-smoke CI job validates the schema and archives the file so
+// throughput trends stay visible across commits. firings_per_sec is the
+// regression metric (work actually done); effective_meetings_per_sec
+// counts closed-form-skipped null meetings too and is the figure
+// comparable across engine modes. "step" rows drive one simulator's
+// step() loop, "fleet" rows drive run_ensemble at threads = 1. Schema v4
+// drops v3's "dispatch" and "batch" columns along with the interpreter
+// and lane-batched cores they described.
 // ---------------------------------------------------------------------------
 
 struct ReportRow {
   std::uint32_t m;
   const char* mode;
-  const char* dispatch;
   const char* harness;
-  std::uint32_t batch;
   double firings_per_sec;
   double effective_meetings_per_sec;
 };
 
 /// One fleet measurement: `trials` independent count+null-skip trials run
 /// to a fixed per-trial interaction budget (the window is set beyond the
-/// budget so no trial stabilises early — every width does identical
-/// work). Throughput is summed firings (resp. meetings, skipped included)
-/// over fleet wall time.
+/// budget so no trial stabilises early). Throughput is summed firings
+/// (resp. meetings, skipped included) over fleet wall time.
 ReportRow measure_fleet(const compile::ProtocolConversion& conv,
-                        std::uint32_t m, std::uint32_t batch,
-                        std::uint64_t trials, std::uint64_t per_trial) {
+                        std::uint32_t m, std::uint64_t trials,
+                        std::uint64_t per_trial) {
   engine::EnsembleOptions options;
   options.trials = trials;
   options.threads = 1;
   options.master_seed = 13;
   options.engine = engine::EngineKind::kCountNullSkip;
-  options.dispatch = isa::Dispatch::kBytecode;
-  options.batch = batch;
   options.sim.stable_window = ~std::uint64_t{0} / 4;
   options.sim.max_interactions = per_trial;
   const engine::EnsembleStats stats =
       engine::run_ensemble(conv.protocol, conv.initial_config(m), options);
   const double wall = stats.wall_seconds > 0 ? stats.wall_seconds : 1e-9;
-  return {m,
-          "count+null-skip",
-          "bytecode",
-          "fleet",
-          batch,
+  return {m, "count+null-skip", "fleet",
           static_cast<double>(stats.totals.firings) / wall,
           static_cast<double>(stats.totals.meetings) / wall};
 }
@@ -196,35 +177,23 @@ int write_json_report(const char* path, double budget_seconds) {
 
   std::vector<ReportRow> rows;
   for (const std::uint32_t extra : {10'000u, 100'000u}) {
-    double null_skip_bytecode_rate = 0.0;
-    std::uint32_t m = 0;
-    for (const isa::Dispatch dispatch :
-         {isa::Dispatch::kInterp, isa::Dispatch::kBytecode}) {
-      const EngineComparison comparison =
-          measure_engines(extra, budget_seconds, dispatch);
-      m = comparison.m;
-      for (const EngineRow& row : comparison.rows) {
-        const double eff =
-            static_cast<double>(row.interactions) / row.seconds;
-        const double firings =
-            static_cast<double>(row.firings) / row.seconds;
-        rows.push_back({comparison.m, row.name, isa::to_string(dispatch),
-                        "step", 1, firings, eff});
-        if (dispatch == isa::Dispatch::kBytecode &&
-            std::string_view(row.name) == "count+null-skip")
-          null_skip_bytecode_rate = eff;
-      }
+    double null_skip_rate = 0.0;
+    const EngineComparison comparison =
+        measure_engines(extra, budget_seconds);
+    for (const EngineRow& row : comparison.rows) {
+      const double eff = static_cast<double>(row.interactions) / row.seconds;
+      const double firings = static_cast<double>(row.firings) / row.seconds;
+      rows.push_back({comparison.m, row.name, "step", firings, eff});
+      if (std::string_view(row.name) == "count+null-skip")
+        null_skip_rate = eff;
     }
-    // Fleet rows: per-trial budget calibrated from the step loop's
-    // measured rate so the scalar fleet spends ~budget_seconds; every
-    // width then runs the identical trial workload.
+    // Fleet row: per-trial budget calibrated from the step loop's
+    // measured rate so the fleet spends ~budget_seconds.
     const std::uint64_t trials = 32;
     const std::uint64_t per_trial = std::max<std::uint64_t>(
         100'000,
-        static_cast<std::uint64_t>(null_skip_bytecode_rate * budget_seconds) /
-            trials);
-    for (const std::uint32_t batch : {1u, 8u, 16u})
-      rows.push_back(measure_fleet(conv, m, batch, trials, per_trial));
+        static_cast<std::uint64_t>(null_skip_rate * budget_seconds) / trials);
+    rows.push_back(measure_fleet(conv, comparison.m, trials, per_trial));
   }
 
   std::FILE* out = std::fopen(path, "w");
@@ -233,21 +202,16 @@ int write_json_report(const char* path, double budget_seconds) {
                  path);
     return 1;
   }
-  std::fprintf(out,
-               "{\n  \"bench_engine_v\": 3,\n  \"simd\": \"%s\",\n"
-               "  \"rows\": [",
-               engine::simd::isa_name());
+  std::fprintf(out, "{\n  \"bench_engine_v\": 4,\n  \"rows\": [");
   bool first = true;
   for (const ReportRow& row : rows) {
     std::fprintf(out,
                  "%s\n    {\"protocol\": \"czerner-n1-converted\", "
-                 "\"m\": %u, \"mode\": \"%s\", \"dispatch\": \"%s\", "
-                 "\"harness\": \"%s\", \"batch\": %u, "
+                 "\"m\": %u, \"mode\": \"%s\", \"harness\": \"%s\", "
                  "\"firings_per_sec\": %.6e, "
                  "\"effective_meetings_per_sec\": %.6e, \"threads\": 1}",
-                 first ? "" : ",", row.m, row.mode, row.dispatch, row.harness,
-                 row.batch, row.firings_per_sec,
-                 row.effective_meetings_per_sec);
+                 first ? "" : ",", row.m, row.mode, row.harness,
+                 row.firings_per_sec, row.effective_meetings_per_sec);
     first = false;
   }
   std::fprintf(out, "\n  ]\n}\n");
@@ -334,20 +298,6 @@ void BM_SimulatorCzernerProtocol(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorCzernerProtocol)->Arg(2)->Arg(16)->Arg(64);
 
-void BM_CountSimulatorCzerner(benchmark::State& state) {
-  const auto lowered =
-      compile::lower_program(czerner::build_construction(1).program);
-  const auto conv = compile::machine_to_protocol(lowered.machine);
-  engine::CountSimOptions options;
-  options.null_skip = false;
-  engine::CountSimulator sim(
-      conv.protocol, conv.initial_config(conv.num_pointers + state.range(0)),
-      13, options);
-  for (auto _ : state) benchmark::DoNotOptimize(sim.step());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CountSimulatorCzerner)->Arg(2)->Arg(64)->Arg(10'000);
-
 void BM_CountSimulatorCzernerNullSkip(benchmark::State& state) {
   const auto lowered =
       compile::lower_program(czerner::build_construction(1).program);
@@ -424,10 +374,7 @@ int main(int argc, char** argv) {
     return write_json_report(json_path, /*budget_seconds=*/2.0);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  print_engine_comparison(/*extra_agents=*/10'000, /*budget_seconds=*/1.0,
-                          isa::Dispatch::kInterp);
-  print_engine_comparison(/*extra_agents=*/10'000, /*budget_seconds=*/1.0,
-                          isa::Dispatch::kBytecode);
+  print_engine_comparison(/*extra_agents=*/10'000, /*budget_seconds=*/1.0);
   print_ensemble_scaling(/*population=*/1'000'000, /*trials=*/8);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -13,41 +13,29 @@
 namespace ppde::engine {
 
 CountSimulator::CountSimulator(const pp::Protocol& protocol,
-                               const pp::Config& initial, std::uint64_t seed,
-                               CountSimOptions options)
+                               const pp::Config& initial, std::uint64_t seed)
     : CountSimulator(std::make_unique<PairIndex>(protocol), protocol, initial,
-                     seed, options) {}
+                     seed) {}
 
 CountSimulator::CountSimulator(std::unique_ptr<const PairIndex> owned,
                                const pp::Protocol& protocol,
-                               const pp::Config& initial, std::uint64_t seed,
-                               CountSimOptions options)
-    : CountSimulator(protocol, *owned, initial, seed, options) {
+                               const pp::Config& initial, std::uint64_t seed)
+    : CountSimulator(protocol, *owned, initial, seed) {
   owned_index_ = std::move(owned);
 }
 
 CountSimulator::CountSimulator(const pp::Protocol& protocol,
                                const PairIndex& index,
-                               const pp::Config& initial, std::uint64_t seed,
-                               CountSimOptions options)
+                               const pp::Config& initial, std::uint64_t seed)
     : protocol_(&protocol),
       index_(&index),
-      options_(options),
       counts_(protocol.num_states()),
       position_(protocol.num_states(), kNoPosition),
-      active_(options.dispatch == isa::Dispatch::kBytecode
-                  ? 0
-                  : protocol.num_states()),
-      pair_counts_(options.null_skip ||
-                           options.dispatch == isa::Dispatch::kBytecode
-                       ? 0
-                       : protocol.num_states()),
       rng_(seed) {
   if (!protocol.finalized())
     throw std::logic_error("CountSimulator: protocol not finalized");
   if (index.num_states() != protocol.num_states())
     throw std::invalid_argument("CountSimulator: index/protocol mismatch");
-  bc_ = options.dispatch == isa::Dispatch::kBytecode;
   load(initial);
 }
 
@@ -78,7 +66,6 @@ void CountSimulator::load(const pp::Config& initial) {
     partner_sum_[slot] = matrix_ok_ ? build_matrix_row(slot, /*ranked=*/true)
                                     : fresh_partner_sum(q);
     weight_push(counts_[q] * partner_sum_[slot]);
-    if (!options_.null_skip && !bc_) pair_counts_.push_back(counts_[q]);
   }
 }
 
@@ -89,13 +76,8 @@ void CountSimulator::reset(const pp::Config& initial, std::uint64_t seed) {
   }
   populated_.clear();
   partner_sum_.clear();
-  if (bc_) {
-    flat_weight_.clear();
-    flat_total_ = 0;
-  } else {
-    active_.clear();
-    if (!options_.null_skip) pair_counts_.clear();
-  }
+  weight_.clear();
+  weight_total_ = 0;
   sorted_populated_.clear();
   cached_active_ = 0;  // sample_null_run never sees W == 0; forces recompute
   accepting_ = 0;
@@ -125,14 +107,6 @@ void CountSimulator::refresh_weight(std::uint32_t slot) {
   // count just hit zero, where the product is zero anyway.
   ++metrics_.weight_updates;
   weight_set(slot, counts_[populated_[slot]] * partner_sum_[slot]);
-}
-
-std::uint64_t CountSimulator::sample_null_run(std::uint64_t active) {
-  // U uniform on (0, 1]; 53-bit mantissa draw, shifted off zero. The
-  // expression chain (to_unit_open → log → geom_skip_count) is the one
-  // the batch core replays lane by lane — bit-identical by construction.
-  if (!geom_prepare(active)) return 0;
-  return ls_geom_skip(rng_());
 }
 
 std::uint64_t CountSimulator::build_matrix_row(std::uint32_t slot,
@@ -297,9 +271,7 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
     position_[state] = kNoPosition;
     if (hole != last) {
       partner_sum_[hole] = partner_sum_[last];
-      weight_set(hole, weight_get(last));
-      if (!options_.null_skip && !bc_)
-        pair_counts_.set(hole, pair_counts_.get(last));
+      weight_set(hole, weight_[last]);
       if (matrix_ok_) {
         // The moved slot's matrix row and column travel with it (codes are
         // slot-independent); the diagonal corner is saved first because
@@ -335,7 +307,6 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
     }
     partner_sum_.pop_back();
     weight_pop();
-    if (!options_.null_skip && !bc_) pair_counts_.pop_back();
     sorted_erase(state);
   } else if (appearing) {
     const auto slot = static_cast<std::uint32_t>(populated_.size());
@@ -347,12 +318,9 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
                                       : fresh_partner_sum(state));
     ++metrics_.weight_updates;
     weight_push(counts_[state] * partner_sum_[slot]);
-    if (!options_.null_skip && !bc_) pair_counts_.push_back(counts_[state]);
     sorted_insert(state);
   } else {
     refresh_weight(position_[state]);
-    if (!options_.null_skip && !bc_)
-      pair_counts_.set(position_[state], counts_[state]);
   }
 }
 
@@ -385,36 +353,10 @@ void CountSimulator::shift_pair(pp::State from, pp::State to) {
     }
     refresh_weight(slot_from);
     refresh_weight(slot_to);
-    if (!options_.null_skip && !bc_) {
-      pair_counts_.set(slot_from, counts_[from]);
-      pair_counts_.set(slot_to, counts_[to]);
-    }
     return;
   }
   change_count(from, -1);
   change_count(to, +1);
-}
-
-void CountSimulator::fire(pp::State q, pp::State r) {
-  fire_candidates(q, r, protocol_->transitions_for(q, r));
-}
-
-void CountSimulator::fire_candidates(pp::State /*q*/, pp::State /*r*/,
-                                     std::span<const std::uint32_t> candidates) {
-  ++metrics_.firings;
-  if (candidates.empty()) {
-    // All-silent pair admitted by the any-candidate probe: consume the
-    // candidate draw the pick below would have and change nothing.
-    (void)rng_.below(0);
-    return;
-  }
-  const std::uint32_t pick =
-      candidates.size() == 1 ? candidates[0]
-                             : candidates[rng_.below(candidates.size())];
-  const pp::Transition& t = protocol_->transitions()[pick];
-  if (t.is_silent()) return;
-  if (t.q != t.q2) shift_pair(t.q, t.q2);
-  if (t.r != t.r2) shift_pair(t.r, t.r2);
 }
 
 void CountSimulator::fire_cells(pp::State q, pp::State r, std::uint32_t pos) {
@@ -434,8 +376,8 @@ void CountSimulator::fire_cells(pp::State q, pp::State r, std::uint32_t pos) {
                          shift_pair(r, r2);
                        },
                        [&] {
-                         // Same two shifts the interpreter issues for a
-                         // swap, preserving the list surgery order.
+                         // A swap moves the initiator first, preserving
+                         // the seed engine's list surgery order.
                          shift_pair(q, r);
                          shift_pair(r, q);
                        },
@@ -445,18 +387,10 @@ void CountSimulator::fire_cells(pp::State q, pp::State r, std::uint32_t pos) {
 void CountSimulator::apply_active_meeting(std::uint64_t active) {
   const std::uint64_t target = rng_.below(active);
   ++metrics_.tree_descents;
-  std::uint64_t remaining = 0;
+  // The seed engine's linear prefix scan over the slot weights.
+  std::uint64_t remaining = target;
   std::size_t slot = 0;
-  if (bc_ || populated_.size() <= 32) {
-    // Few slots (or bytecode dispatch, which scans flat weights at every
-    // size): the seed's linear prefix scan beats the tree descent's
-    // serial chain of dependent loads. Same slot either way (the tree's
-    // find() is defined as this scan's fixpoint).
-    remaining = target;
-    while (remaining >= weight_get(slot)) remaining -= weight_get(slot++);
-  } else {
-    slot = active_.find(target, &remaining);
-  }
+  while (remaining >= weight_[slot]) remaining -= weight_[slot++];
   const pp::State q = populated_[slot];
   const std::uint64_t cq = counts_[q];
   pp::State r = q;  // overwritten below; a walk must find a partner
@@ -486,10 +420,7 @@ void CountSimulator::apply_active_meeting(std::uint64_t active) {
       }
       remaining -= weight;
     }
-    if (bc_)
-      fire_cells(q, r, code - 2);
-    else
-      fire_candidates(q, r, index_->pair_candidates(code - 2));
+    fire_cells(q, r, code - 2);
     return;
   }
   if (const auto partners = index_->partners_of(q);
@@ -515,15 +446,11 @@ void CountSimulator::apply_active_meeting(std::uint64_t active) {
       remaining -= weight;
     }
   }
-  if (bc_)
-    fire_cells(q, r, index_->compiled().entry_of(q, r));  // (q, r) is active
-  else
-    fire(q, r);
+  fire_cells(q, r, index_->compiled().entry_of(q, r));  // (q, r) is active
 }
 
 bool CountSimulator::step() {
-  if (!options_.null_skip) return step_meeting();
-  const std::uint64_t active = weight_total();
+  const std::uint64_t active = weight_total_;
   if (active == 0) {
     ++interactions_;
     ++metrics_.meetings;
@@ -541,81 +468,6 @@ bool CountSimulator::step() {
   return true;
 }
 
-bool CountSimulator::step_meeting() {
-  ++interactions_;
-  ++metrics_.meetings;
-  const std::uint64_t m = counts_.total();
-  // Fewer than two agents: there is no ordered pair to meet, so every
-  // meeting is null by definition (and below(m−1) would be below(0)).
-  if (m < 2) return false;
-  // Initiator uniform over agents, responder uniform over the rest — the
-  // same ordered-distinct-pair law as pp::Simulator, on counts. With few
-  // populated slots the seed engine's linear prefix scans beat the tree's
-  // exclusion dance (two point updates bracketing the second descent);
-  // both select the identical slots, so the trajectory does not depend on
-  // which branch runs.
-  pp::State q;
-  pp::State r;
-  if (bc_ || populated_.size() <= kLinearSlots) {
-    // Descent parity with the interp tree path: the bytecode core scans
-    // at every size, but reports the same selection events.
-    if (bc_ && populated_.size() > kLinearSlots) metrics_.tree_descents += 2;
-    std::uint64_t i = rng_.below(m);
-    std::uint32_t slot = 0;
-    while (i >= counts_[populated_[slot]]) i -= counts_[populated_[slot++]];
-    q = populated_[slot];
-    std::uint64_t j = rng_.below(m - 1);
-    std::uint32_t responder_slot = 0;
-    for (;; ++responder_slot) {
-      const std::uint64_t weight = counts_[populated_[responder_slot]] -
-                                   (responder_slot == slot ? 1 : 0);
-      if (j < weight) break;
-      j -= weight;
-    }
-    r = populated_[responder_slot];
-  } else {
-    const std::uint64_t i = rng_.below(m);
-    ++metrics_.tree_descents;
-    std::uint64_t remaining = 0;
-    const std::size_t slot = pair_counts_.find(i, &remaining);
-    q = populated_[slot];
-    const std::uint64_t j = rng_.below(m - 1);
-    // Exclude the initiator by descending with q's slot count lowered by
-    // one — exactly the (candidate == q ? 1 : 0) correction the linear
-    // scan applied, so the selected responder slot is identical.
-    pair_counts_.set(slot, counts_[q] - 1);
-    ++metrics_.tree_descents;
-    const std::size_t responder_slot = pair_counts_.find(j, &remaining);
-    pair_counts_.set(slot, counts_[q]);
-    r = populated_[responder_slot];
-  }
-  // Most meetings are null; reject them with a bitset probe instead of a
-  // transition-table hash when the index carries the any-candidate bits.
-  if (bc_) {
-    const std::uint32_t entry = index_->compiled().entry_of(q, r);
-    if (entry == isa::CompiledProtocol::kAbsent) return false;
-    if (entry == isa::CompiledProtocol::kSilentOnly) {
-      // Interp semantics, both branches: without any-bits the empty
-      // candidate span rejects the meeting as null; with any-bits the
-      // pair is admitted and fire consumes the candidate draw without
-      // changing anything.
-      if (!index_->has_any_bits()) return false;
-      ++metrics_.firings;
-      (void)rng_.below(0);
-      return true;
-    }
-    fire_cells(q, r, entry);
-    return true;
-  }
-  if (index_->has_any_bits()) {
-    if (!index_->pair_any(q, r)) return false;
-  } else if (protocol_->transitions_for(q, r).empty()) {
-    return false;
-  }
-  fire(q, r);
-  return true;
-}
-
 pp::SimulationResult CountSimulator::run_until_stable(
     const pp::SimulationOptions& options) {
   // One span per run (S24); the meeting loop itself carries zero
@@ -623,45 +475,65 @@ pp::SimulationResult CountSimulator::run_until_stable(
   obs::ObsSpan span("run_until_stable", "sim");
   const auto start_time = std::chrono::steady_clock::now();
   pp::SimulationResult result;
-  if (options_.null_skip) {
-    // The scalar engine *is* the lockstep protocol driven by one lane:
-    // the batch core (engine/batch_sim.cpp) runs these same calls with
-    // the raw draw produced by the SIMD stepper, so the two paths share
-    // every statement that touches simulation state.
-    Lockstep ls;
-    ls_begin(ls, options);
-    while (!ls.done) {
-      const std::uint64_t skip = ls_wants_draw(ls) ? ls_geom_skip(rng_()) : 0;
-      if (!ls.done) ls_fire(ls, skip);
-    }
-    ls_finish(ls);
-    result = ls.result;
-  } else {
-    std::uint64_t consensus_start = interactions_;
-    std::optional<bool> held = consensus();
-    while (interactions_ < options.max_interactions) {
-      step_meeting();
-      const std::optional<bool> now = consensus();
-      if (now != held) {
-        held = now;
-        consensus_start = interactions_;
-        ++metrics_.consensus_flips;
+  std::uint64_t consensus_start = interactions_;
+  std::optional<bool> held = consensus();
+  const auto stabilise = [&] {
+    result.stabilised = true;
+    result.output = *held;
+    result.consensus_since = consensus_start;
+  };
+  // One iteration per firing: at most one geometric draw, then the null
+  // run is truncated exactly at the window/budget boundary or one active
+  // meeting fires.
+  while (interactions_ < options.max_interactions) {
+    const std::uint64_t active = weight_total_;
+    const std::uint64_t stable_at = consensus_start + options.stable_window;
+    if (active == 0) {
+      // Frozen (including any population of size < 2): every future
+      // meeting is null, so the current consensus (or its absence) is
+      // permanent. Realise just enough nulls to hit the window or the
+      // budget.
+      if (held.has_value() && stable_at <= options.max_interactions) {
+        advance_nulls(stable_at - interactions_);
+        stabilise();
+      } else {
+        advance_nulls(options.max_interactions - interactions_);
       }
-      if (held.has_value() &&
-          interactions_ - consensus_start >= options.stable_window) {
-        result.stabilised = true;
-        result.output = *held;
-        result.consensus_since = consensus_start;
-        break;
-      }
+      break;
     }
-    result.interactions = interactions_;
-    result.parallel_time =
-        population() != 0
-            ? static_cast<double>(interactions_) /
-                  static_cast<double>(population())
-            : 0.0;
+    const std::uint64_t skip = sample_null_run(active);
+    if (held.has_value() && stable_at <= interactions_ + skip) {
+      // The window completes during the null run, before the next firing.
+      advance_nulls(stable_at - interactions_);
+      stabilise();
+      break;
+    }
+    if (interactions_ + skip >= options.max_interactions) {
+      advance_nulls(options.max_interactions - interactions_);
+      break;
+    }
+    advance_nulls(skip);
+    ++interactions_;
+    ++metrics_.meetings;
+    apply_active_meeting(active);
+    const std::optional<bool> now = consensus();
+    if (now != held) {
+      held = now;
+      consensus_start = interactions_;
+      ++metrics_.consensus_flips;
+    }
+    if (held.has_value() &&
+        interactions_ - consensus_start >= options.stable_window) {
+      stabilise();
+      break;
+    }
   }
+  result.interactions = interactions_;
+  result.parallel_time =
+      population() != 0
+          ? static_cast<double>(interactions_) /
+                static_cast<double>(population())
+          : 0.0;
   metrics_.wall_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_time)

@@ -4,8 +4,8 @@
 // meeting — almost all of which are no-ops on the converted Czerner
 // protocols, where a handful of pointer agents do all the work while the
 // counted register agents idle. CountSimulator steps directly on the
-// configuration's count vector in O(|Q|) memory and, optionally, skips
-// whole runs of null meetings in closed form:
+// configuration's count vector in O(|Q|) memory and skips whole runs of
+// null meetings in closed form:
 //
 //   * A meeting of an ordered state pair (q, r) is drawn with the exact
 //     hypergeometric weight C(q)·(C(r) − [q=r]) / (m·(m−1)) — the
@@ -23,15 +23,15 @@
 //
 // The weights are maintained *incrementally*: each populated state q
 // carries its partner sum A(q) = Σ_{r : (q,r) active} C(r) − [(q,q)
-// active], and the per-slot weight C(q)·A(q) lives in a Fenwick tree
-// (engine/weight_tree.hpp), so a firing — which changes at most four
-// counts, each touching only the populated states adjacent to it — costs
-// O(#populated · log #populated) instead of a full rescan plus an
-// O(in-degree) adjacency walk per count change. Sampling both meeting
-// partners is an O(log #populated) tree descent engineered to pick the
-// identical slot the seed engine's linear prefix scan picked, so the
+// active], and the per-slot weight C(q)·A(q) lives in a flat array with a
+// running total W, so a firing — which changes at most four counts, each
+// touching only the populated states adjacent to it — costs O(#populated)
+// instead of a full rescan plus an O(in-degree) adjacency walk per count
+// change. The initiator slot is selected by the seed engine's linear
+// prefix scan and the responder by its walk over active partners, so the
 // sequence of *configurations*, firings and consensus times for a given
-// seed is bit-identical to the pre-Fenwick engine — and distributed
+// seed is bit-identical to the seed engine (the linear-scan oracle in
+// tests/oracles.hpp) — and distributed
 // identically to pp::Simulator's; only the interaction indices between
 // firings are resampled, from the same geometric law (evaluated in double
 // precision — the one approximation in the engine, and it never touches
@@ -44,17 +44,18 @@
 
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <new>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "engine/metrics.hpp"
-#include "engine/weight_tree.hpp"
 #include "isa/compiled.hpp"
 #include "pp/config.hpp"
 #include "pp/protocol.hpp"
@@ -87,9 +88,9 @@ class PairIndex {
 
   /// Active pairs carry a dense *pair position*: pair (q, partners_of(q)[k])
   /// sits at pair_offset(q) + k, in [0, num_active_pairs()). The position
-  /// keys the compiled candidate CSR (identical indices in identical order
-  /// to Protocol::transitions_for) and the parallel opcode-cell stream, so
-  /// firing an active pair needs no hash lookup.
+  /// keys the compiled opcode-cell stream (one cell per candidate, in the
+  /// order of Protocol::transitions_for), so firing an active pair needs
+  /// no hash lookup.
   std::uint32_t pair_offset(pp::State q) const {
     return compiled_->pair_offset(q);
   }
@@ -97,11 +98,7 @@ class PairIndex {
   std::uint32_t pair_pos(pp::State q, pp::State r) const {
     return compiled_->pair_pos(q, r);
   }
-  /// The pair's candidate transitions, == Protocol::transitions_for on it.
-  std::span<const std::uint32_t> pair_candidates(std::uint32_t pos) const {
-    return compiled_->candidates(pos);
-  }
-  /// The pair's compiled cells, parallel to pair_candidates(pos).
+  /// The pair's compiled cells, one per candidate transition.
   std::span<const isa::Cell> pair_cells(std::uint32_t pos) const {
     return compiled_->cells(pos);
   }
@@ -119,55 +116,14 @@ class PairIndex {
     return compiled_->pair_active(q, r);
   }
 
-  /// True iff (q, r) has *any* candidate transition, silent ones included
-  /// — i.e. whether Protocol::transitions_for(q, r) is non-empty. Only
-  /// usable when the dense bitsets are built (num_states() <=
-  /// kBitsetStates); has_any_bits() says so.
-  bool pair_any(pp::State q, pp::State r) const {
-    return compiled_->pair_any(q, r);
-  }
-  bool has_any_bits() const { return compiled_->has_any_bits(); }
-
   std::size_t num_states() const { return compiled_->num_states(); }
   std::size_t num_active_pairs() const {
     return compiled_->num_active_pairs();
   }
 
-  /// Largest state count for which the dense pair bitsets are built (8 MB
-  /// each).
-  static constexpr std::size_t kBitsetStates =
-      isa::CompiledProtocol::kBitsetStates;
-
  private:
   std::shared_ptr<const isa::CompiledProtocol> compiled_;
 };
-
-struct CountSimOptions {
-  /// Batch-skip runs of null meetings in closed form (see file comment).
-  /// When false, every meeting costs one pair sample — still O(|Q|) memory,
-  /// useful as the middle rung of the engine-comparison benchmarks.
-  bool null_skip = true;
-  /// Execution core (S26). kBytecode fires through the compiled opcode
-  /// cells with computed-goto dispatch and keeps the per-slot active
-  /// weights in a flat array with a running total — selection uses the
-  /// seed engine's linear prefix scan at every size, which WeightTree::
-  /// find() is defined to agree with slot-for-slot, so trajectories,
-  /// consensus times and RunMetrics are bit-identical to kInterp (the
-  /// differential oracle) for every seed.
-  isa::Dispatch dispatch = isa::Dispatch::kBytecode;
-};
-
-/// The geometric skip count from ln(U) and the memoised ln(1−p): the
-/// closed-form null-run length ⌊ln U / ln(1−p)⌋ with the engine's exact
-/// underflow/overflow clamps. Shared verbatim by the scalar sampler and
-/// the lockstep batch core (engine/batch_sim.cpp) so the two cannot
-/// drift — bit-identical trajectories are a hard contract (S28).
-inline std::uint64_t geom_skip_count(double log_u, double log1p_neg_p) {
-  const double k = std::floor(log_u / log1p_neg_p);
-  if (!(k >= 0.0)) return 0;
-  if (k >= 1.8e19) return std::numeric_limits<std::uint64_t>::max() / 2;
-  return static_cast<std::uint64_t>(k);
-}
 
 /// Drop-in counterpart of pp::Simulator that never materialises agents.
 /// The protocol (and the PairIndex, if supplied) must outlive the
@@ -175,24 +131,22 @@ inline std::uint64_t geom_skip_count(double log_u, double log1p_neg_p) {
 class CountSimulator {
  public:
   CountSimulator(const pp::Protocol& protocol, const pp::Config& initial,
-                 std::uint64_t seed = 1, CountSimOptions options = {});
+                 std::uint64_t seed = 1);
   /// Shares a prebuilt PairIndex (one per protocol, reused across trials).
   CountSimulator(const pp::Protocol& protocol, const PairIndex& index,
-                 const pp::Config& initial, std::uint64_t seed = 1,
-                 CountSimOptions options = {});
+                 const pp::Config& initial, std::uint64_t seed = 1);
 
-  /// Rewind to `initial` with a fresh `seed`, keeping the protocol, index,
-  /// options and every allocation. A reset simulator is indistinguishable
-  /// from a freshly constructed one — trial fleets reuse one simulator per
-  /// worker instead of reallocating O(|Q|) state every trial.
+  /// Rewind to `initial` with a fresh `seed`, keeping the protocol, index
+  /// and every allocation. A reset simulator is indistinguishable from a
+  /// freshly constructed one — trial fleets reuse one simulator per worker
+  /// instead of reallocating O(|Q|) state every trial.
   void reset(const pp::Config& initial, std::uint64_t seed);
 
-  /// Advance to the next meeting and execute it. With null_skip this first
-  /// jumps past the (geometrically many) null meetings, so one call can
-  /// advance interactions() by far more than 1. Returns true if a
-  /// transition fired. If the simulation is frozen() the call advances a
-  /// single (null) meeting and returns false — check frozen() in unbounded
-  /// loops.
+  /// Advance to the next active meeting and execute it: first jump past
+  /// the (geometrically many) null meetings, so one call can advance
+  /// interactions() by far more than 1. Returns true if a transition
+  /// fired. If the simulation is frozen() the call advances a single
+  /// (null) meeting and returns false — check frozen() in unbounded loops.
   bool step();
 
   /// Same stopping rule as pp::Simulator::run_until_stable: consensus must
@@ -228,63 +182,18 @@ class CountSimulator {
 
   const RunMetrics& metrics() const { return metrics_; }
 
-  // --- Lockstep driver API (DESIGN.md S28) -------------------------------
-  //
-  // run_until_stable's null-skip loop, split at its one RNG-draw point so
-  // an external driver can advance many independent simulators one firing
-  // per sweep and batch the draws (engine/batch_sim.{hpp,cpp}). The scalar
-  // run_until_stable is itself implemented on these primitives, so the two
-  // paths execute the same statements in the same order and cannot drift.
-  //
-  // Protocol per firing:
-  //   1. ls_wants_draw(ls)  — settles frozen/budget endings in closed form
-  //      and memoises the geometric law. Returns true iff exactly one raw
-  //      64-bit draw is needed; false with !ls.done means p >= 1 (every
-  //      meeting is active — fire with skip 0).
-  //   2. If a draw is needed: skip = ls_geom_skip(raw) where raw is the
-  //      *next output of this simulator's own rng()* — the driver may
-  //      produce it via the batched stepper, which is bit-identical.
-  //   3. ls_fire(ls, skip) — truncates the null run at the window/budget
-  //      boundary, fires one active meeting (any further draws it needs
-  //      come scalar from the same rng(), preserving per-trial draw
-  //      order), and updates the consensus window.
-  // Repeat until ls.done; ls_finish fills the run summary. Only the
-  // null-skip engine is drivable this way (CountSimOptions::null_skip);
-  // per-agent and plain count engines keep the per-trial scalar path.
-  struct Lockstep {
-    pp::SimulationResult result;
-    std::uint64_t max_interactions = 0;
-    std::uint64_t stable_window = 0;
-    std::uint64_t consensus_start = 0;
-    std::optional<bool> held;
-    bool done = false;
-  };
-  void ls_begin(Lockstep& ls, const pp::SimulationOptions& options);
-  bool ls_wants_draw(Lockstep& ls);
-  /// The memoised ln(1−p) for the draw ls_wants_draw just requested.
-  double ls_log1p() const { return cached_log1p_; }
-  /// Geometric skip from one raw draw, against the memoised law.
-  std::uint64_t ls_geom_skip(std::uint64_t raw) const {
-    return geom_skip_count(std::log(support::to_unit_open(raw)),
-                           cached_log1p_);
-  }
-  void ls_fire(Lockstep& ls, std::uint64_t skip);
-  void ls_finish(Lockstep& ls);
-  /// This simulator's own RNG — the batch driver steps it in SIMD sweeps.
-  support::Rng& rng() { return rng_; }
-
  private:
   CountSimulator(std::unique_ptr<const PairIndex> owned,
                  const pp::Protocol& protocol, const pp::Config& initial,
-                 std::uint64_t seed, CountSimOptions options);
+                 std::uint64_t seed);
 
   /// Load `initial` into an empty simulator: counts, populated list,
-  /// partner sums and both weight trees.
+  /// partner sums and slot weights.
   void load(const pp::Config& initial);
   /// A(q) = Σ_{r populated, (q,r) active} C(r) − [(q,q) active], computed
   /// from scratch over the cheaper of partners_of(q) / the populated list.
   std::uint64_t fresh_partner_sum(pp::State q) const;
-  /// Push slot's weight C(q)·A(q) into the active tree.
+  /// Store slot's weight C(q)·A(q).
   void refresh_weight(std::uint32_t slot);
   /// Memoise p = W/(m·(m−1)) and log1p(−p) for the current (W, m);
   /// returns true iff p < 1, i.e. a geometric draw is actually needed.
@@ -294,10 +203,8 @@ class CountSimulator {
   /// Account `count` meetings skipped without individual RNG draws.
   void advance_nulls(std::uint64_t count);
   /// Sample an active (q, r) by weight and fire a candidate. `active` must
-  /// be the current active_.total() (> 0).
+  /// be the current weight_total_ (> 0).
   void apply_active_meeting(std::uint64_t active);
-  /// One plain meeting: hypergeometric pair sample, fire if enabled.
-  bool step_meeting();
   void change_count(pp::State state, std::int64_t delta);
   /// Move one agent from `from` to `to` (`from` != `to`). Equivalent to
   /// change_count(from, -1); change_count(to, +1) — with a fused fast path
@@ -312,88 +219,79 @@ class CountSimulator {
   /// from load): only then may its self-pair rank bit enter srow_mask_ —
   /// on a live append the bit arrives via sorted_insert instead.
   std::uint64_t build_matrix_row(std::uint32_t slot, bool ranked);
-  void fire(pp::State q, pp::State r);
-  void fire_candidates(pp::State q, pp::State r,
-                       std::span<const std::uint32_t> candidates);
-  /// Bytecode firing: pick a candidate of active pair `pos` (same RNG law
-  /// as fire_candidates) and execute its compiled cell.
+  /// Pick a candidate of active pair `pos` — no draw for a single
+  /// candidate, one uniform draw otherwise — and execute its compiled
+  /// cell.
   void fire_cells(pp::State q, pp::State r, std::uint32_t pos);
 
-  /// Per-slot active weight C(q)·A(q) accessors, dispatch-split: the
-  /// bytecode core keeps a flat array + running total, the interpreter the
-  /// Fenwick tree. Values and update points are identical; the branch is
-  /// fixed for the simulator's lifetime and predicted perfectly.
-  std::uint64_t weight_total() const {
-    return bc_ ? flat_total_ : active_.total();
-  }
-  std::uint64_t weight_get(std::size_t slot) const {
-    return bc_ ? flat_weight_[slot] : active_.get(slot);
-  }
+  /// Per-slot active weight C(q)·A(q), keeping the running total W.
   void weight_set(std::size_t slot, std::uint64_t w) {
-    if (bc_) {
-      flat_total_ += w - flat_weight_[slot];
-      flat_weight_[slot] = w;
-    } else {
-      active_.set(slot, w);
-    }
+    weight_total_ += w - weight_[slot];
+    weight_[slot] = w;
   }
   void weight_push(std::uint64_t w) {
-    if (bc_) {
-      flat_weight_.push_back(w);
-      flat_total_ += w;
-    } else {
-      active_.push_back(w);
-    }
+    weight_.push_back(w);
+    weight_total_ += w;
   }
   void weight_pop() {
-    if (bc_) {
-      flat_total_ -= flat_weight_.back();
-      flat_weight_.pop_back();
-    } else {
-      active_.pop_back();
-    }
+    weight_total_ -= weight_.back();
+    weight_.pop_back();
   }
+
+  /// Allocator for the per-slot arrays below: every block starts on a
+  /// cache line and spans whole lines, so no other allocation can share a
+  /// line with it. Each fleet worker owns a simulator whose small per-slot
+  /// arrays are written on nearly every firing, and malloc recycles blocks
+  /// one thread freed for another (glibc's per-thread caches do), which can
+  /// interleave two workers' arrays within one line. That false sharing
+  /// made whole certify calls 1.5x slower on a 4-core host.
+  template <typename T>
+  struct LineAllocator {
+    using value_type = T;
+    static constexpr std::size_t kLine = 64;
+
+    LineAllocator() = default;
+    template <typename U>
+    LineAllocator(const LineAllocator<U>&) {}
+
+    T* allocate(std::size_t n) {
+      const std::size_t bytes = (n * sizeof(T) + kLine - 1) / kLine * kLine;
+      return static_cast<T*>(::operator new(bytes, std::align_val_t{kLine}));
+    }
+    void deallocate(T* p, std::size_t) {
+      ::operator delete(p, std::align_val_t{kLine});
+    }
+    friend bool operator==(LineAllocator, LineAllocator) { return true; }
+  };
+
+  template <typename T>
+  using LineVector = std::vector<T, LineAllocator<T>>;
 
   static constexpr std::uint32_t kNoPosition = 0xffffffffu;
   /// Populated-list capacity of the activity matrix; must stay <= 64 so a
   /// matrix column fits one col_mask_ word.
   static constexpr std::uint32_t kMatrixSlots = 64;
-  /// Populated-list size below which step_meeting's pair sampling uses the
-  /// seed engine's linear prefix scans instead of the count tree.
-  static constexpr std::size_t kLinearSlots = 32;
 
   const pp::Protocol* protocol_;
   std::unique_ptr<const PairIndex> owned_index_;
   const PairIndex* index_;
-  CountSimOptions options_;
   pp::Config counts_;
   /// States with non-zero count, unordered; keeps all incremental
   /// bookkeeping O(#populated states) instead of O(|Q|) or O(degree) — on
   /// the converted Czerner protocols only a handful of the ~1.8k states
   /// are ever occupied while adjacency degrees reach |Q|.
-  std::vector<pp::State> populated_;
+  LineVector<pp::State> populated_;
   std::vector<std::uint32_t> position_;  ///< state -> index in populated_
   /// partner_sum_[slot] = A(populated_[slot]); parallel to populated_.
-  std::vector<std::uint64_t> partner_sum_;
-  /// Per-slot active weights C(q)·A(q); total() is W. Interp dispatch
-  /// only — the bytecode core uses flat_weight_/flat_total_ instead.
-  WeightTree active_;
-  /// Per-slot counts for step_meeting's pair sampling; only maintained
-  /// when null_skip is off (the null-skip path never samples by count)
-  /// and dispatch is interp (the bytecode core samples straight off
-  /// counts_ with the seed engine's linear scans at every size).
-  WeightTree pair_counts_;
-  /// Bytecode dispatch: flat per-slot active weights, parallel to
-  /// populated_, with the running total W. Same values at the same update
-  /// points as the interp tree; selection is a linear prefix scan, which
-  /// WeightTree::find() is defined to agree with slot-for-slot.
-  std::vector<std::uint64_t> flat_weight_;
-  std::uint64_t flat_total_ = 0;
-  bool bc_ = false;  ///< options_.dispatch == kBytecode, cached
+  LineVector<std::uint64_t> partner_sum_;
+  /// Per-slot active weights C(q)·A(q), parallel to populated_, and their
+  /// running total W.
+  LineVector<std::uint64_t> weight_;
+  std::uint64_t weight_total_ = 0;
   /// The populated states in ascending state order — the responder-walk
   /// order. Maintained incrementally (O(#populated) on populate/depopulate,
   /// both rare) so sampling never sorts.
-  std::vector<pp::State> sorted_populated_;
+  LineVector<pp::State> sorted_populated_;
   /// Slot-by-slot activity matrix over the populated list. Cell
   /// act_[i * kMatrixSlots + j] describes (populated_[i], populated_[j]):
   /// 0 — inactive; 1 — active, pair position not yet resolved; c >= 2 —
@@ -415,7 +313,7 @@ class CountSimulator {
   /// active — slot i's matrix row re-indexed by *sorted rank*, so the
   /// responder walk visits exactly the active populated partners in
   /// ascending state order by iterating set bits. sorted_insert /
-  /// sorted_erase shift the rank bits of every live mask in lockstep with
+  /// sorted_erase shift the rank bits of every live mask in step with
   /// the list.
   std::array<std::uint64_t, kMatrixSlots> srow_mask_{};
   /// rank_[i]: sorted rank of populated_[i] — the bit position slot i's
@@ -440,21 +338,16 @@ class CountSimulator {
   support::Rng rng_;
 };
 
-// --- Inline hot-path definitions (S28) ---------------------------------
-//
-// The lockstep primitives live in the header so the batch driver
-// (engine/batch_sim.cpp) compiles them straight into its sweep loop,
-// exactly as run_until_stable does inside count_sim.cpp — out-of-line
-// they cost the batch path several cross-TU calls per firing that the
-// scalar path never pays.
-
 inline std::optional<bool> CountSimulator::consensus() const {
   if (accepting_ == counts_.total()) return true;
   if (accepting_ == 0) return false;
   return std::nullopt;
 }
 
-inline bool CountSimulator::frozen() const { return weight_total() == 0; }
+inline bool CountSimulator::frozen() const { return weight_total_ == 0; }
+
+// The per-firing draw path, inline so run_until_stable and step() compile
+// it straight into their loops.
 
 inline bool CountSimulator::geom_prepare(std::uint64_t active) {
   // active > 0 implies m >= 2 (an active pair needs two distinct agents,
@@ -469,92 +362,24 @@ inline bool CountSimulator::geom_prepare(std::uint64_t active) {
   return cached_p_ < 1.0;
 }
 
+inline std::uint64_t CountSimulator::sample_null_run(std::uint64_t active) {
+  // U uniform on (0, 1]; 53-bit mantissa draw, shifted off zero. The
+  // null-run length is ⌊ln U / ln(1−p)⌋ with exact underflow/overflow
+  // clamps.
+  if (!geom_prepare(active)) return 0;
+  const double k =
+      std::floor(std::log(support::to_unit_open(rng_())) / cached_log1p_);
+  if (!(k >= 0.0)) return 0;
+  if (k >= 1.8e19) return std::numeric_limits<std::uint64_t>::max() / 2;
+  return static_cast<std::uint64_t>(k);
+}
+
 inline void CountSimulator::advance_nulls(std::uint64_t count) {
   if (count == 0) return;
   interactions_ += count;
   metrics_.meetings += count;
   metrics_.skipped_meetings += count;
   ++metrics_.null_skip_batches;
-}
-
-inline void CountSimulator::ls_begin(Lockstep& ls,
-                                     const pp::SimulationOptions& options) {
-  ls.result = pp::SimulationResult{};
-  ls.max_interactions = options.max_interactions;
-  ls.stable_window = options.stable_window;
-  ls.consensus_start = interactions_;
-  ls.held = consensus();
-  ls.done = false;
-}
-
-inline bool CountSimulator::ls_wants_draw(Lockstep& ls) {
-  if (interactions_ >= ls.max_interactions) {
-    ls.done = true;
-    return false;
-  }
-  const std::uint64_t active = weight_total();
-  if (active == 0) {
-    // Frozen (including any population of size < 2): every future meeting
-    // is null, so the current consensus (or its absence) is permanent.
-    // Realise just enough nulls to hit the window or the budget.
-    const std::uint64_t stable_at = ls.consensus_start + ls.stable_window;
-    if (ls.held.has_value() && stable_at <= ls.max_interactions) {
-      advance_nulls(stable_at - interactions_);
-      ls.result.stabilised = true;
-      ls.result.output = *ls.held;
-      ls.result.consensus_since = ls.consensus_start;
-    } else {
-      advance_nulls(ls.max_interactions - interactions_);
-    }
-    ls.done = true;
-    return false;
-  }
-  return geom_prepare(active);
-}
-
-inline void CountSimulator::ls_fire(Lockstep& ls, std::uint64_t skip) {
-  const std::uint64_t active = weight_total();
-  const std::uint64_t stable_at = ls.consensus_start + ls.stable_window;
-  if (ls.held.has_value() && stable_at <= interactions_ + skip) {
-    // The window completes during the null run, before the next firing.
-    advance_nulls(stable_at - interactions_);
-    ls.result.stabilised = true;
-    ls.result.output = *ls.held;
-    ls.result.consensus_since = ls.consensus_start;
-    ls.done = true;
-    return;
-  }
-  if (interactions_ + skip >= ls.max_interactions) {
-    advance_nulls(ls.max_interactions - interactions_);
-    ls.done = true;
-    return;
-  }
-  advance_nulls(skip);
-  ++interactions_;
-  ++metrics_.meetings;
-  apply_active_meeting(active);
-  const std::optional<bool> now = consensus();
-  if (now != ls.held) {
-    ls.held = now;
-    ls.consensus_start = interactions_;
-    ++metrics_.consensus_flips;
-  }
-  if (ls.held.has_value() &&
-      interactions_ - ls.consensus_start >= ls.stable_window) {
-    ls.result.stabilised = true;
-    ls.result.output = *ls.held;
-    ls.result.consensus_since = ls.consensus_start;
-    ls.done = true;
-  }
-}
-
-inline void CountSimulator::ls_finish(Lockstep& ls) {
-  ls.result.interactions = interactions_;
-  ls.result.parallel_time =
-      population() != 0
-          ? static_cast<double>(interactions_) /
-                static_cast<double>(population())
-          : 0.0;
 }
 
 }  // namespace ppde::engine

@@ -58,7 +58,6 @@ std::uint64_t derive_trial_seed(std::uint64_t master_seed,
 const char* to_string(EngineKind kind) {
   switch (kind) {
     case EngineKind::kPerAgent: return "per-agent";
-    case EngineKind::kCount: return "count";
     case EngineKind::kCountNullSkip: return "count+null-skip";
   }
   return "?";
@@ -145,67 +144,6 @@ std::vector<TrialResult> run_trial_range(
   return results;
 }
 
-std::vector<TrialResult> run_trial_range_chunked(
-    std::uint64_t first_trial, std::uint64_t trials, unsigned threads,
-    std::uint64_t chunk,
-    const std::function<void(unsigned worker, std::uint64_t first,
-                             std::uint64_t count, TrialResult* out)>& body) {
-  std::vector<TrialResult> results(trials);
-  if (trials == 0) return results;
-  chunk = std::max<std::uint64_t>(chunk, 1);
-  const std::uint64_t num_chunks = (trials + chunk - 1) / chunk;
-
-  WorkerPool pool(fleet_workers(num_chunks, threads));
-  FleetMetrics& fleet_metrics = FleetMetrics::get();
-  std::mutex failure_mutex;
-  bool failed = false;
-  std::uint64_t failed_trial = 0;
-  std::string failed_what;
-  const auto note_failure = [&](std::uint64_t trial, const char* what) {
-    const std::lock_guard<std::mutex> lock(failure_mutex);
-    if (!failed || trial < failed_trial) {
-      failed = true;
-      failed_trial = trial;
-      failed_what = what;
-    }
-  };
-  try {
-    pool.parallel_for_workers(num_chunks, [&](unsigned worker,
-                                              std::uint64_t c) {
-      const std::uint64_t offset = c * chunk;
-      const std::uint64_t count = std::min(chunk, trials - offset);
-      const std::uint64_t first = first_trial + offset;
-      obs::ObsSpan span("trial_chunk", "engine");
-      span.set_value(static_cast<double>(first));
-      try {
-        body(worker, first, count, results.data() + offset);
-      } catch (const std::exception& error) {
-        note_failure(first, error.what());
-        throw;
-      } catch (...) {
-        note_failure(first, "unknown exception");
-        throw;
-      }
-      // Per-trial bookkeeping at chunk granularity: the registry counters
-      // and a retire-marker "trial" span per trial (the trace contract
-      // every ensemble consumer greps for; in batch mode it marks the
-      // trial's completion rather than bracketing its execution).
-      for (std::uint64_t i = 0; i < count; ++i) {
-        obs::ObsSpan trial_span("trial", "engine");
-        trial_span.set_value(static_cast<double>(first + i));
-        fleet_metrics.publish(results[offset + i].metrics);
-      }
-    });
-  } catch (...) {
-    if (failed)
-      throw std::runtime_error("run_trial_fleet: trial " +
-                               std::to_string(failed_trial) +
-                               " failed: " + failed_what);
-    throw;
-  }
-  return results;
-}
-
 namespace {
 
 Quantiles quantiles_of(std::vector<double> values) {
@@ -256,40 +194,19 @@ EnsembleStats run_ensemble(const pp::Protocol& protocol,
       obs::Registry::global().gauge("engine.trials_total");
   trials_total.set(static_cast<double>(options.trials));
   const auto start_time = std::chrono::steady_clock::now();
-  // One shared activity index for all count-based trials; read-only after
-  // construction, so safe across the pool.
-  // The shared trial body (S27): engine/dispatch/scenario selection and
-  // per-worker simulator reuse live in TrialExecutor, the same body
-  // smc::certify and the serve workers run.
-  unsigned workers = fleet_workers(options.trials, options.threads);
-  TrialExecutor executor(protocol, options.engine, options.dispatch,
-                         options.scenario, workers, options.batch);
-
-  std::vector<TrialResult> results;
-  if (executor.batch_width() > 1) {
-    // Lockstep core (S28): contiguous chunks of a few batch-fills each —
-    // big enough to amortise lane refills, small enough that multi-worker
-    // fleets still load-balance across the pool.
-    const std::uint64_t chunk = std::uint64_t{4} * executor.batch_width();
-    const std::uint64_t num_chunks = (options.trials + chunk - 1) / chunk;
-    workers = fleet_workers(num_chunks, options.threads);
-    results = run_trial_range_chunked(
-        0, options.trials, options.threads, chunk,
-        [&](unsigned worker, std::uint64_t first, std::uint64_t count,
-            TrialResult* out) {
-          executor.run_range(worker, initial, options.master_seed, first,
-                             count, options.sim, out);
-        });
-  } else {
-    results = run_trial_fleet(
-        options.trials, options.threads, options.master_seed,
-        [&](unsigned worker, std::uint64_t, std::uint64_t seed) {
-          return executor.run(worker, initial, seed, options.sim);
-        });
-  }
+  // The shared trial body (S27): engine/scenario selection and per-worker
+  // simulator reuse live in TrialExecutor, the same body smc::certify and
+  // the serve workers run.
+  const unsigned workers = fleet_workers(options.trials, options.threads);
+  TrialExecutor executor(protocol, options.engine, options.scenario, workers);
+  const std::vector<TrialResult> results = run_trial_fleet(
+      options.trials, options.threads, options.master_seed,
+      [&](unsigned worker, std::uint64_t, std::uint64_t seed) {
+        return executor.run(worker, initial, seed, options.sim);
+      });
   EnsembleStats stats = aggregate(results);
   // Report what the fleet actually ran with: the pool never spawns more
-  // workers than there are trials (or chunks, under the batch core).
+  // workers than there are trials.
   stats.threads_used = workers;
   stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -38,7 +38,6 @@ std::uint64_t derive_trial_seed(std::uint64_t master_seed,
 /// Which simulator executes each trial.
 enum class EngineKind {
   kPerAgent,        ///< pp::Simulator — one array slot per agent
-  kCount,           ///< CountSimulator, one pair sample per meeting
   kCountNullSkip,   ///< CountSimulator with geometric null-skip (default)
 };
 
@@ -84,25 +83,12 @@ struct EnsembleOptions {
   unsigned threads = 0;
   std::uint64_t master_seed = 1;
   EngineKind engine = EngineKind::kCountNullSkip;
-  /// Execution core (S26): compiled-bytecode dispatch (default) or the
-  /// legacy interpreter. Trajectories and all aggregates are bit-identical
-  /// either way; the oracle tests pin that.
-  isa::Dispatch dispatch = isa::Dispatch::kBytecode;
   /// Stress scenario (S27). The default (uniform scheduler, no faults)
-  /// keeps the count engines' fast paths and their exact pre-S27 RNG
+  /// keeps the count engine's fast path and its exact pre-S27 RNG
   /// streams; any other scenario falls back to the per-agent simulator
   /// regardless of `engine` (graph topologies, biased weighting and fault
   /// plans all need agent identity).
   sched::Scenario scenario;
-  /// Lockstep batch width (S28): lanes each worker advances in lockstep.
-  /// 0 = auto (simd::preferred_width — currently the scalar path, which
-  /// measures faster; see EXPERIMENTS.md S28), 1 = off (scalar per-trial
-  /// path), N = exactly N lanes. Only the count+null-skip
-  /// engine under the default scenario batches; every other configuration
-  /// ignores this and runs scalar. Per-trial results and all aggregates
-  /// are bit-identical at every width (wall times excepted) — the
-  /// differential tests pin it.
-  std::uint32_t batch = 0;
   /// Per-trial stopping rule; sim.seed is ignored (per-trial seeds are
   /// derived from master_seed).
   pp::SimulationOptions sim;
@@ -147,21 +133,6 @@ std::vector<TrialResult> run_trial_range(
     std::uint64_t master_seed,
     const std::function<TrialResult(unsigned worker, std::uint64_t trial,
                                     std::uint64_t seed)>& body);
-
-/// Chunked fleet for the lockstep batch core (S28): partition
-/// [first_trial, first_trial + trials) into contiguous chunks of `chunk`
-/// trials and hand each chunk to one body call on a worker — the body
-/// (typically TrialExecutor::run_range) fills out[0..count) with the
-/// trials' results, each a pure function of its global (trial, seed), so
-/// any chunk size yields the per-trial results of the unchunked fleet.
-/// Results indexed by offset; per-trial registry metrics and trace
-/// markers are published as each chunk completes; a throwing body
-/// surfaces as a std::runtime_error naming the chunk's first trial.
-std::vector<TrialResult> run_trial_range_chunked(
-    std::uint64_t first_trial, std::uint64_t trials, unsigned threads,
-    std::uint64_t chunk,
-    const std::function<void(unsigned worker, std::uint64_t first,
-                             std::uint64_t count, TrialResult* out)>& body);
 
 /// Deterministic aggregation of per-trial results (in index order).
 EnsembleStats aggregate(const std::vector<TrialResult>& results);

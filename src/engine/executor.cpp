@@ -3,26 +3,14 @@
 namespace ppde::engine {
 
 TrialExecutor::TrialExecutor(const pp::Protocol& protocol, EngineKind kind,
-                             isa::Dispatch dispatch,
-                             const sched::Scenario& scenario, unsigned workers,
-                             std::uint32_t batch)
+                             const sched::Scenario& scenario, unsigned workers)
     : protocol_(protocol),
-      dispatch_(dispatch),
       scenario_(scenario),
       per_agent_(kind == EngineKind::kPerAgent || !scenario.is_default()),
-      sims_(workers),
-      batches_(workers) {
-  if (!per_agent_) {
-    // One shared activity index for all count-based trials; read-only
-    // after construction, so safe across the pool.
-    index_.emplace(protocol);
-    sim_options_.null_skip = kind == EngineKind::kCountNullSkip;
-    sim_options_.dispatch = dispatch;
-    // The lockstep batch core (S28) drives the null-skip engine only; the
-    // plain count engine and the per-agent fallback keep scalar trials.
-    if (sim_options_.null_skip && batch != 1)
-      batch_width_ = BatchSimulator::resolve_width(batch);
-  }
+      sims_(workers) {
+  // One shared activity index for all count-based trials; read-only after
+  // construction, so safe across the pool.
+  if (!per_agent_) index_.emplace(protocol);
 }
 
 TrialResult TrialExecutor::run(unsigned worker, const pp::Config& initial,
@@ -31,7 +19,7 @@ TrialResult TrialExecutor::run(unsigned worker, const pp::Config& initial,
   TrialResult trial;
   trial.seed = seed;
   if (per_agent_) {
-    pp::Simulator simulator(protocol_, initial, scenario_, seed, dispatch_);
+    pp::Simulator simulator(protocol_, initial, scenario_, seed);
     trial.sim = simulator.run_until_stable(options);
     trial.metrics = simulator.metrics();
   } else {
@@ -41,31 +29,13 @@ TrialResult TrialExecutor::run(unsigned worker, const pp::Config& initial,
     std::unique_ptr<CountSimulator>& sim = sims_[worker];
     if (!sim)
       sim = std::make_unique<CountSimulator>(protocol_, *index_, initial,
-                                             seed, sim_options_);
+                                             seed);
     else
       sim->reset(initial, seed);
     trial.sim = sim->run_until_stable(options);
     trial.metrics = sim->metrics();
   }
   return trial;
-}
-
-void TrialExecutor::run_range(unsigned worker, const pp::Config& initial,
-                              std::uint64_t master_seed,
-                              std::uint64_t first_trial, std::size_t count,
-                              const pp::SimulationOptions& options,
-                              TrialResult* out) {
-  if (batch_width_ > 1) {
-    std::unique_ptr<BatchSimulator>& batch = batches_[worker];
-    if (!batch)
-      batch = std::make_unique<BatchSimulator>(protocol_, *index_,
-                                               sim_options_, batch_width_);
-    batch->run_range(initial, options, master_seed, first_trial, count, out);
-    return;
-  }
-  for (std::size_t i = 0; i < count; ++i)
-    out[i] = run(worker, initial,
-                 derive_trial_seed(master_seed, first_trial + i), options);
 }
 
 }  // namespace ppde::engine

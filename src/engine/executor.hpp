@@ -5,18 +5,16 @@
 // ensemble batch and the analysis sweeps: pick per-agent or count
 // simulator, reuse one count simulator per worker, run until stable.
 // TrialExecutor is that body, written once — and the single place where
-// the S27 scenario fallback rule lives: the count-based engines keep
-// their flat-weight/Fenwick fast paths for the default scenario, while
-// any non-default scenario (graph topology, biased weighting, faults —
-// all of which need agent identity) falls back to the per-agent
-// pp::Simulator, under either dispatch core.
+// the S27 scenario fallback rule lives: the count engine keeps its
+// flat-weight fast path for the default scenario, while any non-default
+// scenario (graph topology, biased weighting, faults — all of which need
+// agent identity) falls back to the per-agent pp::Simulator.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "engine/batch_sim.hpp"
 #include "engine/count_sim.hpp"
 #include "engine/ensemble.hpp"
 #include "sched/scenario.hpp"
@@ -27,33 +25,14 @@ class TrialExecutor {
  public:
   /// `protocol` must outlive the executor. `workers` is the fleet's worker
   /// count (fleet_workers) — one reusable CountSimulator slot each.
-  /// `batch` is the S28 lockstep width request: 0 = auto, 1 = off, N = N
-  /// lanes; it only takes effect where the lockstep core applies (count
-  /// engine with null-skip, default scenario) — everything else keeps the
-  /// scalar per-trial path, and batch_width() reports 1.
   TrialExecutor(const pp::Protocol& protocol, EngineKind kind,
-                isa::Dispatch dispatch, const sched::Scenario& scenario,
-                unsigned workers, std::uint32_t batch = 0);
+                const sched::Scenario& scenario, unsigned workers);
 
   /// Run one trial from `initial` with `seed`. Safe to call concurrently
   /// from different workers; the result is a pure function of
   /// (initial, seed) — the worker index only selects per-worker scratch.
   TrialResult run(unsigned worker, const pp::Config& initial,
                   std::uint64_t seed, const pp::SimulationOptions& options);
-
-  /// Run trials [first_trial, first_trial + count), each with its global
-  /// seed derive_trial_seed(master_seed, first_trial + i), into
-  /// out[0..count). With batch_width() > 1 the range runs on the worker's
-  /// lockstep BatchSimulator — per-trial results bit-identical to `count`
-  /// run() calls (wall_seconds excepted; see batch_sim.hpp) — otherwise
-  /// it is exactly that scalar loop. Concurrency contract matches run().
-  void run_range(unsigned worker, const pp::Config& initial,
-                 std::uint64_t master_seed, std::uint64_t first_trial,
-                 std::size_t count, const pp::SimulationOptions& options,
-                 TrialResult* out);
-
-  /// Lanes run_range advances in lockstep per worker; 1 means scalar.
-  unsigned batch_width() const { return batch_width_; }
 
   /// True when trials execute on the per-agent simulator — either because
   /// the per-agent engine was requested or because a non-default scenario
@@ -62,14 +41,10 @@ class TrialExecutor {
 
  private:
   const pp::Protocol& protocol_;
-  isa::Dispatch dispatch_;
   sched::Scenario scenario_;
   bool per_agent_;
-  unsigned batch_width_ = 1;
   std::optional<PairIndex> index_;
-  CountSimOptions sim_options_;
   std::vector<std::unique_ptr<CountSimulator>> sims_;
-  std::vector<std::unique_ptr<BatchSimulator>> batches_;
 };
 
 }  // namespace ppde::engine

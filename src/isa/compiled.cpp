@@ -4,19 +4,9 @@
 #include <bit>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace ppde::isa {
-
-const char* to_string(Dispatch dispatch) {
-  return dispatch == Dispatch::kBytecode ? "bytecode" : "interp";
-}
-
-Dispatch parse_dispatch(const std::string& text) {
-  if (text == "interp") return Dispatch::kInterp;
-  if (text == "bytecode") return Dispatch::kBytecode;
-  throw std::invalid_argument("unknown dispatch mode '" + text +
-                              "' (expected interp or bytecode)");
-}
 
 namespace {
 

@@ -28,7 +28,7 @@ namespace ppde::isa {
 ///   policy.accepting(delta) — apply the fused accepting-counter delta
 /// A kNop cell only reaches policy.accepting(0); identity writes never
 /// happen, which is what keeps the count engine's shift surgery identical
-/// to the interpreter's "skip when from == to" behaviour.
+/// to the seed engine's "skip when from == to" behaviour.
 template <typename Policy>
 inline void execute_cell(const Cell& cell, Policy&& policy) {
 #if PPDE_ISA_COMPUTED_GOTO

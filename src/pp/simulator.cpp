@@ -9,14 +9,13 @@
 namespace ppde::pp {
 
 Simulator::Simulator(const Protocol& protocol, const Config& initial,
-                     std::uint64_t seed, isa::Dispatch dispatch)
+                     std::uint64_t seed)
     : protocol_(protocol), rng_(seed) {
   if (!protocol.finalized())
     throw std::logic_error("Simulator: protocol not finalized");
   if (initial.total() < 2)
     throw std::invalid_argument("Simulator: need at least two agents");
-  if (dispatch == isa::Dispatch::kBytecode)
-    compiled_ = &protocol.compiled();
+  compiled_ = &protocol.compiled();
   agents_.reserve(initial.total());
   for (State q = 0; q < initial.num_states(); ++q)
     for (std::uint32_t i = 0; i < initial[q]; ++i) agents_.push_back(q);
@@ -25,9 +24,8 @@ Simulator::Simulator(const Protocol& protocol, const Config& initial,
 }
 
 Simulator::Simulator(const Protocol& protocol, const Config& initial,
-                     const sched::Scenario& scenario, std::uint64_t seed,
-                     isa::Dispatch dispatch)
-    : Simulator(protocol, initial, seed, dispatch) {
+                     const sched::Scenario& scenario, std::uint64_t seed)
+    : Simulator(protocol, initial, seed) {
   if (scenario.is_default()) return;
   topo_rng_.reseed(
       support::derive_trial_seed(seed, sched::kTopologyStream));
@@ -113,54 +111,33 @@ bool Simulator::step() {
 
   const State q = agents_[i];
   const State r = agents_[j];
-  if (compiled_ != nullptr) {
-    // Bytecode core: one pair-table probe instead of the hash lookup, and
-    // the picked cell's opcode writes only the slots that change, with
-    // the fused accepting delta replacing four is_accepting probes. The
-    // candidate pick consumes the RNG exactly like the interp path (no
-    // draw for empty/singleton candidate sets).
-    const std::uint32_t entry = compiled_->entry_of(q, r);
-    if (entry >= isa::CompiledProtocol::kSilentOnly) return false;
-    ++metrics_.firings;
-    const auto cells = compiled_->cells(entry);
-    const isa::Cell& cell =
-        cells.size() == 1 ? cells[0] : cells[rng_.below(cells.size())];
-    isa::execute_cell(
-        cell,
-        isa::make_policy([&](std::uint32_t q2) { agents_[i] = q2; },
-                         [&](std::uint32_t r2) { agents_[j] = r2; },
-                         [&](std::uint32_t q2, std::uint32_t r2) {
-                           agents_[i] = q2;
-                           agents_[j] = r2;
-                         },
-                         [&] {
-                           agents_[i] = r;
-                           agents_[j] = q;
-                         },
-                         [&](std::int32_t delta) {
-                           accepting_agents_ +=
-                               static_cast<std::uint64_t>(
-                                   static_cast<std::int64_t>(delta));
-                         }));
-    return true;
-  }
-  const auto candidates = protocol_.transitions_for(q, r);
-  if (candidates.empty()) return false;
+  // One pair-table probe, then the picked cell's opcode writes only the
+  // slots that change, with the fused accepting delta replacing four
+  // is_accepting probes. The candidate pick consumes the RNG exactly like
+  // a walk over Protocol::transitions_for (no draw for a single
+  // candidate).
+  const std::uint32_t entry = compiled_->entry_of(q, r);
+  if (entry >= isa::CompiledProtocol::kSilentOnly) return false;
   ++metrics_.firings;
-  const std::uint32_t pick =
-      candidates.size() == 1
-          ? candidates[0]
-          : candidates[rng_.below(candidates.size())];
-  const Transition& t = protocol_.transitions()[pick];
-
-  auto retag = [&](std::uint64_t index, State to) {
-    const State from = agents_[index];
-    if (protocol_.is_accepting(from)) --accepting_agents_;
-    if (protocol_.is_accepting(to)) ++accepting_agents_;
-    agents_[index] = to;
-  };
-  retag(i, t.q2);
-  retag(j, t.r2);
+  const auto cells = compiled_->cells(entry);
+  const isa::Cell& cell =
+      cells.size() == 1 ? cells[0] : cells[rng_.below(cells.size())];
+  isa::execute_cell(
+      cell,
+      isa::make_policy([&](std::uint32_t q2) { agents_[i] = q2; },
+                       [&](std::uint32_t r2) { agents_[j] = r2; },
+                       [&](std::uint32_t q2, std::uint32_t r2) {
+                         agents_[i] = q2;
+                         agents_[j] = r2;
+                       },
+                       [&] {
+                         agents_[i] = r;
+                         agents_[j] = q;
+                       },
+                       [&](std::int32_t delta) {
+                         accepting_agents_ += static_cast<std::uint64_t>(
+                             static_cast<std::int64_t>(delta));
+                       }));
   return true;
 }
 

@@ -55,13 +55,10 @@ struct SimulationResult {
 class Simulator {
  public:
   /// `protocol` must be finalized and outlive the simulator; `initial` must
-  /// contain at least two agents. `dispatch` picks the execution core
-  /// (S26): bytecode steps through the compiled pair-lookup table and
-  /// opcode cells, interp through the legacy transition picks — both
-  /// produce bit-identical trajectories for every seed.
+  /// contain at least two agents. Meetings step through the compiled
+  /// pair-lookup table and opcode cells (S26).
   Simulator(const Protocol& protocol, const Config& initial,
-            std::uint64_t seed = 1,
-            isa::Dispatch dispatch = isa::Dispatch::kBytecode);
+            std::uint64_t seed = 1);
 
   /// Scenario-aware overload (S27): run under the given scheduler strategy
   /// and fault plan. A default scenario behaves exactly like the plain
@@ -70,8 +67,7 @@ class Simulator {
   /// topology and fault streams are split off `seed` with the fixed stream
   /// tags in sched/scenario.hpp, so faults never perturb the meeting draws.
   Simulator(const Protocol& protocol, const Config& initial,
-            const sched::Scenario& scenario, std::uint64_t seed = 1,
-            isa::Dispatch dispatch = isa::Dispatch::kBytecode);
+            const sched::Scenario& scenario, std::uint64_t seed = 1);
 
   /// Perform one scheduler step. Returns true if a transition fired.
   bool step();
@@ -117,7 +113,7 @@ class Simulator {
   void run_due_faults();
 
   const Protocol& protocol_;
-  const isa::CompiledProtocol* compiled_ = nullptr;  ///< set iff bytecode
+  const isa::CompiledProtocol* compiled_ = nullptr;  ///< protocol's tables
   std::vector<State> agents_;
   std::uint64_t accepting_agents_ = 0;
   std::uint64_t interactions_ = 0;

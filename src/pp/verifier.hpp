@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "isa/compiled.hpp"
 #include "pp/config.hpp"
 #include "pp/protocol.hpp"
 
@@ -45,12 +44,6 @@ struct VerifierOptions {
   /// reachable configuration graphs are isomorphic — but each expansion
   /// scans a smaller transition relation.
   bool prune = false;
-  /// Execution core for the successor generator (S26). kBytecode expands
-  /// meetings through the compiled pair table and opcode cells (touching
-  /// only the rewritten side of each pair); successor emission order — and
-  /// with it every node ID, SCC and counterexample — is identical to the
-  /// interp walk at every thread count.
-  isa::Dispatch dispatch = isa::Dispatch::kBytecode;
 };
 
 struct VerificationResult {

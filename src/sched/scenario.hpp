@@ -112,7 +112,7 @@ struct Scenario {
 
   /// True for the pre-S27 execution model: uniform scheduler, no faults.
   /// Default scenarios take the untouched fast paths everywhere (per-agent
-  /// legacy draw loop, count-engine flat-weight/Fenwick sampling) and emit
+  /// legacy draw loop, count-engine flat-weight sampling) and emit
   /// no scenario field in certificates or wire messages.
   bool is_default() const {
     return scheduler.kind == SchedKind::kUniform &&

@@ -228,11 +228,8 @@ std::string encode_query(const QueryParams& query) {
   json.field("window", query.window);
   json.field("budget", query.budget);
   json.field("shard", query.shard);
-  json.field("dispatch", std::string_view(query.dispatch));
   if (!query.scenario.empty())
     json.field("scenario", std::string_view(query.scenario));
-  if (query.batch != 0)
-    json.field("batch", static_cast<std::uint64_t>(query.batch));
   if (!query.format.empty())
     json.field("format", std::string_view(query.format));
   if (query.recent != 0) json.field("recent", query.recent);
@@ -255,12 +252,19 @@ QueryParams parse_query(const Json& json) {
   query.window = json.u64("window", query.window);
   query.budget = json.u64("budget", query.budget);
   query.shard = json.u64("shard", 0);
-  query.dispatch = json.str("dispatch", query.dispatch);
+  check_dispatch(json.str("dispatch", "bytecode"));
   query.scenario = json.str("scenario", "");
-  query.batch = static_cast<std::uint32_t>(json.u64("batch", 0));
   query.format = json.str("format", "");
   query.recent = json.u64("recent", 0);
   return query;
+}
+
+void check_dispatch(std::string_view dispatch) {
+  if (dispatch != "bytecode")
+    throw std::runtime_error(
+        "dispatch '" + std::string(dispatch) +
+        "' is not available: the interpreter was removed and survives only "
+        "as a test oracle; bytecode is the one execution core");
 }
 
 smc::CertifyOptions certify_options_of(const QueryParams& query) {
@@ -273,12 +277,10 @@ smc::CertifyOptions certify_options_of(const QueryParams& query) {
   options.seed = query.seed;
   options.sim.stable_window = query.window;
   options.sim.max_interactions = query.budget;
-  options.dispatch = isa::parse_dispatch(query.dispatch);
   // Throws std::invalid_argument on a malformed descriptor — callers
   // reject the query at admission (handle_connection) before any work.
   if (!query.scenario.empty())
     options.scenario = sched::Scenario::parse(query.scenario);
-  options.batch_width = query.batch;
   return options;
 }
 
@@ -303,11 +305,8 @@ std::string encode_batch_request(const BatchRequest& request) {
   json.field("count", request.count);
   json.field("window", request.window);
   json.field("budget", request.budget);
-  json.field("dispatch", std::string_view(request.dispatch));
   if (!request.scenario.empty())
     json.field("scenario", std::string_view(request.scenario));
-  if (request.batch != 0)
-    json.field("batch", static_cast<std::uint64_t>(request.batch));
   if (request.trace_id != 0) json.field("trace_id", request.trace_id);
   return json.finish();
 }
@@ -325,9 +324,7 @@ BatchRequest parse_batch_request(const Json& json) {
   request.count = json.u64("count", 0);
   request.window = json.u64("window", 90'000'000);
   request.budget = json.u64("budget", 2'000'000'000);
-  request.dispatch = json.str("dispatch", request.dispatch);
   request.scenario = json.str("scenario", "");
-  request.batch = static_cast<std::uint32_t>(json.u64("batch", 0));
   request.trace_id = json.u64("trace_id", 0);
   return request;
 }

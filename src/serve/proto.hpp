@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/ensemble.hpp"
@@ -39,7 +40,10 @@ namespace ppde::serve {
 /// fleet size. `shard` (certify/ensemble) overrides the daemon's per-batch
 /// dispatch size; 0 keeps the server default. Defaults mirror the CLI
 /// `certify` flag defaults so a client request omitting a field means the
-/// same thing as the CLI omitting the flag.
+/// same thing as the CLI omitting the flag. Two members of older queries
+/// are still understood on the wire: `"dispatch"` must be "bytecode"
+/// (check_dispatch) and `"batch"` is ignored — neither ever changed a
+/// result.
 struct QueryParams {
   std::string req = "certify";
   int n = 1;
@@ -53,21 +57,12 @@ struct QueryParams {
   std::uint64_t window = 90'000'000;
   std::uint64_t budget = 2'000'000'000;
   std::uint64_t shard = 0;
-  /// Execution core (S26): "bytecode" or "interp". A query omitting the
-  /// field means bytecode, like the CLI omitting --dispatch; results are
-  /// bit-identical either way.
-  std::string dispatch = "bytecode";
   /// Stress scenario descriptor (S27), e.g. "ring+corrupt:0.001". Empty
   /// means the default scenario (uniform scheduler, no faults) and — like
   /// the digest-scoping rule it mirrors — is omitted from the encoded
   /// query, so pre-S27 clients and servers interoperate unchanged. A
   /// malformed descriptor is rejected at admission with an error frame.
   std::string scenario{};
-  /// Lockstep batch width (S28): 0 = auto, 1 = off, N = N lanes per
-  /// worker. 0 is omitted from the encoded query (pre-S28 interop);
-  /// results and digests are bit-identical at every width, so the field
-  /// only steers worker-side throughput.
-  std::uint32_t batch = 0;
   /// Stats-only (S29): "" = the JSON reply, "prometheus" = wrap the
   /// text exposition in {"ok":true,"prometheus":"..."}. Omitted when
   /// empty (pre-S29 interop).
@@ -78,7 +73,15 @@ struct QueryParams {
 };
 
 std::string encode_query(const QueryParams& query);
+/// Throws std::runtime_error on a query without a req field or with a
+/// dispatch other than "bytecode".
 QueryParams parse_query(const Json& json);
+
+/// Throws std::runtime_error unless `dispatch` is "bytecode", the one
+/// execution core. The interpreter core was removed; it survives only as
+/// a test oracle, so a request for it is refused rather than silently
+/// served by bytecode. The CLI applies the same check to --dispatch.
+void check_dispatch(std::string_view dispatch);
 
 /// The CertifyOptions a query denotes (threads/batch are irrelevant
 /// server-side — sharding replaces them — and left at defaults; neither
@@ -100,13 +103,9 @@ struct BatchRequest {
   std::uint64_t count = 0;
   std::uint64_t window = 0;
   std::uint64_t budget = 0;
-  std::string dispatch = "bytecode";  ///< execution core, forwarded verbatim
   /// Scenario descriptor, forwarded verbatim ("" = default, field omitted
   /// on the wire — workers predating S27 only ever see default batches).
   std::string scenario{};
-  /// Lockstep batch width, forwarded verbatim (0 = auto, omitted on the
-  /// wire; a pre-S28 worker ignoring it still ships identical records).
-  std::uint32_t batch = 0;
   /// Distributed tracing (S29): the daemon's query_seq for the query
   /// this batch belongs to, 0 (omitted on the wire) when the daemon is
   /// not tracing. A nonzero id asks the worker to run the batch under a

@@ -417,6 +417,25 @@ struct Server::Impl {
     record.workers.push_back(obs::WorkerLatency{worker, 1, micros, micros});
   }
 
+  /// The batch every worker range of `query` is cut from (first/count are
+  /// filled per dispatch). trace_id asks workers to ship span deltas back
+  /// iff this daemon is tracing.
+  static BatchRequest batch_prototype(const QueryParams& query, bool ensemble,
+                                      bool expected, std::uint64_t seq) {
+    return BatchRequest{
+        .ensemble = ensemble,
+        .n = query.n,
+        .extra = query.extra,
+        .expected = expected,
+        .seed = query.seed,
+        .first = 0,
+        .count = 0,
+        .window = query.window,
+        .budget = query.budget,
+        .scenario = query.scenario,
+        .trace_id = obs::Tracer::active() != nullptr ? seq : 0};
+  }
+
   std::string run_certify(const QueryParams& query, obs::QueryFlight& record) {
     const Clock::time_point began = Clock::now();
     const Statement& statement = cached_statement(query.n);
@@ -431,30 +450,29 @@ struct Server::Impl {
 
     Pump pump{
         .supervisor = supervisor,
-        .prototype =
-            BatchRequest{/*ensemble=*/false, query.n, query.extra, expected,
-                         query.seed, 0, 0, query.window, query.budget,
-                         query.dispatch, query.scenario, query.batch,
-                         /*trace_id=*/obs::Tracer::active() != nullptr
-                             ? record.seq
-                             : 0},
+        .prototype = batch_prototype(query, /*ensemble=*/false, expected,
+                                     record.seq),
         .total_trials = certify_options.max_trials,
         .shard = std::max<std::uint64_t>(1, query.shard ? query.shard
                                                         : options.shard),
-        .speculate_factor = 2};
-    pump.next_needed = [&] { return merger.next_needed(); };
-    pump.done = [&] { return merger.decided(); };
-    pump.deliver = [&](BatchResult&& result) {
-      obs::ObsSpan fold_span("merge_fold", "serve");
-      fold_span.set_value(static_cast<double>(result.first));
-      merger.absorb(result.first, std::move(result.records));
-    };
-    pump.on_dispatch = [this] { note_dispatch(); };
-    pump.observe = [&](int worker, const BatchResult& result,
-                       std::uint64_t micros) {
-      observe_result(worker, result, micros, record);
-    };
-    pump.wall_budget = options.max_query_seconds;
+        .speculate_factor = 2,
+        .next_needed = [&] { return merger.next_needed(); },
+        .done = [&] { return merger.decided(); },
+        .deliver =
+            [&](BatchResult&& result) {
+              obs::ObsSpan fold_span("merge_fold", "serve");
+              fold_span.set_value(static_cast<double>(result.first));
+              merger.absorb(result.first, std::move(result.records));
+            },
+        .on_dispatch = [this] { note_dispatch(); },
+        .observe =
+            [&](int worker, const BatchResult& result,
+                std::uint64_t micros) {
+              observe_result(worker, result, micros, record);
+            },
+        .wall_budget = options.max_query_seconds,
+        .batches_collected = 0,
+        .trials_reassigned = 0};
     const std::string error = pump.run();
     record.batches = pump.batches_collected;
     record.reassigned = pump.trials_reassigned;
@@ -498,33 +516,32 @@ struct Server::Impl {
 
     Pump pump{
         .supervisor = supervisor,
-        .prototype =
-            BatchRequest{/*ensemble=*/true, query.n, query.extra,
-                         /*expected=*/false, query.seed, 0, 0, query.window,
-                         query.budget, query.dispatch, query.scenario,
-                         query.batch,
-                         /*trace_id=*/obs::Tracer::active() != nullptr
-                             ? record.seq
-                             : 0},
+        .prototype = batch_prototype(query, /*ensemble=*/true,
+                                     /*expected=*/false, record.seq),
         .total_trials = total,
         .shard = std::max<std::uint64_t>(1, query.shard ? query.shard
                                                         : options.shard),
-        .speculate_factor = 0};
-    pump.done = [&] { return remaining == 0; };
-    pump.deliver = [&](BatchResult&& result) {
-      for (const EnsembleRecord& record_entry : result.ensemble_records) {
-        if (record_entry.trial >= total || seen[record_entry.trial]) continue;
-        seen[record_entry.trial] = 1;
-        records[record_entry.trial] = record_entry;
-        --remaining;
-      }
-    };
-    pump.on_dispatch = [this] { note_dispatch(); };
-    pump.observe = [&](int worker, const BatchResult& result,
-                       std::uint64_t micros) {
-      observe_result(worker, result, micros, record);
-    };
-    pump.wall_budget = options.max_query_seconds;
+        .speculate_factor = 0,
+        .next_needed = nullptr,  // dispatches everything up front
+        .done = [&] { return remaining == 0; },
+        .deliver =
+            [&](BatchResult&& result) {
+              for (const EnsembleRecord& entry : result.ensemble_records) {
+                if (entry.trial >= total || seen[entry.trial]) continue;
+                seen[entry.trial] = 1;
+                records[entry.trial] = entry;
+                --remaining;
+              }
+            },
+        .on_dispatch = [this] { note_dispatch(); },
+        .observe =
+            [&](int worker, const BatchResult& result,
+                std::uint64_t micros) {
+              observe_result(worker, result, micros, record);
+            },
+        .wall_budget = options.max_query_seconds,
+        .batches_collected = 0,
+        .trials_reassigned = 0};
     const std::string error = pump.run();
     record.batches = pump.batches_collected;
     record.reassigned = pump.trials_reassigned;

@@ -124,8 +124,15 @@ class JsonParser {
   Json parse_value() {
     skip_spaces();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Containers are the only recursion; bound it before descending.
+        if (depth_ == kMaxJsonDepth) fail("nesting too deep");
+        ++depth_;
+        Json json = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return json;
+      }
       case '"': return parse_string();
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -264,6 +271,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 Json Json::parse(std::string_view text) {

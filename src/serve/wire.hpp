@@ -29,6 +29,12 @@ namespace ppde::serve {
 /// batch of trial records).
 constexpr std::size_t kMaxFrameBytes = 64u << 20;
 
+/// Deepest array/object nesting Json::parse accepts. The protocol's
+/// deepest message (a histogram delta in a batch result's metric sidecar)
+/// nests five levels; the cap keeps the recursive-descent parser from
+/// overflowing the stack on hostile input that fits in a frame.
+constexpr std::size_t kMaxJsonDepth = 64;
+
 /// Write one length-prefixed frame; retries on EINTR / short writes.
 /// Throws std::runtime_error on IO failure (e.g. the peer died — the
 /// supervisor turns that into worker-death handling).
@@ -46,7 +52,8 @@ class Json {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
   /// Parse one complete JSON document; throws std::runtime_error (with an
-  /// offset) on malformed input or trailing garbage.
+  /// offset) on malformed input, trailing garbage, or nesting deeper than
+  /// kMaxJsonDepth.
   static Json parse(std::string_view text);
 
   Kind kind() const { return kind_; }

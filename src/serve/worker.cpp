@@ -4,7 +4,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,10 +14,8 @@
 #include "compile/lower.hpp"
 #include "compile/to_protocol.hpp"
 #include "czerner/construction.hpp"
-#include "engine/count_sim.hpp"
 #include "engine/ensemble.hpp"
 #include "engine/executor.hpp"
-#include "isa/compiled.hpp"
 #include "obs/registry.hpp"
 #include "obs/rollup.hpp"
 #include "obs/trace.hpp"
@@ -32,12 +29,10 @@ namespace ppde::serve {
 
 namespace {
 
-/// Per-n converted protocol + activity index, built once per worker
-/// process and reused across batches (construction dominates small-batch
-/// latency otherwise).
+/// Per-n converted protocol, built once per worker process and reused
+/// across batches (construction dominates small-batch latency otherwise).
 struct CachedProtocol {
   compile::ProtocolConversion conversion;
-  std::optional<engine::PairIndex> index;
 };
 
 CachedProtocol& cached_protocol(int n) {
@@ -46,9 +41,8 @@ CachedProtocol& cached_protocol(int n) {
   if (!slot) {
     const auto lowered =
         compile::lower_program(czerner::build_construction(n).program);
-    slot = std::make_unique<CachedProtocol>(CachedProtocol{
-        compile::machine_to_protocol(lowered.machine), std::nullopt});
-    slot->index.emplace(slot->conversion.protocol);
+    slot = std::make_unique<CachedProtocol>(
+        CachedProtocol{compile::machine_to_protocol(lowered.machine)});
   }
   return *slot;
 }
@@ -61,8 +55,6 @@ BatchResult run_certify_batch(const BatchRequest& request) {
   options.seed = request.seed;
   options.sim.stable_window = request.window;
   options.sim.max_interactions = request.budget;
-  options.dispatch = isa::parse_dispatch(request.dispatch);
-  options.batch_width = request.batch;
   if (!request.scenario.empty())
     options.scenario = sched::Scenario::parse(request.scenario);
   // threads = 1: a worker process is single-threaded by design — the
@@ -93,26 +85,14 @@ BatchResult run_ensemble_batch(const BatchRequest& request) {
   sched::Scenario scenario;
   if (!request.scenario.empty())
     scenario = sched::Scenario::parse(request.scenario);
-  engine::TrialExecutor executor(
-      cached.conversion.protocol, engine::EngineKind::kCountNullSkip,
-      isa::parse_dispatch(request.dispatch), scenario, /*workers=*/1,
-      request.batch);
-  std::vector<engine::TrialResult> trials;
-  if (executor.batch_width() > 1) {
-    // Lockstep path (S28): the whole shard is one contiguous range on this
-    // worker's BatchSimulator. Per-trial purity makes the records
-    // bit-identical to the per-trial loop below.
-    trials.resize(request.count);
-    executor.run_range(/*worker=*/0, initial, request.seed, request.first,
-                       request.count, sim_stop, trials.data());
-  } else {
-    const auto body = [&](unsigned worker, std::uint64_t,
-                          std::uint64_t seed) {
-      return executor.run(worker, initial, seed, sim_stop);
-    };
-    trials = engine::run_trial_range(request.first, request.count,
-                                     /*threads=*/1, request.seed, body);
-  }
+  engine::TrialExecutor executor(cached.conversion.protocol,
+                                 engine::EngineKind::kCountNullSkip, scenario,
+                                 /*workers=*/1);
+  const std::vector<engine::TrialResult> trials = engine::run_trial_range(
+      request.first, request.count, /*threads=*/1, request.seed,
+      [&](unsigned worker, std::uint64_t, std::uint64_t seed) {
+        return executor.run(worker, initial, seed, sim_stop);
+      });
   BatchResult result;
   result.first = request.first;
   result.ensemble_records.reserve(trials.size());

@@ -40,29 +40,8 @@ SprtOptions CertifyOptions::sprt() const {
 
 Certificate certify_trials(const TrialFn& body,
                            const CertifyOptions& options) {
-  // The per-trial driver is the range driver at chunk 1: same pool
-  // claims, same fold order, same digest — and the one place the trial
-  // seeds are derived.
-  return certify_trials(
-      [&body, &options](unsigned worker, std::uint64_t first,
-                        std::uint64_t count, TrialOutcome* out) {
-        for (std::uint64_t i = 0; i < count; ++i) {
-          const std::uint64_t trial = first + i;
-          obs::ObsSpan trial_span("trial", "smc");
-          trial_span.set_value(static_cast<double>(trial));
-          out[i] = body(worker, trial,
-                        engine::derive_trial_seed(options.seed, trial));
-        }
-      },
-      1, options);
-}
-
-Certificate certify_trials(const TrialRangeFn& body, std::uint64_t chunk,
-                           const CertifyOptions& options) {
   if (options.batch == 0)
     throw std::invalid_argument("certify_trials: batch must be positive");
-  if (chunk == 0)
-    throw std::invalid_argument("certify_trials: chunk must be positive");
   obs::ObsSpan span("certify_trials", "smc");
   const auto start_time = std::chrono::steady_clock::now();
 
@@ -71,11 +50,7 @@ Certificate certify_trials(const TrialRangeFn& body, std::uint64_t chunk,
   // cannot drift apart: one fold implementation, one digest.
   FoldState fold(options);
 
-  // A round's parallelism is its chunk count: with the lockstep core each
-  // chunk occupies one worker's whole batch, so the pool is sized by
-  // chunks, not trials.
-  const std::uint64_t round_chunks = (options.batch + chunk - 1) / chunk;
-  const unsigned workers = engine::fleet_workers(round_chunks, options.threads);
+  const unsigned workers = engine::fleet_workers(options.batch, options.threads);
   engine::WorkerPool pool(workers);
 
   // The one outcome buffer the whole certification reuses: per-trial data
@@ -106,11 +81,12 @@ Certificate certify_trials(const TrialRangeFn& body, std::uint64_t chunk,
     const std::uint64_t base = next_trial;
     obs::ObsSpan round_span("sprt_round", "smc");
     round_span.set_value(static_cast<double>(batch));
-    const std::uint64_t chunks = (batch + chunk - 1) / chunk;
-    pool.parallel_for_workers(chunks, [&](unsigned worker, std::uint64_t c) {
-      const std::uint64_t offset = c * chunk;
-      const std::uint64_t count = std::min(chunk, batch - offset);
-      body(worker, base + offset, count, outcomes.data() + offset);
+    pool.parallel_for_workers(batch, [&](unsigned worker, std::uint64_t i) {
+      const std::uint64_t trial = base + i;
+      obs::ObsSpan trial_span("trial", "smc");
+      trial_span.set_value(static_cast<double>(trial));
+      outcomes[i] =
+          body(worker, trial, engine::derive_trial_seed(options.seed, trial));
     });
     // Fold in trial order; stop at the SPRT's decision point so that every
     // statistic covers exactly the trials the sequential test consumed —
@@ -137,10 +113,10 @@ Certificate certify_trials(const TrialRangeFn& body, std::uint64_t chunk,
 namespace {
 
 /// The per-trial workload certify() folds, reusable by shard range runs.
-/// Engine/dispatch/scenario selection and per-worker simulator reuse live
-/// in engine::TrialExecutor (S27) — the same body run_ensemble and the
-/// serve workers run; this class only maps the run to a TrialOutcome
-/// against the expected output.
+/// Engine/scenario selection and per-worker simulator reuse live in
+/// engine::TrialExecutor (S27) — the same body run_ensemble and the serve
+/// workers run; this class only maps the run to a TrialOutcome against the
+/// expected output.
 class TrialRunner {
  public:
   TrialRunner(const pp::Protocol& protocol, const pp::Config& initial,
@@ -149,33 +125,11 @@ class TrialRunner {
       : initial_(initial),
         expected_output_(expected_output),
         options_(options),
-        executor_(protocol, options.engine, options.dispatch,
-                  options.scenario, workers, options.batch_width),
-        scratch_(workers) {}
+        executor_(protocol, options.engine, options.scenario, workers) {}
 
   TrialOutcome run(unsigned worker, std::uint64_t seed) {
     return outcome_of(executor_.run(worker, initial_, seed, options_.sim));
   }
-
-  /// Chunk entry for the lockstep core: trials [first, first + count) on
-  /// the worker's BatchSimulator (or the scalar loop at width 1), mapped
-  /// to outcomes. Emits the per-trial retire-marker spans the per-trial
-  /// driver gets from its wrapper.
-  void run_range(unsigned worker, std::uint64_t first, std::uint64_t count,
-                 TrialOutcome* out) {
-    std::vector<engine::TrialResult>& trials = scratch_[worker];
-    trials.resize(count);
-    executor_.run_range(worker, initial_, options_.seed, first, count,
-                        options_.sim, trials.data());
-    for (std::uint64_t i = 0; i < count; ++i) {
-      obs::ObsSpan trial_span("trial", "smc");
-      trial_span.set_value(static_cast<double>(first + i));
-      out[i] = outcome_of(trials[i]);
-    }
-  }
-
-  /// Lanes the executor's range path advances in lockstep; 1 = scalar.
-  unsigned batch_width() const { return executor_.batch_width(); }
 
  private:
   TrialOutcome outcome_of(const engine::TrialResult& trial) const {
@@ -197,7 +151,6 @@ class TrialRunner {
   bool expected_output_;
   const CertifyOptions& options_;
   engine::TrialExecutor executor_;
-  std::vector<std::vector<engine::TrialResult>> scratch_;
 };
 
 }  // namespace
@@ -206,22 +159,11 @@ Certificate certify(const pp::Protocol& protocol, const pp::Config& initial,
                     bool expected_output, const CertifyOptions& options) {
   TrialRunner runner(protocol, initial, expected_output, options,
                      engine::fleet_workers(options.batch, options.threads));
-  Certificate cert;
-  if (runner.batch_width() > 1) {
-    // One batch-fill per chunk: an SPRT round of B trials lands on one
-    // worker's lanes in a single call; larger rounds still spread across
-    // the pool chunk by chunk.
-    cert = certify_trials(
-        [&](unsigned worker, std::uint64_t first, std::uint64_t count,
-            TrialOutcome* out) { runner.run_range(worker, first, count, out); },
-        runner.batch_width(), options);
-  } else {
-    cert = certify_trials(
-        [&](unsigned worker, std::uint64_t, std::uint64_t seed) {
-          return runner.run(worker, seed);
-        },
-        options);
-  }
+  Certificate cert = certify_trials(
+      [&](unsigned worker, std::uint64_t, std::uint64_t seed) {
+        return runner.run(worker, seed);
+      },
+      options);
   cert.protocol_fingerprint = protocol.fingerprint();
   cert.population = initial.total();
   cert.expected_output = expected_output;
@@ -236,20 +178,6 @@ std::vector<TrialOutcome> run_outcome_range(
   if (count == 0) return outcomes;
   const unsigned workers = engine::fleet_workers(count, threads);
   TrialRunner runner(protocol, initial, expected_output, options, workers);
-  if (const unsigned width = runner.batch_width(); width > 1) {
-    // Serve shards ride the lockstep core too: chunks of a few batch
-    // fills, results indexed by offset — the same per-trial outcomes as
-    // the scalar pool below (digest parity is CI-asserted end to end).
-    const std::uint64_t chunk = std::uint64_t{4} * width;
-    const std::uint64_t chunks = (count + chunk - 1) / chunk;
-    engine::WorkerPool pool(engine::fleet_workers(chunks, threads));
-    pool.parallel_for_workers(chunks, [&](unsigned worker, std::uint64_t c) {
-      const std::uint64_t offset = c * chunk;
-      const std::uint64_t n = std::min(chunk, count - offset);
-      runner.run_range(worker, first + offset, n, outcomes.data() + offset);
-    });
-    return outcomes;
-  }
   engine::WorkerPool pool(workers);
   pool.parallel_for_workers(count, [&](unsigned worker, std::uint64_t i) {
     outcomes[i] = runner.run(

@@ -64,18 +64,9 @@ struct CertifyOptions {
   /// individual trials are expensive: the whole batch runs even if the
   /// SPRT decides on its first outcome.
   std::uint64_t batch = 8;
-  /// Lockstep lanes per worker (S28, engine/batch_sim.hpp): 0 = auto,
-  /// 1 = off, N = exactly N lanes. Applies only where the lockstep core
-  /// does (count+null-skip engine, default scenario). The certificate —
-  /// digest included — is bit-identical at every width; only wall time
-  /// moves. Distinct from `batch` above, which is the SPRT round size.
-  std::uint32_t batch_width = 0;
   unsigned threads = 0;  ///< 0 = hardware concurrency
   std::uint64_t seed = 1;
   engine::EngineKind engine = engine::EngineKind::kCountNullSkip;
-  /// Execution core (S26). Certificates and digests are bit-identical
-  /// across dispatch modes (and thread counts) for a given seed.
-  isa::Dispatch dispatch = isa::Dispatch::kBytecode;
   /// Stress scenario (S27): scheduler strategy + fault plan each trial
   /// runs under. Part of the certified statement — a non-default scenario
   /// is folded into the certificate payload (and hence the digest), so a
@@ -157,29 +148,12 @@ struct Certificate {
 using TrialFn = std::function<TrialOutcome(
     unsigned worker, std::uint64_t trial, std::uint64_t seed)>;
 
-/// A range body (S28): run trials [first, first + count) — outcome i of
-/// out[] must be trial first + i run with derive_trial_seed(options.seed,
-/// first + i), each a pure function of its (trial, seed). This is how the
-/// lockstep batch core plugs in: one call advances a whole chunk of
-/// trials on the worker's BatchSimulator. Concurrency contract as TrialFn.
-using TrialRangeFn =
-    std::function<void(unsigned worker, std::uint64_t first,
-                       std::uint64_t count, TrialOutcome* out)>;
-
 /// Core driver: batches of `body` trials on the shared engine::WorkerPool,
 /// folded into the SPRT/interval/quantile state in trial order until the
 /// test decides or options.max_trials is exhausted. Statement fields that
 /// depend on the system under test (fingerprint, population,
 /// expected_output) are left zero — certify() fills them.
 Certificate certify_trials(const TrialFn& body, const CertifyOptions& options);
-
-/// Range-body variant: each SPRT round dispatches its options.batch trials
-/// as contiguous chunks of `chunk` trials per body call. Because outcomes
-/// are pure functions of (trial, seed) and the fold consumes them in trial
-/// order either way, chunk size affects wall time only — verdict, stats
-/// and digest are bit-identical to the per-trial driver (tests pin it).
-Certificate certify_trials(const TrialRangeFn& body, std::uint64_t chunk,
-                           const CertifyOptions& options);
 
 /// Certify "`protocol` stabilises to `expected_output` from `initial` with
 /// probability >= 1 - delta". Success = the run's window heuristic fired

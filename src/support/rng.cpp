@@ -9,28 +9,4 @@ void Rng::reseed(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-void Rng::jump() {
-  // Canonical xoshiro256** jump constants: the characteristic polynomial
-  // raised to 2^128, from the reference implementation by Blackman/Vigna.
-  static constexpr std::uint64_t kJump[4] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (const std::uint64_t word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (word & (1ULL << b)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
-      operator()();
-    }
-  }
-  s_[0] = s0;
-  s_[1] = s1;
-  s_[2] = s2;
-  s_[3] = s3;
-}
-
 }  // namespace ppde::support

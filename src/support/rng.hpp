@@ -7,7 +7,6 @@
 // simulations can be forked.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -90,29 +89,6 @@ class Rng {
   /// Fair coin flip.
   bool coin() { return (operator()() >> 63) != 0; }
 
-  /// Fill `out[0..count)` with consecutive outputs, exactly as `count`
-  /// calls of operator() would. Bulk API for callers that consume draws
-  /// in blocks (batch lanes, noise tables); kept trivially loop-shaped so
-  /// the stream contract is self-evident.
-  void fill(std::uint64_t* out, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) out[i] = operator()();
-  }
-
-  /// Advance the state by 2^128 outputs (the canonical xoshiro256** jump
-  /// polynomial). Gives non-overlapping substreams from one seed when a
-  /// caller wants many generators without per-stream reseeding. The
-  /// engine's trial seeding stays on derive_trial_seed — jump() serves
-  /// callers that need provably disjoint streams from a *shared* state.
-  void jump();
-
-  /// Raw xoshiro state words s0..s3, in update order. The lockstep batch
-  /// stepper (engine/simd.hpp) advances many generators in one SIMD sweep
-  /// by transposing these; the sequence it produces is bit-identical to
-  /// repeated operator() calls. Layout is part of the contract:
-  /// 4 contiguous u64, no padding.
-  std::uint64_t* state_words() { return s_; }
-  const std::uint64_t* state_words() const { return s_; }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
@@ -120,9 +96,6 @@ class Rng {
 
   std::uint64_t s_[4]{};
 };
-
-static_assert(sizeof(Rng) == 4 * sizeof(std::uint64_t),
-              "batch stepper loads Rng state as 4 contiguous u64 words");
 
 /// Map a raw 64-bit draw onto the open-below unit interval (0, 1]:
 /// 53-bit mantissa shifted off zero so log(u) is finite. This is the

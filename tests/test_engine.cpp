@@ -22,10 +22,9 @@
 #include "engine/ensemble.hpp"
 #include "engine/executor.hpp"
 #include "engine/pool.hpp"
-#include "engine/simd.hpp"
-#include "engine/weight_tree.hpp"
 #include "pp/simulator.hpp"
 #include "support/rng.hpp"
+#include "oracles.hpp"
 
 namespace ppde::engine {
 namespace {
@@ -109,255 +108,11 @@ double chi_squared(const std::vector<double>& a,
   return statistic;
 }
 
-// Verbatim reimplementation of the pre-Fenwick engine's stepping loop —
-// full active-weight rescan per step, linear prefix scans for both meeting
-// partners, responder walk over the initiator's complete partner list —
-// kept here as the oracle for the bit-identicality contract (DESIGN.md
-// S21): for the same seed, CountSimulator must visit the same
-// configuration sequence, fire the same transitions, and settle the same
-// consensus times as this loop, RNG draw for RNG draw.
-class LinearScanOracle {
- public:
-  LinearScanOracle(const pp::Protocol& protocol, const pp::Config& initial,
-                   std::uint64_t seed, bool null_skip)
-      : protocol_(&protocol),
-        index_(protocol),
-        null_skip_(null_skip),
-        counts_(protocol.num_states()),
-        rout_(protocol.num_states(), 0),
-        position_(protocol.num_states(), kNone),
-        rng_(seed) {
-    for (pp::State q = 0; q < initial.num_states(); ++q)
-      if (initial[q] != 0) counts_.add(q, initial[q]);
-    for (pp::State q = 0; q < counts_.num_states(); ++q) {
-      if (counts_[q] == 0) continue;
-      if (protocol.is_accepting(q)) accepting_ += counts_[q];
-      for (pp::State p : index_.initiators_meeting(q)) rout_[p] += counts_[q];
-      position_[q] = static_cast<std::uint32_t>(populated_.size());
-      populated_.push_back(q);
-    }
-  }
-
-  const pp::Config& config() const { return counts_; }
-  std::uint64_t interactions() const { return interactions_; }
-  std::uint64_t meetings() const { return meetings_; }
-  std::uint64_t firings() const { return firings_; }
-
-  bool step() {
-    if (!null_skip_) return step_meeting();
-    const std::uint64_t active = active_weight();
-    if (active == 0) {
-      ++interactions_;
-      ++meetings_;
-      return false;
-    }
-    advance_nulls(sample_null_run(active));
-    ++interactions_;
-    ++meetings_;
-    apply_active_meeting(active);
-    return true;
-  }
-
-  pp::SimulationResult run_until_stable(const pp::SimulationOptions& options) {
-    pp::SimulationResult result;
-    std::uint64_t consensus_start = interactions_;
-    std::optional<bool> held = consensus();
-    while (interactions_ < options.max_interactions) {
-      if (null_skip_) {
-        const std::uint64_t active = active_weight();
-        const std::uint64_t stable_at =
-            consensus_start + options.stable_window;
-        if (active == 0) {
-          if (held.has_value() && stable_at <= options.max_interactions) {
-            advance_nulls(stable_at - interactions_);
-            result.stabilised = true;
-            result.output = *held;
-            result.consensus_since = consensus_start;
-          } else {
-            advance_nulls(options.max_interactions - interactions_);
-          }
-          break;
-        }
-        const std::uint64_t skip = sample_null_run(active);
-        if (held.has_value() && stable_at <= interactions_ + skip) {
-          advance_nulls(stable_at - interactions_);
-          result.stabilised = true;
-          result.output = *held;
-          result.consensus_since = consensus_start;
-          break;
-        }
-        if (interactions_ + skip >= options.max_interactions) {
-          advance_nulls(options.max_interactions - interactions_);
-          break;
-        }
-        advance_nulls(skip);
-        ++interactions_;
-        ++meetings_;
-        apply_active_meeting(active);
-      } else {
-        step_meeting();
-      }
-      const std::optional<bool> now = consensus();
-      if (now != held) {
-        held = now;
-        consensus_start = interactions_;
-      }
-      if (held.has_value() &&
-          interactions_ - consensus_start >= options.stable_window) {
-        result.stabilised = true;
-        result.output = *held;
-        result.consensus_since = consensus_start;
-        break;
-      }
-    }
-    result.interactions = interactions_;
-    return result;
-  }
-
- private:
-  static constexpr std::uint32_t kNone = 0xffffffffu;
-
-  std::optional<bool> consensus() const {
-    if (accepting_ == counts_.total()) return true;
-    if (accepting_ == 0) return false;
-    return std::nullopt;
-  }
-
-  std::uint64_t active_weight() {
-    std::uint64_t total = 0;
-    weights_.resize(populated_.size());
-    for (std::size_t i = 0; i < populated_.size(); ++i) {
-      const pp::State q = populated_[i];
-      const std::uint64_t weight =
-          counts_[q] * (rout_[q] - (index_.self_active(q) ? 1 : 0));
-      weights_[i] = weight;
-      total += weight;
-    }
-    return total;
-  }
-
-  std::uint64_t sample_null_run(std::uint64_t active) {
-    const double m = static_cast<double>(counts_.total());
-    const double p = static_cast<double>(active) / (m * (m - 1.0));
-    if (p >= 1.0) return 0;
-    const double u = (static_cast<double>(rng_() >> 11) + 1.0) * 0x1.0p-53;
-    const double k = std::floor(std::log(u) / std::log1p(-p));
-    if (!(k >= 0.0)) return 0;
-    if (k >= 1.8e19) return std::numeric_limits<std::uint64_t>::max() / 2;
-    return static_cast<std::uint64_t>(k);
-  }
-
-  void advance_nulls(std::uint64_t count) {
-    interactions_ += count;
-    meetings_ += count;
-  }
-
-  void apply_active_meeting(std::uint64_t active) {
-    std::uint64_t target = rng_.below(active);
-    std::size_t slot = 0;
-    for (;; ++slot) {
-      if (target < weights_[slot]) break;
-      target -= weights_[slot];
-    }
-    const pp::State q = populated_[slot];
-    const std::uint64_t cq = counts_[q];
-    pp::State r = q;
-    for (pp::State partner : index_.partners_of(q)) {
-      const std::uint64_t weight =
-          cq * (counts_[partner] - (partner == q ? 1 : 0));
-      if (target < weight) {
-        r = partner;
-        break;
-      }
-      target -= weight;
-    }
-    fire(q, r);
-  }
-
-  bool step_meeting() {
-    ++interactions_;
-    ++meetings_;
-    const std::uint64_t m = counts_.total();
-    if (m < 2) return false;
-    std::uint64_t i = rng_.below(m);
-    std::size_t slot = 0;
-    while (i >= counts_[populated_[slot]]) i -= counts_[populated_[slot++]];
-    const pp::State q = populated_[slot];
-    std::uint64_t j = rng_.below(m - 1);
-    pp::State r = 0;
-    for (slot = 0;; ++slot) {
-      const pp::State candidate = populated_[slot];
-      const std::uint64_t c = counts_[candidate] - (candidate == q ? 1 : 0);
-      if (j < c) {
-        r = candidate;
-        break;
-      }
-      j -= c;
-    }
-    if (protocol_->transitions_for(q, r).empty()) return false;
-    fire(q, r);
-    return true;
-  }
-
-  void fire(pp::State q, pp::State r) {
-    const auto candidates = protocol_->transitions_for(q, r);
-    ++firings_;
-    const std::uint32_t pick =
-        candidates.size() == 1 ? candidates[0]
-                               : candidates[rng_.below(candidates.size())];
-    const pp::Transition& t = protocol_->transitions()[pick];
-    if (t.is_silent()) return;
-    if (t.q != t.q2) {
-      change_count(t.q, -1);
-      change_count(t.q2, +1);
-    }
-    if (t.r != t.r2) {
-      change_count(t.r, -1);
-      change_count(t.r2, +1);
-    }
-  }
-
-  void change_count(pp::State state, std::int64_t delta) {
-    if (delta > 0)
-      counts_.add(state, static_cast<std::uint32_t>(delta));
-    else
-      counts_.remove(state, static_cast<std::uint32_t>(-delta));
-    const auto shift = static_cast<std::uint64_t>(delta);
-    if (protocol_->is_accepting(state)) accepting_ += shift;
-    for (pp::State p : index_.initiators_meeting(state)) rout_[p] += shift;
-    if (counts_[state] == 0) {
-      const std::uint32_t hole = position_[state];
-      const pp::State moved = populated_.back();
-      populated_[hole] = moved;
-      position_[moved] = hole;
-      populated_.pop_back();
-      position_[state] = kNone;
-    } else if (position_[state] == kNone) {
-      position_[state] = static_cast<std::uint32_t>(populated_.size());
-      populated_.push_back(state);
-    }
-  }
-
-  const pp::Protocol* protocol_;
-  PairIndex index_;
-  bool null_skip_;
-  pp::Config counts_;
-  std::vector<std::uint64_t> rout_;
-  std::vector<std::uint32_t> position_;
-  std::vector<pp::State> populated_;
-  std::vector<std::uint64_t> weights_;
-  std::uint64_t accepting_ = 0;
-  std::uint64_t interactions_ = 0;
-  std::uint64_t meetings_ = 0;
-  std::uint64_t firings_ = 0;
-  support::Rng rng_;
-};
-
 // A 40-state "carousel" (every meeting advances the responder one state):
 // all 1600 ordered pairs are active and the populated list fluctuates
-// around 40 slots — past kLinearSlots and kMatrixSlots/2 — so the engine's
-// tree-descent branches and swap-remove surgery all run, not just the
-// small-population linear branches.
+// around 40 slots — past kMatrixSlots/2 — so the engine's swap-remove
+// surgery and matrix relabelling run at scale, not just on a handful of
+// populated states.
 pp::Protocol make_carousel_protocol(std::uint32_t n) {
   pp::Protocol protocol;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -403,24 +158,19 @@ TEST(PairIndex, AllSilentPairsAreNull) {
 
 TEST(CountSimulator, ConservesCountsExactly) {
   const pp::Protocol majority = baselines::make_majority();
-  for (const bool null_skip : {false, true}) {
-    CountSimOptions options;
-    options.null_skip = null_skip;
-    CountSimulator sim(majority, baselines::majority_initial(majority, 50, 50),
-                       17, options);
-    for (int step = 0; step < 20'000 && !sim.frozen(); ++step) {
-      sim.step();
-      if (step % 1'000 != 0) continue;
-      EXPECT_EQ(sim.population(), 100u);
-      std::uint64_t total = 0;
-      for (std::uint32_t c : sim.config().counts()) total += c;
-      EXPECT_EQ(total, 100u);
-      EXPECT_EQ(sim.accepting_agents(),
-                sim.config().accepting_count(majority));
-    }
-    EXPECT_EQ(sim.metrics().meetings, sim.interactions());
-    EXPECT_LE(sim.metrics().firings, sim.metrics().meetings);
+  CountSimulator sim(majority, baselines::majority_initial(majority, 50, 50),
+                     17);
+  for (int step = 0; step < 20'000 && !sim.frozen(); ++step) {
+    sim.step();
+    if (step % 1'000 != 0) continue;
+    EXPECT_EQ(sim.population(), 100u);
+    std::uint64_t total = 0;
+    for (std::uint32_t c : sim.config().counts()) total += c;
+    EXPECT_EQ(total, 100u);
+    EXPECT_EQ(sim.accepting_agents(), sim.config().accepting_count(majority));
   }
+  EXPECT_EQ(sim.metrics().meetings, sim.interactions());
+  EXPECT_LE(sim.metrics().firings, sim.metrics().meetings);
 }
 
 TEST(CountSimulator, MatchesPerAgentDistribution) {
@@ -456,29 +206,6 @@ TEST(CountSimulator, MatchesPerAgentDistribution) {
   // quantile bins, df <= 5, generous critical value (p < 0.001 is ~20.5).
   EXPECT_LT(chi_squared(per_agent.interactions, count_skip.interactions),
             25.0);
-}
-
-TEST(CountSimulator, NullSkipMatchesPlainCountStepping) {
-  const pp::Protocol opinion = make_opinion_protocol();
-  const pp::Config initial = opinion_initial(opinion, 4, 4);
-  pp::SimulationOptions options;
-  options.stable_window = 300;
-  options.max_interactions = 1'000'000;
-  const std::uint64_t trials = 400;
-
-  CountSimOptions no_skip;
-  no_skip.null_skip = false;
-  const SampleStats plain =
-      sample_runs(trials, 5, options, [&](std::uint64_t seed) {
-        return CountSimulator(opinion, initial, seed, no_skip);
-      });
-  const SampleStats skip =
-      sample_runs(trials, 6, options, [&](std::uint64_t seed) {
-        return CountSimulator(opinion, initial, seed);
-      });
-  EXPECT_EQ(plain.stabilised, trials);
-  EXPECT_EQ(skip.stabilised, trials);
-  EXPECT_LT(chi_squared(plain.interactions, skip.interactions), 25.0);
 }
 
 TEST(CountSimulator, MatchesPerAgentOnOneSidedConvergence) {
@@ -645,8 +372,7 @@ TEST(Ensemble, EnginesAgreeOnVerdicts) {
   options.sim.stable_window = 1'000;
   options.sim.max_interactions = 1'000'000;
   for (const EngineKind engine :
-       {EngineKind::kPerAgent, EngineKind::kCount,
-        EngineKind::kCountNullSkip}) {
+       {EngineKind::kPerAgent, EngineKind::kCountNullSkip}) {
     options.engine = engine;
     const EnsembleStats stats = run_ensemble(flock, initial, options);
     EXPECT_EQ(stats.stabilised, options.trials) << to_string(engine);
@@ -667,11 +393,11 @@ TEST(Ensemble, FleetRethrowsBodyExceptions) {
 
 TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
   // The tentpole contract: same seed, same trajectory, bit for bit — the
-  // Fenwick/matrix machinery may only change how fast the next firing is
-  // found, never which firing it is. Four protocols cover the regimes:
-  // tiny two-state, the 4-state majority, the converted Czerner n = 1
-  // (≈880 states, ~24 populated, heavy populate/depopulate churn), and a
-  // 40-state carousel that pushes past the linear-scan thresholds.
+  // incremental weights and activity matrix may only change how fast the
+  // next firing is found, never which firing it is. Four protocols cover
+  // the regimes: tiny two-state, the 4-state majority, the converted
+  // Czerner n = 1 (≈880 states, ~24 populated, heavy populate/depopulate
+  // churn), and a 40-state carousel with a large populated list.
   const pp::Protocol opinion = make_opinion_protocol();
   const pp::Protocol majority = baselines::make_majority();
   const auto lowered =
@@ -693,28 +419,22 @@ TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
       {&carousel, carousel_initial, 12'000},
   };
   for (const Case& test_case : cases) {
-    for (const bool null_skip : {true, false}) {
-      for (const std::uint64_t seed : {1ull, 29ull}) {
-        CountSimOptions options;
-        options.null_skip = null_skip;
-        CountSimulator sim(*test_case.protocol, test_case.initial, seed,
-                           options);
-        LinearScanOracle oracle(*test_case.protocol, test_case.initial, seed,
-                                null_skip);
-        for (int step = 0; step < test_case.steps; ++step) {
-          sim.step();
-          oracle.step();
-          ASSERT_EQ(sim.interactions(), oracle.interactions())
-              << "step " << step << " skip=" << null_skip;
-          ASSERT_EQ(sim.metrics().firings, oracle.firings())
-              << "step " << step << " skip=" << null_skip;
-          if (step % 64 == 0 || step + 1 == test_case.steps) {
-            ASSERT_EQ(sim.config(), oracle.config())
-                << "step " << step << " skip=" << null_skip;
-          }
+    for (const std::uint64_t seed : {1ull, 29ull}) {
+      CountSimulator sim(*test_case.protocol, test_case.initial, seed);
+      oracle::LinearScanOracle oracle(*test_case.protocol, test_case.initial,
+                                      seed);
+      for (int step = 0; step < test_case.steps; ++step) {
+        sim.step();
+        oracle.step();
+        ASSERT_EQ(sim.interactions(), oracle.interactions())
+            << "step " << step;
+        ASSERT_EQ(sim.metrics().firings, oracle.metrics().firings)
+            << "step " << step;
+        if (step % 64 == 0 || step + 1 == test_case.steps) {
+          ASSERT_EQ(sim.config(), oracle.config()) << "step " << step;
         }
-        ASSERT_EQ(sim.metrics().meetings, oracle.meetings());
       }
+      ASSERT_EQ(sim.metrics().meetings, oracle.metrics().meetings);
     }
   }
 }
@@ -737,67 +457,20 @@ TEST(CountSimulator, RunUntilStableMatchesOracle) {
   options.stable_window = 400;
   options.max_interactions = 1'000'000;
   for (const Case& test_case : cases) {
-    for (const bool null_skip : {true, false}) {
-      for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-        CountSimOptions sim_options;
-        sim_options.null_skip = null_skip;
-        CountSimulator sim(*test_case.protocol, test_case.initial, seed,
-                           sim_options);
-        LinearScanOracle oracle(*test_case.protocol, test_case.initial, seed,
-                                null_skip);
-        const pp::SimulationResult ours = sim.run_until_stable(options);
-        const pp::SimulationResult reference =
-            oracle.run_until_stable(options);
-        ASSERT_EQ(ours.stabilised, reference.stabilised) << seed;
-        ASSERT_EQ(ours.output, reference.output) << seed;
-        ASSERT_EQ(ours.interactions, reference.interactions) << seed;
-        ASSERT_EQ(ours.consensus_since, reference.consensus_since) << seed;
-        ASSERT_EQ(sim.config(), oracle.config()) << seed;
-      }
-    }
-  }
-}
-
-TEST(WeightTree, MatchesLinearReference) {
-  // Randomised differential against a plain vector: push/pop/set in any
-  // order, and find() must select exactly the slot the linear prefix scan
-  // selects — zero-weight slots (including runs of them) never absorb a
-  // target, and `remaining` is the scan's leftover offset.
-  support::Rng rng(2024);
-  WeightTree tree(64);
-  std::vector<std::uint64_t> reference;
-  for (int op = 0; op < 4'000; ++op) {
-    const std::uint64_t choice = rng.below(10);
-    if (choice < 3 && reference.size() < 64) {
-      const std::uint64_t value = rng.below(5);  // zeros are common
-      tree.push_back(value);
-      reference.push_back(value);
-    } else if (choice < 4 && !reference.empty()) {
-      tree.pop_back();
-      reference.pop_back();
-    } else if (!reference.empty()) {
-      const auto slot = static_cast<std::size_t>(rng.below(reference.size()));
-      const std::uint64_t value = rng.below(7);
-      tree.set(slot, value);
-      reference[slot] = value;
-    }
-    ASSERT_EQ(tree.size(), reference.size());
-    std::uint64_t total = 0;
-    for (std::uint64_t w : reference) total += w;
-    ASSERT_EQ(tree.total(), total);
-    if (total == 0) continue;
-    // Probe a handful of targets, always including both boundaries.
-    for (const std::uint64_t target :
-         {std::uint64_t{0}, total - 1, rng.below(total), rng.below(total)}) {
-      std::size_t expected_slot = 0;
-      std::uint64_t expected_remaining = target;
-      while (expected_remaining >= reference[expected_slot])
-        expected_remaining -= reference[expected_slot++];
-      std::uint64_t remaining = 0;
-      const std::size_t slot = tree.find(target, &remaining);
-      ASSERT_EQ(slot, expected_slot) << "target " << target;
-      ASSERT_EQ(remaining, expected_remaining) << "target " << target;
-      ASSERT_GT(reference[slot], remaining);  // never a zero-weight slot
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      CountSimulator sim(*test_case.protocol, test_case.initial, seed);
+      oracle::LinearScanOracle oracle(*test_case.protocol, test_case.initial,
+                                      seed);
+      const pp::SimulationResult ours = sim.run_until_stable(options);
+      const pp::SimulationResult reference = oracle.run_until_stable(options);
+      ASSERT_EQ(ours.stabilised, reference.stabilised) << seed;
+      ASSERT_EQ(ours.output, reference.output) << seed;
+      ASSERT_EQ(ours.interactions, reference.interactions) << seed;
+      ASSERT_EQ(ours.consensus_since, reference.consensus_since) << seed;
+      ASSERT_EQ(sim.config(), oracle.config()) << seed;
+      ASSERT_EQ(sim.metrics().consensus_flips,
+                oracle.metrics().consensus_flips)
+          << seed;
     }
   }
 }
@@ -807,33 +480,29 @@ TEST(CountSimulator, TinyPopulationsFreezeInsteadOfDividing) {
   // divides by m·(m−1) and the meeting sampler draws below(m−1); empty and
   // single-agent configurations must freeze immediately instead.
   const pp::Protocol opinion = make_opinion_protocol();
-  for (const bool null_skip : {true, false}) {
-    CountSimOptions options;
-    options.null_skip = null_skip;
-    pp::SimulationOptions run;
-    run.stable_window = 50;
-    run.max_interactions = 1'000;
+  pp::SimulationOptions run;
+  run.stable_window = 50;
+  run.max_interactions = 1'000;
 
-    pp::Config lone(opinion.num_states());
-    lone.add(opinion.state("T"), 1);
-    CountSimulator single(opinion, lone, 3, options);
-    EXPECT_TRUE(single.frozen());
-    EXPECT_FALSE(single.step());
-    EXPECT_EQ(single.interactions(), 1u);
-    const pp::SimulationResult result = single.run_until_stable(run);
-    EXPECT_TRUE(result.stabilised);
-    EXPECT_TRUE(result.output);  // the lone agent accepts
-    // The manual step above burnt one interaction; the window starts there.
-    EXPECT_EQ(result.consensus_since, 1u);
-    EXPECT_EQ(single.config()[opinion.state("T")], 1u);
+  pp::Config lone(opinion.num_states());
+  lone.add(opinion.state("T"), 1);
+  CountSimulator single(opinion, lone, 3);
+  EXPECT_TRUE(single.frozen());
+  EXPECT_FALSE(single.step());
+  EXPECT_EQ(single.interactions(), 1u);
+  const pp::SimulationResult result = single.run_until_stable(run);
+  EXPECT_TRUE(result.stabilised);
+  EXPECT_TRUE(result.output);  // the lone agent accepts
+  // The manual step above burnt one interaction; the window starts there.
+  EXPECT_EQ(result.consensus_since, 1u);
+  EXPECT_EQ(single.config()[opinion.state("T")], 1u);
 
-    pp::Config empty(opinion.num_states());
-    CountSimulator none(opinion, empty, 3, options);
-    EXPECT_TRUE(none.frozen());
-    EXPECT_FALSE(none.step());
-    const pp::SimulationResult vacuous = none.run_until_stable(run);
-    EXPECT_TRUE(vacuous.stabilised);  // vacuous consensus, documented
-  }
+  pp::Config empty(opinion.num_states());
+  CountSimulator none(opinion, empty, 3);
+  EXPECT_TRUE(none.frozen());
+  EXPECT_FALSE(none.step());
+  const pp::SimulationResult vacuous = none.run_until_stable(run);
+  EXPECT_TRUE(vacuous.stabilised);  // vacuous consensus, documented
 }
 
 TEST(CountSimulator, BudgetBoundaryOnFrozenConsensus) {
@@ -873,33 +542,29 @@ TEST(CountSimulator, ResetMatchesFreshConstruction) {
   // in an arbitrary state.
   const pp::Protocol majority = baselines::make_majority();
   const pp::Config initial = baselines::majority_initial(majority, 13, 11);
-  for (const bool null_skip : {true, false}) {
-    CountSimOptions options;
-    options.null_skip = null_skip;
-    CountSimulator fresh(majority, initial, 77, options);
-    CountSimulator reused(
-        majority, baselines::majority_initial(majority, 40, 2), 5, options);
-    for (int step = 0; step < 500; ++step) reused.step();  // arbitrary state
-    reused.reset(initial, 77);
-    EXPECT_EQ(reused.interactions(), 0u);
-    EXPECT_EQ(reused.metrics().firings, 0u);
-    for (int step = 0; step < 2'000; ++step) {
-      fresh.step();
-      reused.step();
-    }
-    EXPECT_EQ(fresh.config(), reused.config());
-    EXPECT_EQ(fresh.interactions(), reused.interactions());
-    EXPECT_EQ(fresh.metrics().firings, reused.metrics().firings);
-    EXPECT_EQ(fresh.metrics().meetings, reused.metrics().meetings);
-    EXPECT_EQ(fresh.metrics().weight_updates, reused.metrics().weight_updates);
-    EXPECT_EQ(fresh.metrics().tree_descents, reused.metrics().tree_descents);
+  CountSimulator fresh(majority, initial, 77);
+  CountSimulator reused(majority, baselines::majority_initial(majority, 40, 2),
+                        5);
+  for (int step = 0; step < 500; ++step) reused.step();  // arbitrary state
+  reused.reset(initial, 77);
+  EXPECT_EQ(reused.interactions(), 0u);
+  EXPECT_EQ(reused.metrics().firings, 0u);
+  for (int step = 0; step < 2'000; ++step) {
+    fresh.step();
+    reused.step();
   }
+  EXPECT_EQ(fresh.config(), reused.config());
+  EXPECT_EQ(fresh.interactions(), reused.interactions());
+  EXPECT_EQ(fresh.metrics().firings, reused.metrics().firings);
+  EXPECT_EQ(fresh.metrics().meetings, reused.metrics().meetings);
+  EXPECT_EQ(fresh.metrics().weight_updates, reused.metrics().weight_updates);
+  EXPECT_EQ(fresh.metrics().tree_descents, reused.metrics().tree_descents);
 }
 
 TEST(CountSimulator, MetricsObserveTheIncrementalPath) {
-  // The incremental machinery is observable: every firing in null-skip
-  // mode selects through one weight descent, and each fired transition
-  // updates at least the slots it touched.
+  // The incremental machinery is observable: every firing selects its
+  // pair through one weighted scan, and each fired transition updates at
+  // least the slots it touched.
   const auto lowered =
       compile::lower_program(czerner::build_construction(1).program);
   const auto conv = compile::machine_to_protocol(lowered.machine);
@@ -1115,201 +780,6 @@ TEST(Ensemble, TrialRangeReproducesFleetSlices) {
       EXPECT_EQ(range[i].sim.interactions, fleet[first + i].sim.interactions);
       EXPECT_EQ(range[i].metrics.meetings, fleet[first + i].metrics.meetings);
     }
-  }
-}
-
-// -- S28 lockstep batch core ------------------------------------------------
-
-TEST(BatchSim, SimdRngBatchMatchesScalarStreams) {
-  // rng_next_batch must be bit-identical to one operator() call per lane,
-  // output *and* post-call state, at every n — covering the vector body,
-  // the scalar remainder tail, and their seam.
-  for (std::size_t n = 1; n <= 17; ++n) {
-    std::vector<support::Rng> batched, scalar;
-    std::vector<support::Rng*> pointers;
-    for (std::size_t i = 0; i < n; ++i) {
-      batched.emplace_back(1000 * n + i);
-      scalar.emplace_back(1000 * n + i);
-    }
-    for (std::size_t i = 0; i < n; ++i) pointers.push_back(&batched[i]);
-    std::vector<std::uint64_t> out(n);
-    // Two rounds: the second catches a first-round state-writeback bug the
-    // first round's outputs would mask.
-    for (int round = 0; round < 2; ++round) {
-      simd::rng_next_batch(pointers.data(), n, out.data());
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(out[i], scalar[i]()) << "n=" << n << " lane=" << i;
-    }
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ(batched[i](), scalar[i]()) << "n=" << n << " lane=" << i;
-  }
-}
-
-/// Everything deterministic in a TrialResult — i.e. all of it except the
-/// wall-clock seconds, which under lockstep measure lane residency (lanes
-/// overlap; see batch_sim.hpp) and are excluded by contract.
-void expect_same_trial(const TrialResult& a, const TrialResult& b,
-                       const std::string& label) {
-  EXPECT_EQ(a.seed, b.seed) << label;
-  EXPECT_EQ(a.sim.stabilised, b.sim.stabilised) << label;
-  EXPECT_EQ(a.sim.output, b.sim.output) << label;
-  EXPECT_EQ(a.sim.interactions, b.sim.interactions) << label;
-  EXPECT_EQ(a.sim.consensus_since, b.sim.consensus_since) << label;
-  EXPECT_EQ(a.sim.parallel_time, b.sim.parallel_time) << label;
-  EXPECT_EQ(a.metrics.meetings, b.metrics.meetings) << label;
-  EXPECT_EQ(a.metrics.firings, b.metrics.firings) << label;
-  EXPECT_EQ(a.metrics.null_skip_batches, b.metrics.null_skip_batches)
-      << label;
-  EXPECT_EQ(a.metrics.skipped_meetings, b.metrics.skipped_meetings) << label;
-  EXPECT_EQ(a.metrics.consensus_flips, b.metrics.consensus_flips) << label;
-  EXPECT_EQ(a.metrics.weight_updates, b.metrics.weight_updates) << label;
-  EXPECT_EQ(a.metrics.tree_descents, b.metrics.tree_descents) << label;
-}
-
-TEST(BatchSim, RunRangeBitIdenticalToScalarAcrossWidths) {
-  // The S28 contract: every lane consumes exactly the seed stream the
-  // scalar executor defines, so run_range at any width reproduces the
-  // scalar per-trial loop bit for bit. The opinion protocol stabilises at
-  // genuinely different times per trial, so lanes retire early and refill
-  // mid-range; 21 trials is ragged against every width tested.
-  const pp::Protocol protocol = make_opinion_protocol();
-  const pp::Config initial = opinion_initial(protocol, 30, 30);
-  pp::SimulationOptions options;
-  options.stable_window = 2'000;
-  options.max_interactions = 10'000'000;
-  constexpr std::uint64_t kSeed = 42;
-  constexpr std::size_t kTrials = 21;
-  const sched::Scenario uniform;
-
-  for (const isa::Dispatch dispatch :
-       {isa::Dispatch::kBytecode, isa::Dispatch::kInterp}) {
-    TrialExecutor scalar(protocol, EngineKind::kCountNullSkip, dispatch,
-                         uniform, /*workers=*/1, /*batch=*/1);
-    ASSERT_EQ(scalar.batch_width(), 1u);
-    std::vector<TrialResult> reference(kTrials);
-    for (std::size_t i = 0; i < kTrials; ++i)
-      reference[i] =
-          scalar.run(0, initial, derive_trial_seed(kSeed, i), options);
-    // At least one trial must retire before the longest-running one, or
-    // the refill path is untested.
-    std::uint64_t shortest = reference[0].sim.interactions;
-    std::uint64_t longest = reference[0].sim.interactions;
-    for (const TrialResult& r : reference) {
-      shortest = std::min(shortest, r.sim.interactions);
-      longest = std::max(longest, r.sim.interactions);
-    }
-    ASSERT_LT(shortest, longest);
-
-    for (const std::uint32_t width : {2u, 8u, 16u}) {
-      TrialExecutor batched(protocol, EngineKind::kCountNullSkip, dispatch,
-                            uniform, /*workers=*/1, width);
-      ASSERT_EQ(batched.batch_width(), width);
-      const std::string label = "dispatch=" + std::string(to_string(dispatch)) +
-                                " width=" + std::to_string(width);
-      std::vector<TrialResult> got(kTrials);
-      batched.run_range(0, initial, kSeed, /*first_trial=*/0, kTrials,
-                        options, got.data());
-      for (std::size_t i = 0; i < kTrials; ++i)
-        expect_same_trial(got[i], reference[i],
-                          label + " trial=" + std::to_string(i));
-      // A mid-stream sub-range must see the same global seeds (the serve
-      // shard law): [5, 5 + 7) against the reference slice.
-      std::vector<TrialResult> slice(7);
-      batched.run_range(0, initial, kSeed, /*first_trial=*/5, 7, options,
-                        slice.data());
-      for (std::size_t i = 0; i < 7; ++i)
-        expect_same_trial(slice[i], reference[5 + i],
-                          label + " slice trial=" + std::to_string(5 + i));
-    }
-  }
-}
-
-TEST(BatchSim, LockstepOnlyAppliesWhereItCan) {
-  const pp::Protocol protocol = make_opinion_protocol();
-  const sched::Scenario uniform;
-  // Plain count engine: no geometric sampler, no lockstep.
-  TrialExecutor count(protocol, EngineKind::kCount, isa::Dispatch::kBytecode,
-                      uniform, 1, /*batch=*/8);
-  EXPECT_EQ(count.batch_width(), 1u);
-  // Non-default scenario: per-agent fallback, no lockstep.
-  sched::Scenario ring;
-  ring.scheduler = sched::parse_scheduler("ring");
-  TrialExecutor stressed(protocol, EngineKind::kCountNullSkip,
-                         isa::Dispatch::kBytecode, ring, 1, /*batch=*/8);
-  EXPECT_TRUE(stressed.per_agent());
-  EXPECT_EQ(stressed.batch_width(), 1u);
-  // batch = 0 resolves to the host's preferred width, never to zero lanes.
-  TrialExecutor automatic(protocol, EngineKind::kCountNullSkip,
-                          isa::Dispatch::kBytecode, uniform, 1, /*batch=*/0);
-  EXPECT_EQ(automatic.batch_width(), simd::preferred_width());
-  EXPECT_GE(automatic.batch_width(), 1u);
-}
-
-TEST(Ensemble, StatsIndependentOfBatchWidthAndThreads) {
-  // run_ensemble routes width > 1 through the chunked fleet; every
-  // aggregate must match the scalar fleet at any (width, threads) pair.
-  const pp::Protocol flock = baselines::make_flock_of_birds(3);
-  const pp::Config initial = baselines::flock_initial(flock, 10);
-  EnsembleOptions options;
-  options.trials = 21;
-  options.master_seed = 7;
-  options.sim.stable_window = 1'000;
-  options.sim.max_interactions = 1'000'000;
-
-  options.batch = 1;
-  options.threads = 1;
-  const EnsembleStats reference = run_ensemble(flock, initial, options);
-  for (const std::uint32_t batch : {0u, 2u, 8u, 16u}) {
-    for (const unsigned threads : {1u, 3u}) {
-      options.batch = batch;
-      options.threads = threads;
-      const EnsembleStats stats = run_ensemble(flock, initial, options);
-      const std::string label =
-          "batch=" + std::to_string(batch) + " threads=" +
-          std::to_string(threads);
-      EXPECT_EQ(stats.trials, reference.trials) << label;
-      EXPECT_EQ(stats.stabilised, reference.stabilised) << label;
-      EXPECT_EQ(stats.accepted, reference.accepted) << label;
-      EXPECT_EQ(stats.interactions.p50, reference.interactions.p50) << label;
-      EXPECT_EQ(stats.interactions.p90, reference.interactions.p90) << label;
-      EXPECT_EQ(stats.interactions.max, reference.interactions.max) << label;
-      EXPECT_EQ(stats.parallel_time.p50, reference.parallel_time.p50)
-          << label;
-      EXPECT_EQ(stats.parallel_time.max, reference.parallel_time.max)
-          << label;
-      EXPECT_EQ(stats.totals.meetings, reference.totals.meetings) << label;
-      EXPECT_EQ(stats.totals.firings, reference.totals.firings) << label;
-      EXPECT_EQ(stats.totals.null_skip_batches,
-                reference.totals.null_skip_batches)
-          << label;
-      EXPECT_EQ(stats.totals.skipped_meetings,
-                reference.totals.skipped_meetings)
-          << label;
-      EXPECT_EQ(stats.totals.consensus_flips,
-                reference.totals.consensus_flips)
-          << label;
-      EXPECT_EQ(stats.totals.weight_updates, reference.totals.weight_updates)
-          << label;
-      EXPECT_EQ(stats.totals.tree_descents, reference.totals.tree_descents)
-          << label;
-    }
-  }
-}
-
-TEST(Ensemble, ChunkedFleetErrorNamesTheChunksFirstTrial) {
-  try {
-    run_trial_range_chunked(
-        0, 16, 2, 4,
-        [](unsigned, std::uint64_t first, std::uint64_t count,
-           TrialResult* out) {
-          if (first == 8) throw std::runtime_error("boom");
-          for (std::uint64_t i = 0; i < count; ++i) out[i] = {};
-        });
-    FAIL() << "chunked fleet swallowed the exception";
-  } catch (const std::runtime_error& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("trial 8"), std::string::npos) << what;
-    EXPECT_NE(what.find("boom"), std::string::npos) << what;
   }
 }
 

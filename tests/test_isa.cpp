@@ -1,8 +1,9 @@
 // Tests for the bytecode execution core (DESIGN.md S26): lowering
 // round-trips through raw()/adopt(), malformed tables are rejected, and —
-// the load-bearing property — the bytecode and interpreter dispatch modes
-// produce bit-identical trajectories, metrics, verification graphs and
-// certificate digests on every protocol in the zoo.
+// the load-bearing property — every production core fed by the compiled
+// tables produces bit-identical trajectories, metrics, verification graphs
+// and certificate digests to the reference implementations in
+// tests/oracles.hpp, which read only Protocol::transitions().
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,12 +24,12 @@
 #include "pp/verifier.hpp"
 #include "smc/certify.hpp"
 #include "smc/json.hpp"
+#include "oracles.hpp"
 
 namespace ppde {
 namespace {
 
 using isa::CompiledProtocol;
-using isa::Dispatch;
 
 // ---------------------------------------------------------------------------
 // Zoo.
@@ -62,6 +63,7 @@ pp::Config uniform_initial(const pp::Protocol& protocol, std::uint32_t per) {
   return config;
 }
 
+/// The counters both a production core and its oracle keep.
 void expect_metrics_equal(const engine::RunMetrics& a,
                           const engine::RunMetrics& b) {
   EXPECT_EQ(a.meetings, b.meetings);
@@ -69,23 +71,12 @@ void expect_metrics_equal(const engine::RunMetrics& a,
   EXPECT_EQ(a.null_skip_batches, b.null_skip_batches);
   EXPECT_EQ(a.skipped_meetings, b.skipped_meetings);
   EXPECT_EQ(a.consensus_flips, b.consensus_flips);
-  EXPECT_EQ(a.weight_updates, b.weight_updates);
-  EXPECT_EQ(a.tree_descents, b.tree_descents);
 }
 
-// ---------------------------------------------------------------------------
-// Dispatch plumbing.
-
-TEST(Dispatch, ToStringParseRoundTrip) {
-  EXPECT_STREQ(isa::to_string(Dispatch::kInterp), "interp");
-  EXPECT_STREQ(isa::to_string(Dispatch::kBytecode), "bytecode");
-  EXPECT_EQ(isa::parse_dispatch("interp"), Dispatch::kInterp);
-  EXPECT_EQ(isa::parse_dispatch("bytecode"), Dispatch::kBytecode);
-}
-
-TEST(Dispatch, ParseRejectsUnknown) {
-  EXPECT_THROW((void)isa::parse_dispatch("fast"), std::invalid_argument);
-  EXPECT_THROW((void)isa::parse_dispatch(""), std::invalid_argument);
+pp::Config czerner_initial(std::uint32_t extra) {
+  const auto conv = compile::machine_to_protocol(
+      compile::lower_program(czerner::build_construction(1).program).machine);
+  return conv.initial_config(conv.num_pointers + extra);
 }
 
 // ---------------------------------------------------------------------------
@@ -238,21 +229,23 @@ TEST(CompiledProtocol, AdoptRejectsMalformedTables) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: per-agent simulator.
+// Differential: per-agent simulator against the map stepper.
 
 void expect_per_agent_bit_identical(const pp::Protocol& protocol,
                                     const pp::Config& initial,
                                     std::uint64_t steps) {
-  pp::Simulator interp(protocol, initial, 99, Dispatch::kInterp);
-  pp::Simulator bytecode(protocol, initial, 99, Dispatch::kBytecode);
+  oracle::MapStepper reference(protocol, initial, 99);
+  pp::Simulator bytecode(protocol, initial, 99);
   for (std::uint64_t i = 0; i < steps; ++i) {
-    ASSERT_EQ(interp.step(), bytecode.step()) << "step " << i;
-    ASSERT_EQ(interp.accepting_agents(), bytecode.accepting_agents())
+    ASSERT_EQ(reference.step(), bytecode.step()) << "step " << i;
+    ASSERT_EQ(reference.accepting_agents(), bytecode.accepting_agents())
         << "step " << i;
-    if (i % 512 == 0) ASSERT_EQ(interp.config(), bytecode.config());
+    if (i % 512 == 0) {
+      ASSERT_EQ(reference.config(), bytecode.config()) << "step " << i;
+    }
   }
-  EXPECT_EQ(interp.config(), bytecode.config());
-  expect_metrics_equal(interp.metrics(), bytecode.metrics());
+  EXPECT_EQ(reference.config(), bytecode.config());
+  expect_metrics_equal(reference.metrics(), bytecode.metrics());
 }
 
 TEST(Differential, PerAgentTrajectoriesBitIdentical) {
@@ -265,76 +258,58 @@ TEST(Differential, PerAgentTrajectoriesBitIdentical) {
                                  20'000);
 
   const pp::Protocol czerner = czerner_protocol(1);
-  const auto conv = compile::machine_to_protocol(
-      compile::lower_program(czerner::build_construction(1).program).machine);
-  expect_per_agent_bit_identical(
-      conv.protocol, conv.initial_config(conv.num_pointers + 4), 20'000);
+  expect_per_agent_bit_identical(czerner, czerner_initial(4), 20'000);
 }
 
 // ---------------------------------------------------------------------------
-// Differential: count engine.
+// Differential: count engine against the linear-scan oracle.
 
 void expect_count_bit_identical(const pp::Protocol& protocol,
-                                const pp::Config& initial, bool null_skip,
+                                const pp::Config& initial,
                                 std::uint64_t steps) {
-  engine::CountSimOptions interp_options{null_skip, Dispatch::kInterp};
-  engine::CountSimOptions bytecode_options{null_skip, Dispatch::kBytecode};
-  engine::CountSimulator interp(protocol, initial, 7, interp_options);
-  engine::CountSimulator bytecode(protocol, initial, 7, bytecode_options);
-  for (std::uint64_t i = 0; i < steps && !interp.frozen(); ++i) {
-    ASSERT_EQ(interp.step(), bytecode.step()) << "step " << i;
-    ASSERT_EQ(interp.interactions(), bytecode.interactions()) << "step " << i;
-    if (i % 512 == 0) ASSERT_EQ(interp.config(), bytecode.config());
+  oracle::LinearScanOracle reference(protocol, initial, 7);
+  engine::CountSimulator bytecode(protocol, initial, 7);
+  for (std::uint64_t i = 0; i < steps && !bytecode.frozen(); ++i) {
+    ASSERT_EQ(reference.step(), bytecode.step()) << "step " << i;
+    ASSERT_EQ(reference.interactions(), bytecode.interactions())
+        << "step " << i;
+    if (i % 512 == 0) {
+      ASSERT_EQ(reference.config(), bytecode.config()) << "step " << i;
+    }
   }
-  EXPECT_EQ(interp.config(), bytecode.config());
-  expect_metrics_equal(interp.metrics(), bytecode.metrics());
+  EXPECT_EQ(reference.config(), bytecode.config());
+  expect_metrics_equal(reference.metrics(), bytecode.metrics());
 }
 
 TEST(Differential, CountEngineBitIdenticalWithNullSkip) {
   const pp::Protocol majority = baselines::make_majority();
   expect_count_bit_identical(
-      majority, baselines::majority_initial(majority, 500, 480), true, 50'000);
+      majority, baselines::majority_initial(majority, 500, 480), 50'000);
   const pp::Protocol flock = baselines::make_flock_of_birds(3);
-  expect_count_bit_identical(flock, baselines::flock_initial(flock, 60), true,
+  expect_count_bit_identical(flock, baselines::flock_initial(flock, 60),
                              50'000);
   const pp::Protocol czerner = czerner_protocol(1);
-  const auto conv = compile::machine_to_protocol(
-      compile::lower_program(czerner::build_construction(1).program).machine);
-  expect_count_bit_identical(conv.protocol,
-                             conv.initial_config(conv.num_pointers + 6), true,
-                             50'000);
-}
-
-TEST(Differential, CountEngineBitIdenticalWithoutNullSkip) {
-  const pp::Protocol majority = baselines::make_majority();
-  expect_count_bit_identical(
-      majority, baselines::majority_initial(majority, 500, 480), false,
-      50'000);
-  const pp::Protocol czerner = czerner_protocol(1);
-  const auto conv = compile::machine_to_protocol(
-      compile::lower_program(czerner::build_construction(1).program).machine);
-  expect_count_bit_identical(conv.protocol,
-                             conv.initial_config(conv.num_pointers + 6), false,
-                             50'000);
+  expect_count_bit_identical(czerner, czerner_initial(6), 50'000);
 }
 
 TEST(Differential, CountEngineBeyondMatrixCapacity) {
   // 100 populated states exceed the 64-slot activity matrix, forcing the
-  // general selection paths in both dispatch modes; 600 states also puts
-  // the bytecode probe on the perfect-hash lookup.
+  // engine's general selection paths; 600 states also puts the pair probe
+  // on the perfect-hash lookup — for the per-agent core as well.
   const pp::Protocol small_ring = make_ring(100);
-  expect_count_bit_identical(small_ring, uniform_initial(small_ring, 3), true,
+  expect_count_bit_identical(small_ring, uniform_initial(small_ring, 3),
                              30'000);
   const pp::Protocol big_ring = make_ring(600);
-  expect_count_bit_identical(big_ring, uniform_initial(big_ring, 2), true,
-                             10'000);
-  expect_count_bit_identical(big_ring, uniform_initial(big_ring, 2), false,
-                             10'000);
+  ASSERT_FALSE(big_ring.compiled().dense_lookup());
+  expect_count_bit_identical(big_ring, uniform_initial(big_ring, 2), 10'000);
+  expect_per_agent_bit_identical(big_ring, uniform_initial(big_ring, 2),
+                                 20'000);
 }
 
 TEST(Differential, SilentOnlyPairsAreNullInBothModes) {
-  // (a, b) has only the identity transition: the meeting must not fire in
-  // either dispatch mode, and trajectories must stay aligned.
+  // (a, b) has only the identity transition: the meeting must never fire,
+  // neither in the production cores nor in the oracles, and trajectories
+  // must stay aligned.
   pp::Protocol protocol;
   const pp::State a = protocol.add_state("a");
   const pp::State b = protocol.add_state("b");
@@ -346,16 +321,17 @@ TEST(Differential, SilentOnlyPairsAreNullInBothModes) {
   protocol.finalize();
   EXPECT_EQ(protocol.compiled().entry_of(a, b), CompiledProtocol::kSilentOnly);
   EXPECT_TRUE(protocol.transitions_for(a, b).empty());
+  EXPECT_TRUE(oracle::TransitionMap(protocol).candidates(a, b).empty());
 
   pp::Config initial(protocol.num_states());
   initial.add(a, 5);
   initial.add(b, 5);
   expect_per_agent_bit_identical(protocol, initial, 2'000);
-  expect_count_bit_identical(protocol, initial, false, 2'000);
+  expect_count_bit_identical(protocol, initial, 2'000);
 }
 
 // ---------------------------------------------------------------------------
-// Differential: exact verification.
+// Differential: exact verification against the sequential explorer.
 
 TEST(Differential, VerifierGraphIdenticalAcrossDispatch) {
   const auto lowered =
@@ -364,64 +340,57 @@ TEST(Differential, VerifierGraphIdenticalAcrossDispatch) {
   nb.with_broadcast = false;
   const auto conv = compile::machine_to_protocol(lowered.machine, nb);
   const czerner::Construction c = czerner::build_construction(1);
-  for (std::uint64_t m_regs : {6ull, 7ull, 8ull}) {
+  // m_regs = 2 is ~38k configurations: seconds for the map-based oracle.
+  for (std::uint64_t m_regs : {1ull, 2ull}) {
     std::vector<std::uint64_t> regs(c.num_registers(), 0);
     regs[c.R()] = m_regs;
     const pp::Config initial =
         conv.pi(machine::initial_state(lowered.machine, regs), false);
-    // Interp at one thread is the reference; bytecode must match it both
-    // single- and multi-threaded. (Interp thread-independence is already
-    // pinned by test_verify.)
-    const std::pair<Dispatch, unsigned> configs[] = {
-        {Dispatch::kInterp, 1u},
-        {Dispatch::kBytecode, 1u},
-        {Dispatch::kBytecode, 4u},
-    };
-    std::vector<pp::VerificationResult> results;
-    for (const auto& [dispatch, threads] : configs) {
+    const oracle::VerifyResult expected =
+        oracle::oracle_verify(conv.protocol, initial, true, 1'000'000);
+    for (const unsigned threads : {1u, 4u}) {
       pp::VerifierOptions options;
       options.witness_mode = true;
       options.threads = threads;
-      options.dispatch = dispatch;
-      results.push_back(pp::Verifier(conv.protocol).verify(initial, options));
-    }
-    for (std::size_t i = 1; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].verdict, results[0].verdict) << "m=" << m_regs;
-      EXPECT_EQ(results[i].explored_configs, results[0].explored_configs);
-      EXPECT_EQ(results[i].explored_edges, results[0].explored_edges);
-      EXPECT_EQ(results[i].num_sccs, results[0].num_sccs);
-      EXPECT_EQ(results[i].num_bottom_sccs, results[0].num_bottom_sccs);
+      const pp::VerificationResult actual =
+          pp::Verifier(conv.protocol).verify(initial, options);
+      EXPECT_EQ(actual.verdict, expected.verdict) << "m=" << m_regs;
+      EXPECT_EQ(actual.explored_configs, expected.nodes) << "m=" << m_regs;
+      EXPECT_EQ(actual.explored_edges, expected.edges) << "m=" << m_regs;
+      EXPECT_EQ(actual.num_sccs, expected.num_sccs) << "m=" << m_regs;
+      EXPECT_EQ(actual.num_bottom_sccs, expected.num_bottom_sccs)
+          << "m=" << m_regs;
+      EXPECT_EQ(actual.counterexample, expected.counterexample)
+          << "m=" << m_regs;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Differential: certification.
+// Differential: certification against oracle-run trials.
 
 TEST(Differential, CertificateDigestIdenticalAcrossDispatchAndThreads) {
-  const auto conv = compile::machine_to_protocol(
-      compile::lower_program(czerner::build_construction(1).program).machine);
-  const pp::Config initial = conv.initial_config(conv.num_pointers + 2);
-  std::vector<smc::Certificate> certs;
-  for (const Dispatch dispatch : {Dispatch::kInterp, Dispatch::kBytecode}) {
-    for (const unsigned threads : {1u, 4u}) {
-      smc::CertifyOptions options;
-      options.max_trials = 12;
-      options.batch = 4;
-      options.threads = threads;
-      options.seed = 3;
-      options.sim.stable_window = 2'000'000;
-      options.sim.max_interactions = 40'000'000;
-      options.dispatch = dispatch;
-      certs.push_back(smc::certify(conv.protocol, initial,
-                                   /*expected_output=*/false, options));
-    }
-  }
-  for (std::size_t i = 1; i < certs.size(); ++i) {
-    EXPECT_EQ(smc::certificate_digest(certs[i]),
-              smc::certificate_digest(certs[0]));
-    EXPECT_EQ(certs[i].verdict, certs[0].verdict);
-    EXPECT_EQ(certs[i].trials, certs[0].trials);
+  const pp::Protocol protocol = czerner_protocol(1);
+  const pp::Config initial = czerner_initial(2);
+  smc::CertifyOptions options;
+  options.max_trials = 12;
+  options.batch = 4;
+  options.seed = 3;
+  options.sim.stable_window = 2'000'000;
+  options.sim.max_interactions = 40'000'000;
+  const smc::Certificate reference = oracle::oracle_certify(
+      protocol, initial, /*expected_output=*/false, options);
+  EXPECT_EQ(reference.trials, 12u);
+  for (const unsigned threads : {1u, 4u}) {
+    options.threads = threads;
+    const smc::Certificate cert =
+        smc::certify(protocol, initial, /*expected_output=*/false, options);
+    EXPECT_EQ(smc::certificate_payload(cert),
+              smc::certificate_payload(reference))
+        << "threads=" << threads;
+    EXPECT_EQ(smc::certificate_digest(cert),
+              smc::certificate_digest(reference))
+        << "threads=" << threads;
   }
 }
 

@@ -1,11 +1,12 @@
 // Tests for the adversarial scheduling & fault-injection subsystem
 // (DESIGN.md S27): the scenario descriptor grammar (canonicalisation and
 // malformed-input rejection), the scheduler strategies' adjacency laws,
-// the fault plans' timing and population bounds, bit-identical
-// trajectories across dispatch cores and against the pre-S27 uniform
-// path (clique is the differential anchor: same meeting law, different
-// digest scope), scenario-scoped certificate digests that are stable
-// across thread counts, the pre-S27 bit-compatibility of
+// the fault plans' timing and population bounds, trajectories
+// bit-identical to the map-based reference stepper (tests/oracles.hpp) and
+// to the pre-S27 uniform path (clique is the differential anchor: same
+// meeting law, different digest scope), scenario-scoped certificate
+// digests that are stable across thread counts, the pre-S27
+// bit-compatibility of
 // analysis::random_noise, and the serve wire (scenario field omission,
 // admission-time rejection, worker-count-independent digests).
 #include <gtest/gtest.h>
@@ -34,6 +35,7 @@
 #include "smc/certify.hpp"
 #include "smc/json.hpp"
 #include "support/rng.hpp"
+#include "oracles.hpp"
 
 namespace ppde {
 namespace {
@@ -253,18 +255,21 @@ TEST_F(MajorityFixture, CliqueIsTheUniformMeetingLawDifferentialAnchor) {
 }
 
 TEST_F(MajorityFixture, TrajectoriesBitIdenticalAcrossDispatchCores) {
+  // The bytecode simulator against the map-based reference stepper, which
+  // fires transitions field by field with per-state accepting probes —
+  // under every strategy and with faults rewriting agents mid-run.
   for (const char* text :
        {"ring", "grid", "regular:4", "biased:4", "aging",
         "uniform+corrupt:0.001", "ring+burst:500,2", "aging+churn:0.002"}) {
     const Scenario scenario = Scenario::parse(text);
-    pp::Simulator interp(protocol, initial, scenario, /*seed=*/5,
-                         isa::Dispatch::kInterp);
-    pp::Simulator bytecode(protocol, initial, scenario, /*seed=*/5,
-                           isa::Dispatch::kBytecode);
-    const auto a = interp.run_until_stable(quick());
+    oracle::MapStepper reference(protocol, initial, /*seed=*/5, scenario);
+    pp::Simulator bytecode(protocol, initial, scenario, /*seed=*/5);
+    const auto a = reference.run_until_stable(quick());
     const auto b = bytecode.run_until_stable(quick());
     expect_same_run(a, b);
-    EXPECT_EQ(interp.config(), bytecode.config()) << text;
+    EXPECT_EQ(reference.config(), bytecode.config()) << text;
+    EXPECT_EQ(reference.metrics().firings, bytecode.metrics().firings)
+        << text;
   }
 }
 
@@ -359,7 +364,7 @@ TEST_F(MajorityFixture, EnsembleFallsBackToPerAgentAndStaysDeterministic) {
 // ---------------------------------------------------------------------------
 // Certification: the scenario descriptor is part of the certified
 // statement (digest-scoped), and certificates stay reproducible at every
-// thread count and on both dispatch cores.
+// thread count and match trials run on the reference stepper.
 
 struct CertifyN1 : ::testing::Test {
   CertifyN1()
@@ -373,7 +378,7 @@ struct CertifyN1 : ::testing::Test {
     options.max_trials = 24;
     options.delta = 0.1;
     options.indifference = 0.8;
-    // Deliberately tiny: digest scoping and thread/dispatch stability do
+    // Deliberately tiny: digest scoping and thread/oracle agreement do
     // not require stabilising trials, and a stressed trial that exhausts
     // its budget costs the full budget on the per-agent simulator.
     options.sim.stable_window = 200'000;
@@ -382,11 +387,14 @@ struct CertifyN1 : ::testing::Test {
   }
 
   smc::Certificate certify(const smc::CertifyOptions& options) const {
-    const std::uint64_t m = conv_.num_pointers + 2;
-    const bool expected =
-        bignum::Nat(2) >= czerner::Construction::threshold(1);
-    return smc::certify(conv_.protocol, conv_.initial_config(m), expected,
-                        options);
+    return smc::certify(conv_.protocol, initial(), expected(), options);
+  }
+
+  pp::Config initial() const {
+    return conv_.initial_config(conv_.num_pointers + 2);
+  }
+  static bool expected() {
+    return bignum::Nat(2) >= czerner::Construction::threshold(1);
   }
 
   compile::LoweredMachine lowered_;
@@ -418,9 +426,9 @@ TEST_F(CertifyN1, ScenarioDigestIsThreadAndDispatchIndependent) {
   const std::uint64_t reference = smc::certificate_digest(certify(options));
   options.threads = 4;
   EXPECT_EQ(smc::certificate_digest(certify(options)), reference);
-  options.threads = 1;
-  options.dispatch = isa::Dispatch::kInterp;
-  EXPECT_EQ(smc::certificate_digest(certify(options)), reference);
+  EXPECT_EQ(smc::certificate_digest(oracle::oracle_certify(
+                conv_.protocol, initial(), expected(), options)),
+            reference);
 }
 
 // ---------------------------------------------------------------------------

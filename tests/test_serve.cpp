@@ -86,6 +86,27 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(Json::parse(R"({"a":truth})"), std::runtime_error);
 }
 
+TEST(Json, RejectsNestingDeeperThanTheCap) {
+  // 100,000 '[' is a 100 KB frame, far under the frame cap; unbounded
+  // recursion used to overflow the stack on it.
+  EXPECT_THROW(Json::parse(std::string(100'000, '[')), std::runtime_error);
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(Json::parse(nested(kMaxJsonDepth)));
+  EXPECT_THROW(Json::parse(nested(kMaxJsonDepth + 1)), std::runtime_error);
+  std::string objects;
+  for (int i = 0; i < 100'000; ++i) objects += R"({"k":)";
+  try {
+    Json::parse(objects);
+    FAIL() << "deep object nesting parsed";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("nesting too deep"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(Json, RoundTripsWriterOutput) {
   smc::JsonWriter writer;
   writer.field("n", std::uint64_t{12345678901234567ull});
@@ -393,25 +414,48 @@ TEST(Proto, QueryRoundTripsAndDefaults) {
   query.seed = 7;
   query.delta = 0.1;
   query.indifference = 0.8;
-  query.batch = 8;
   const QueryParams parsed = parse_query(Json::parse(encode_query(query)));
   EXPECT_EQ(parsed.req, "certify");
   EXPECT_EQ(parsed.extra, 8u);
   EXPECT_EQ(parsed.trials, 24u);
   EXPECT_DOUBLE_EQ(parsed.indifference, 0.8);
-  EXPECT_EQ(parsed.batch, 8u);
   // A minimal request means the same as the CLI's flag defaults.
   const QueryParams defaults =
       parse_query(Json::parse(R"({"req":"certify"})"));
   EXPECT_EQ(defaults.trials, 4096u);
   EXPECT_EQ(defaults.seed, 42u);
   EXPECT_DOUBLE_EQ(defaults.delta, 0.01);
-  EXPECT_EQ(defaults.batch, 0u);
-  // The auto width is the wire default and therefore omitted (pre-S28
-  // servers keep accepting these queries).
-  query.batch = 0;
-  EXPECT_EQ(encode_query(query).find("\"batch\""), std::string::npos);
   EXPECT_THROW(parse_query(Json::parse(R"({"n":1})")), std::runtime_error);
+}
+
+TEST(Proto, QueryRejectsRemovedDispatchAndIgnoresBatch) {
+  // Queries from clients predating the single execution core still parse:
+  // "dispatch":"bytecode" named the only core that remains, and "batch"
+  // never changed a result.
+  const QueryParams legacy = parse_query(Json::parse(
+      R"({"req":"certify","trials":24,"dispatch":"bytecode","batch":8})"));
+  EXPECT_EQ(legacy.trials, 24u);
+  const std::string encoded = encode_query(legacy);
+  EXPECT_EQ(encoded.find("dispatch"), std::string::npos) << encoded;
+  EXPECT_EQ(encoded.find("batch"), std::string::npos) << encoded;
+  // Asking for the interpreter is refused, not silently served.
+  try {
+    (void)parse_query(Json::parse(R"({"req":"certify","dispatch":"interp"})"));
+    FAIL() << "accepted dispatch interp";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("test oracle"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(Dispatch, ParseRejectsUnknown) {
+  // One execution core remains: "bytecode" is accepted (older clients
+  // send it), every other value — the removed "interp" included — is
+  // refused, by the wire decoder and the CLI alike.
+  EXPECT_NO_THROW(check_dispatch("bytecode"));
+  for (const char* text : {"interp", "fast", "", "Bytecode"})
+    EXPECT_THROW(check_dispatch(text), std::runtime_error) << text;
 }
 
 // ---------------------------------------------------------------------------
@@ -444,24 +488,23 @@ TEST(Worker, BatchRecordsMatchInProcessOutcomes) {
   request.count = 4;
   request.window = 1'000'000;
   request.budget = 100'000'000;
-  // The same range at three lockstep widths (S28): default/auto, forced
-  // scalar, and an explicit lane count. Records must be identical — the
-  // width steers worker throughput only.
+  // The same range twice: as encoded today, and as a daemon predating the
+  // single execution core sent it, with "dispatch" and "batch" members.
+  // The worker ignores both; the records must be identical.
+  const std::string current = encode_batch_request(request);
+  const std::string legacy =
+      R"({"dispatch":"bytecode","batch":4,)" + current.substr(1);
   std::vector<BatchResult> results;
-  for (const std::uint32_t batch : {0u, 1u, 4u}) {
-    request.batch = batch;
-    write_frame(pair[0], encode_batch_request(request));
+  for (const std::string& frame : {current, legacy}) {
+    write_frame(pair[0], frame);
     std::string payload;
     ASSERT_TRUE(read_frame(pair[0], payload));
     results.push_back(parse_batch_result(Json::parse(payload), false));
   }
   const BatchResult& result = results[0];
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    ASSERT_EQ(results[i].records.size(), result.records.size());
-    for (std::size_t j = 0; j < result.records.size(); ++j)
-      EXPECT_EQ(results[i].records[j], result.records[j])
-          << "width variant " << i << " record " << j;
-  }
+  ASSERT_EQ(results[1].records.size(), result.records.size());
+  for (std::size_t j = 0; j < result.records.size(); ++j)
+    EXPECT_EQ(results[1].records[j], result.records[j]) << "record " << j;
   write_frame(pair[0], encode_exit());
   int status = 0;
   ::waitpid(pid, &status, 0);
@@ -564,6 +607,61 @@ TEST(Server, CertifyMatchesInProcessDigestByteForByte) {
     EXPECT_EQ(digest_of(response), digest_of(reference))
         << "workers " << workers << ": " << response;
   }
+}
+
+TEST(Server, LegacyDispatchAndBatchFieldsCertifyToTheSameDigest) {
+  // An old client's query carries "dispatch":"bytecode" and a lockstep
+  // "batch" width; it must certify to exactly today's digest.
+  const QueryParams query = smoke_query();
+  const std::string reference = smc::to_jsonl(reference_certificate(query));
+  ASSERT_NE(digest_of(reference), "");
+  const std::string encoded = encode_query(query);
+  const std::string legacy =
+      R"({"dispatch":"bytecode","batch":8,)" + encoded.substr(1);
+  ServerOptions options;
+  options.port = 0;
+  options.workers = 2;
+  options.shard = 4;
+  RunningServer running(options);
+  std::string response;
+  std::string error;
+  ASSERT_TRUE(rpc(running.endpoint(), legacy, &response, &error)) << error;
+  EXPECT_TRUE(Json::parse(response).boolean("ok", false)) << response;
+  EXPECT_EQ(digest_of(response), digest_of(reference)) << response;
+}
+
+TEST(Server, HostileFramesGetErrorRepliesAndServingContinues) {
+  ServerOptions options;
+  options.port = 0;
+  options.workers = 1;
+  RunningServer running(options);
+  std::string response;
+  std::string error;
+  // Admission error frame for the removed interpreter core.
+  ASSERT_TRUE(rpc(running.endpoint(),
+                  R"({"req":"certify","n":1,"extra":2,"dispatch":"interp"})",
+                  &response, &error))
+      << error;
+  Json reply = Json::parse(response);
+  EXPECT_FALSE(reply.boolean("ok", true)) << response;
+  EXPECT_NE(reply.str("error", "").find("test oracle"), std::string::npos)
+      << response;
+  // 100,000 nested arrays: a parse error, not a crashed daemon.
+  ASSERT_TRUE(rpc(running.endpoint(), std::string(100'000, '['), &response,
+                  &error))
+      << error;
+  reply = Json::parse(response);
+  EXPECT_FALSE(reply.boolean("ok", true)) << response;
+  EXPECT_NE(reply.str("error", "").find("nesting too deep"),
+            std::string::npos)
+      << response;
+  // The daemon still certifies, to the in-process digest.
+  const QueryParams query = smoke_query();
+  ASSERT_TRUE(rpc(running.endpoint(), encode_query(query), &response, &error))
+      << error;
+  EXPECT_TRUE(Json::parse(response).boolean("ok", false)) << response;
+  EXPECT_EQ(digest_of(response),
+            digest_of(smc::to_jsonl(reference_certificate(query))));
 }
 
 TEST(Server, KilledWorkerRangeIsReassignedWithSameDigest) {

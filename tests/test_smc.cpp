@@ -246,34 +246,6 @@ TEST(Certify, DigestIsIndependentOfThreadCountAndBatch) {
   EXPECT_GT(one.trials, 0u);
 }
 
-TEST(Certify, DigestIsIndependentOfLockstepWidth) {
-  // The S28 lockstep core applies to this configuration (count+null-skip,
-  // default scenario); the certificate — payload and digest — must be
-  // byte-identical at every lane width and thread count, because every
-  // lane consumes exactly the per-trial seed stream the scalar path
-  // defines. Width 0 (auto) resolves to the host's preferred lanes and
-  // must change nothing either.
-  const pp::Protocol flock = baselines::make_flock_of_birds(4);
-  const pp::Config initial = baselines::flock_initial(flock, 6);
-  CertifyOptions options = fast_options();
-  options.engine = engine::EngineKind::kCountNullSkip;
-  options.threads = 1;
-  options.batch_width = 1;
-  const Certificate scalar = certify(flock, initial, true, options);
-  EXPECT_EQ(scalar.verdict, Verdict::kCertified);
-  for (const std::uint32_t width : {0u, 2u, 8u, 16u}) {
-    for (const unsigned threads : {1u, 4u}) {
-      options.batch_width = width;
-      options.threads = threads;
-      const Certificate lockstep = certify(flock, initial, true, options);
-      EXPECT_EQ(certificate_payload(lockstep), certificate_payload(scalar))
-          << "width=" << width << " threads=" << threads;
-      EXPECT_EQ(certificate_digest(lockstep), certificate_digest(scalar))
-          << "width=" << width << " threads=" << threads;
-    }
-  }
-}
-
 TEST(Certify, BudgetCapDowngradesToInconclusive) {
   const pp::Protocol flock = baselines::make_flock_of_birds(4);
   const pp::Config initial = baselines::flock_initial(flock, 6);

@@ -65,38 +65,11 @@ TEST(Rng, ChanceMatchesRatio) {
   EXPECT_NEAR(hits, 30'000, 1'200);
 }
 
-TEST(Rng, FillMatchesRepeatedCalls) {
-  Rng a(77), b(77);
-  std::uint64_t bulk[37];
-  a.fill(bulk, 37);
-  for (std::uint64_t value : bulk) ASSERT_EQ(value, b());
-  // The generators are in the same state afterwards.
-  EXPECT_EQ(a(), b());
-}
-
-TEST(Rng, JumpCommutesWithStepping) {
-  // jump() applies a fixed power of the (linear) transition map, so
-  // step-then-jump and jump-then-step land in the same state — the
-  // property that makes jump() usable for carving disjoint substreams.
-  Rng a(9), b(9);
-  a();
-  a.jump();
-  b.jump();
-  b();
-  for (int i = 0; i < 10; ++i) ASSERT_EQ(a(), b());
-  // And a jumped stream decorrelates from the original.
-  Rng base(9), jumped(9);
-  jumped.jump();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i)
-    if (base() == jumped()) ++equal;
-  EXPECT_LT(equal, 3);
-}
-
 TEST(Rng, UnitHelpersAreExactBitPatterns) {
   // to_unit maps raw -> [0,1), to_unit_open maps raw -> (0,1]; both are
-  // pinned expressions (53-bit mantissa scaling) shared by the scalar and
-  // lockstep geometric samplers — any change breaks recorded trajectories.
+  // pinned expressions (53-bit mantissa scaling) — to_unit_open feeds the
+  // count engine's geometric sampler, so any change breaks recorded
+  // trajectories.
   EXPECT_EQ(to_unit(0), 0.0);
   EXPECT_DOUBLE_EQ(to_unit_open(0), 0x1.0p-53);
   EXPECT_EQ(to_unit_open(~std::uint64_t{0}), 1.0);
@@ -114,19 +87,6 @@ TEST(Rng, UnitHelpersAreExactBitPatterns) {
     ASSERT_EQ(closed, static_cast<double>(raw >> 11) * 0x1.0p-53);
     ASSERT_EQ(open, (static_cast<double>(raw >> 11) + 1.0) * 0x1.0p-53);
   }
-}
-
-TEST(Rng, StateWordsExposeTheWholeState) {
-  // The lockstep SIMD stepper reads and writes the four state words
-  // in place; round-tripping them must reproduce the exact stream.
-  Rng a(123);
-  std::uint64_t saved[4];
-  for (int i = 0; i < 4; ++i) saved[i] = a.state_words()[i];
-  const std::uint64_t expected = a();
-  Rng b(0);
-  for (int i = 0; i < 4; ++i) b.state_words()[i] = saved[i];
-  EXPECT_EQ(b(), expected);
-  EXPECT_EQ(b(), a());
 }
 
 // -- hashing --------------------------------------------------------------------

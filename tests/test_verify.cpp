@@ -11,8 +11,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -28,6 +26,7 @@
 #include "progmodel/sample_programs.hpp"
 #include "verify/interner.hpp"
 #include "verify/kernel.hpp"
+#include "oracles.hpp"
 
 namespace ppde {
 namespace {
@@ -218,118 +217,15 @@ TEST(Kernel, TerminalNodesAreExcludedFromBottomSccs) {
   const std::vector<std::vector<u64>> roots = {{1}};
   kernel.run(roots);
   const verify::SccAnalysis analysis = kernel.analyse();
-  for (u32 id = 0; id < kernel.num_nodes(); ++id)
-    if (kernel.terminal_tag(id) != verify::kNoTerminal)
+  for (u32 id = 0; id < kernel.num_nodes(); ++id) {
+    if (kernel.terminal_tag(id) != verify::kNoTerminal) {
       EXPECT_FALSE(analysis.is_bottom[analysis.scc.scc_of[id]]);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
-// pp::Verifier vs the pre-refactor sequential oracle
-
-/// The classic sequential explorer the kernel replaced: map-based
-/// interning in discovery order, immediate successor interning, Tarjan +
-/// aggregate bottom-SCC sweep. Kept here as the reference semantics.
-struct OracleResult {
-  pp::VerificationResult::Verdict verdict;
-  u64 nodes = 0;
-  u64 edges = 0;
-  u64 num_sccs = 0;
-  u64 num_bottom_sccs = 0;
-  std::optional<pp::Config> counterexample;
-};
-
-OracleResult oracle_verify(const pp::Protocol& protocol,
-                           const pp::Config& initial, bool witness_mode,
-                           u64 max_configs) {
-  std::map<std::vector<u32>, u32> ids;
-  std::vector<std::vector<u32>> nodes;
-  std::vector<std::vector<u32>> successors;
-  std::vector<u32> id_order_key;  // discovery order of map keys
-
-  const auto dense = [&](const pp::Config& config) {
-    std::vector<u32> counts(config.num_states());
-    for (pp::State q = 0; q < config.num_states(); ++q)
-      counts[q] = config[q];
-    return counts;
-  };
-  const auto intern = [&](const std::vector<u32>& counts) {
-    const auto [it, inserted] =
-        ids.try_emplace(counts, static_cast<u32>(nodes.size()));
-    if (inserted) {
-      nodes.push_back(counts);
-      successors.emplace_back();
-    }
-    return it->second;
-  };
-
-  OracleResult result;
-  result.verdict = pp::VerificationResult::Verdict::kResourceLimit;
-  intern(dense(initial));
-  for (u32 id = 0; id < nodes.size(); ++id) {
-    if (nodes.size() > max_configs) {
-      result.nodes = nodes.size();
-      return result;  // partial: limit
-    }
-    const std::vector<u32> node = nodes[id];
-    std::vector<u32> succs;
-    for (pp::State q = 0; q < node.size(); ++q) {
-      if (node[q] == 0) continue;
-      for (pp::State r = 0; r < node.size(); ++r) {
-        if (node[r] == 0) continue;
-        if (q == r && node[q] < 2) continue;
-        for (const u32 index : protocol.transitions_for(q, r)) {
-          const pp::Transition& t = protocol.transitions()[index];
-          std::vector<u32> next = node;
-          --next[t.q];
-          --next[t.r];
-          ++next[t.q2];
-          ++next[t.r2];
-          succs.push_back(intern(next));
-        }
-      }
-    }
-    std::sort(succs.begin(), succs.end());
-    succs.erase(std::unique(succs.begin(), succs.end()), succs.end());
-    result.edges += succs.size();
-    successors[id] = std::move(succs);
-  }
-  result.nodes = nodes.size();
-
-  const support::SccResult scc = support::tarjan_scc(successors);
-  const std::vector<std::uint8_t> is_bottom = scc.bottom(successors);
-  result.num_sccs = scc.scc_count;
-  bool aggregate_true = false, aggregate_false = false;
-  std::optional<u32> offending;
-  std::vector<std::uint8_t> seen(scc.scc_count, 0);
-  for (u32 id = 0; id < nodes.size(); ++id) {
-    if (!is_bottom[scc.scc_of[id]]) continue;
-    if (!seen[scc.scc_of[id]]) {
-      seen[scc.scc_of[id]] = 1;
-      ++result.num_bottom_sccs;
-    }
-    bool any_accepting = false, any_rejecting = false;
-    for (pp::State q = 0; q < nodes[id].size(); ++q)
-      if (nodes[id][q] != 0)
-        (protocol.is_accepting(q) ? any_accepting : any_rejecting) = true;
-    const bool mixed = !witness_mode && any_accepting && any_rejecting;
-    if (mixed || any_accepting) aggregate_true = true;
-    if (mixed || !any_accepting) aggregate_false = true;
-    if (aggregate_true && aggregate_false && !offending) offending = id;
-  }
-  using Verdict = pp::VerificationResult::Verdict;
-  if (aggregate_true && aggregate_false) {
-    result.verdict = Verdict::kDoesNotStabilise;
-    pp::Config counterexample(protocol.num_states());
-    for (pp::State q = 0; q < protocol.num_states(); ++q)
-      counterexample.add(q, nodes[*offending][q]);
-    result.counterexample = std::move(counterexample);
-  } else if (aggregate_true) {
-    result.verdict = Verdict::kStabilisesTrue;
-  } else {
-    result.verdict = Verdict::kStabilisesFalse;
-  }
-  return result;
-}
+// pp::Verifier vs the pre-refactor sequential oracle (tests/oracles.hpp)
 
 /// (T,F -> T,T), (F,T -> F,F): from a mixed start both consensuses are
 /// reachable, so the exact verdict is kDoesNotStabilise with a
@@ -350,8 +246,8 @@ pp::Protocol make_opinion_protocol() {
 void expect_matches_oracle(const pp::Protocol& protocol,
                            const pp::Config& initial, bool witness_mode,
                            unsigned threads) {
-  const OracleResult expected =
-      oracle_verify(protocol, initial, witness_mode, 1'000'000);
+  const oracle::VerifyResult expected =
+      oracle::oracle_verify(protocol, initial, witness_mode, 1'000'000);
   pp::VerifierOptions options;
   options.witness_mode = witness_mode;
   options.threads = threads;
@@ -364,8 +260,9 @@ void expect_matches_oracle(const pp::Protocol& protocol,
   EXPECT_EQ(actual.num_bottom_sccs, expected.num_bottom_sccs);
   ASSERT_EQ(actual.counterexample.has_value(),
             expected.counterexample.has_value());
-  if (actual.counterexample)
+  if (actual.counterexample) {
     EXPECT_EQ(*actual.counterexample, *expected.counterexample);
+  }
 }
 
 TEST(VerifierOracle, MajorityMatchesByteForByte) {

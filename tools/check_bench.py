@@ -40,17 +40,14 @@ def require(path, condition, message):
 
 
 def check_engine(path, doc):
-    """bench_engine_v == 3: per-(mode, dispatch, harness, batch, m) rows."""
-    require(path, doc.get("bench_engine_v") == 3,
-            f"bench_engine_v != 3 (got {doc.get('bench_engine_v')})")
-    require(path, doc.get("simd") in ("avx2", "neon", "scalar"),
-            f"bad simd tag {doc.get('simd')!r}")
+    """bench_engine_v == 4: per-(mode, harness, m) rows."""
+    require(path, doc.get("bench_engine_v") == 4,
+            f"bench_engine_v != 4 (got {doc.get('bench_engine_v')})")
     rows = doc.get("rows")
     require(path, isinstance(rows, list) and rows, "rows missing or empty")
     for i, row in enumerate(rows):
-        for key in ("protocol", "m", "mode", "dispatch", "harness", "batch",
-                    "firings_per_sec", "effective_meetings_per_sec",
-                    "threads"):
+        for key in ("protocol", "m", "mode", "harness", "firings_per_sec",
+                    "effective_meetings_per_sec", "threads"):
             require(path, key in row, f"rows[{i}] missing {key}")
         # Rates must be real positive numbers, not zeros or NaN.
         require(path, row["firings_per_sec"] > 0,
@@ -59,34 +56,21 @@ def check_engine(path, doc):
                 f"rows[{i}] nonpositive effective_meetings_per_sec")
         require(path, row["harness"] in ("step", "fleet"),
                 f"rows[{i}] bad harness {row['harness']!r}")
-        require(path, isinstance(row["batch"], int) and row["batch"] >= 1,
-                f"rows[{i}] bad batch {row['batch']!r}")
-        require(path, row["harness"] == "fleet" or row["batch"] == 1,
-                f"rows[{i}] step row with batch != 1")
-    # All three engine modes, both dispatch cores (S26), the large
-    # population point.
-    modes = {row["mode"] for row in rows}
-    for mode in ("per-agent", "count-based", "count+null-skip"):
-        require(path, mode in modes, f"missing mode {mode}")
-    dispatches = {row["dispatch"] for row in rows}
-    for dispatch in ("interp", "bytecode"):
-        require(path, dispatch in dispatches, f"missing dispatch {dispatch}")
-    require(path, any(row["m"] == 100014 for row in rows),
-            "missing m=100014 row")
-    # The S28 lockstep matrix: scalar and batched fleet rows at the large
-    # population, so the batch win (or shortfall) is always on record.
-    fleet = [row for row in rows
-             if row["harness"] == "fleet" and row["m"] == 100014]
-    require(path, any(row["batch"] == 1 for row in fleet),
-            "missing fleet batch=1 row at m=100014")
-    require(path, any(row["batch"] > 1 for row in fleet),
-            "missing fleet batch>1 row at m=100014")
+    # Both engines stepped and the production engine's fleet, at both
+    # populations.
+    present = {(row["mode"], row["harness"], row["m"]) for row in rows}
+    for m in (10014, 100014):
+        for mode, harness in (("per-agent", "step"),
+                              ("count+null-skip", "step"),
+                              ("count+null-skip", "fleet")):
+            require(path, (mode, harness, m) in present,
+                    f"missing {mode} {harness} row at m={m}")
 
 
 def row_key(row):
     """Identity of one engine row across re-measures of the same machine."""
-    return (row["protocol"], row["m"], row["mode"], row["dispatch"],
-            row["harness"], row["batch"], row["threads"])
+    return (row["protocol"], row["m"], row["mode"], row["harness"],
+            row["threads"])
 
 
 def compare_fresh(baseline_path, fresh_path, factor, warn_only):

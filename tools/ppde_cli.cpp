@@ -37,7 +37,6 @@
 #include "compile/to_protocol.hpp"
 #include "czerner/construction.hpp"
 #include "engine/ensemble.hpp"
-#include "isa/compiled.hpp"
 #include "machine/interp.hpp"
 #include "obs/progress.hpp"
 #include "obs/registry.hpp"
@@ -90,16 +89,6 @@ double flag_double(int argc, char** argv, const char* flag, double fallback) {
   return text != nullptr ? std::strtod(text, nullptr) : fallback;
 }
 
-/// Execution core selected by `--dispatch={interp,bytecode}` (S26);
-/// default bytecode. Both cores produce bit-identical trajectories,
-/// digests and verdicts, so this is a performance/debugging switch, not
-/// a semantic one. Throws std::invalid_argument on an unknown value.
-isa::Dispatch flag_dispatch(int argc, char** argv) {
-  const char* text = flag_cstr(argc, argv, "--dispatch");
-  return text != nullptr ? isa::parse_dispatch(text)
-                         : isa::Dispatch::kBytecode;
-}
-
 /// Stress scenario (S27) selected by `--scheduler=...` and `--fault=...`;
 /// both default to the classic uniform, fault-free model. Throws
 /// std::invalid_argument (with the offending descriptor) on a malformed
@@ -111,25 +100,6 @@ sched::Scenario flag_scenario(int argc, char** argv) {
   if (const char* text = flag_cstr(argc, argv, "--fault"))
     scenario.fault = sched::parse_fault(text);
   return scenario;
-}
-
-/// Lockstep batch width (S28, engine/batch_sim.hpp) selected by
-/// `--batch={auto,off,N}`: auto (default) lets the engine pick the
-/// measured-best width for this machine (currently scalar — see
-/// EXPERIMENTS.md S28), off forces the scalar path, N requests exactly
-/// N lockstep lanes. Trial records and certificate digests are
-/// bit-identical at every width — this flag only moves wall time. Throws
-/// std::invalid_argument on a malformed value.
-std::uint32_t flag_batch(int argc, char** argv) {
-  const char* text = flag_cstr(argc, argv, "--batch");
-  if (text == nullptr || std::strcmp(text, "auto") == 0) return 0;
-  if (std::strcmp(text, "off") == 0) return 1;
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0' || value == 0)
-    throw std::invalid_argument(std::string("bad --batch value '") + text +
-                                "' (want auto, off, or a lane count)");
-  return static_cast<std::uint32_t>(value);
 }
 
 czerner::Construction build(int n, bool equality) {
@@ -336,8 +306,7 @@ int cmd_info(int n, bool equality) {
 }
 
 int cmd_simulate(int argc, char** argv, int n, std::uint32_t extra,
-                 std::uint64_t seed, isa::Dispatch dispatch,
-                 const sched::Scenario& scenario) {
+                 std::uint64_t seed, const sched::Scenario& scenario) {
   const auto lowered = compile::lower_program(build(n, false).program);
   const auto conv = compile::machine_to_protocol(lowered.machine);
   const std::uint64_t m = conv.num_pointers + extra;
@@ -345,8 +314,7 @@ int cmd_simulate(int argc, char** argv, int n, std::uint32_t extra,
               n, extra, (unsigned long long)m, (unsigned long long)seed);
   if (!scenario.is_default())
     std::printf("scenario: %s\n", scenario.to_string().c_str());
-  pp::Simulator sim(conv.protocol, conv.initial_config(m), scenario, seed,
-                    dispatch);
+  pp::Simulator sim(conv.protocol, conv.initial_config(m), scenario, seed);
   pp::SimulationOptions options;
   options.stable_window = flag_value(argc, argv, "--window", 90'000'000);
   options.max_interactions =
@@ -380,8 +348,7 @@ int cmd_simulate(int argc, char** argv, int n, std::uint32_t extra,
 
 int cmd_ensemble(int n, std::uint32_t extra, std::uint64_t trials,
                  unsigned threads, std::uint64_t seed, bool json,
-                 isa::Dispatch dispatch, const sched::Scenario& scenario,
-                 std::uint32_t batch) {
+                 const sched::Scenario& scenario) {
   const auto lowered = compile::lower_program(build(n, false).program);
   const auto conv = compile::machine_to_protocol(lowered.machine);
   const std::uint64_t m = conv.num_pointers + extra;
@@ -390,9 +357,7 @@ int cmd_ensemble(int n, std::uint32_t extra, std::uint64_t trials,
   options.threads = threads;
   options.master_seed = seed;
   options.engine = engine::EngineKind::kCountNullSkip;
-  options.dispatch = dispatch;
   options.scenario = scenario;
-  options.batch = batch;
   options.sim.stable_window = 90'000'000;
   options.sim.max_interactions = 2'000'000'000;
   const engine::EnsembleStats stats =
@@ -428,7 +393,6 @@ int cmd_certify(int argc, char** argv, int n, std::uint32_t extra,
   options.beta = flag_double(argc, argv, "--beta", 0.01);
   options.max_trials = flag_value(argc, argv, "--trials", 4096);
   options.batch = flag_value(argc, argv, "--round", 8);
-  options.batch_width = flag_batch(argc, argv);
   options.threads =
       static_cast<unsigned>(flag_value(argc, argv, "--threads", 0));
   options.seed = flag_value(argc, argv, "--seed", 42);
@@ -436,7 +400,6 @@ int cmd_certify(int argc, char** argv, int n, std::uint32_t extra,
       flag_value(argc, argv, "--window", 90'000'000);
   options.sim.max_interactions =
       flag_value(argc, argv, "--budget", 2'000'000'000);
-  options.dispatch = flag_dispatch(argc, argv);
   options.scenario = flag_scenario(argc, argv);
 
   const smc::Certificate cert =
@@ -472,7 +435,6 @@ int cmd_verify(int argc, char** argv, int n, std::uint64_t m_regs,
   options.threads = static_cast<unsigned>(
       flag_value(argc, argv, "--threads", 0));
   options.prune = has_flag(argc, argv, "--prune");
-  options.dispatch = flag_dispatch(argc, argv);
   const auto verdict =
       pp::Verifier(conv.protocol)
           .verify(conv.pi(machine::initial_state(lowered.machine, regs),
@@ -603,12 +565,9 @@ int cmd_client(int argc, char** argv, const std::vector<char*>& pos) {
     query.window = flag_value(argc, argv, "--window", query.window);
     query.budget = flag_value(argc, argv, "--budget", query.budget);
     query.shard = flag_value(argc, argv, "--shard", 0);
-    query.batch = flag_batch(argc, argv);
-    // Validate locally so a typo fails here, not server-side.
-    query.dispatch = isa::to_string(flag_dispatch(argc, argv));
-    // Same local validation for the scenario; the wire carries the
-    // canonical rendering and omits the field for the default scenario
-    // (pre-S27 servers keep working).
+    // Validate the scenario locally so a typo fails here, not
+    // server-side; the wire carries the canonical rendering and omits the
+    // field for the default scenario (pre-S27 servers keep working).
     const sched::Scenario scenario = flag_scenario(argc, argv);
     if (!scenario.is_default()) query.scenario = scenario.to_string();
   } else if (query.req == "stats") {
@@ -702,8 +661,6 @@ constexpr VerbHelp kVerbs[] = {
      "    [seed]        RNG seed (default 42)\n"
      "    --window=W    consensus stability window (default 9e7)\n"
      "    --budget=I    interaction budget (default 2e9)\n"
-     "    --dispatch=D  execution core (S26): bytecode (default) or interp;\n"
-     "                  trajectories are bit-identical either way\n"
      "    --scheduler=S meeting scheduler (S27): uniform (default), clique,\n"
      "                  ring, grid[:W], regular[:D], biased[:G], aging\n"
      "    --fault=F     fault plan (S27): none (default), corrupt:RATE[,K],\n"
@@ -714,15 +671,10 @@ constexpr VerbHelp kVerbs[] = {
      "    [threads]    worker threads; 0 = all hardware threads (default)\n"
      "    [seed]       master seed; trial i uses derive_trial_seed(seed, i)\n"
      "                 so results are identical at every thread count\n"
-     "    --dispatch=D execution core (S26): bytecode (default) or interp;\n"
-     "                 per-trial records are bit-identical either way\n"
      "    --scheduler=S / --fault=F\n"
      "                 stress scenario (S27); a non-default scenario falls\n"
      "                 back to the per-agent simulator (fast paths are\n"
      "                 uniform-only), results stay seed-deterministic\n"
-     "    --batch=B    lockstep lanes per worker (S28): auto (default),\n"
-     "                 off, or a lane count; records are bit-identical at\n"
-     "                 every width — only wall time moves\n"
      "    --json       one JSONL record instead of the human summary\n"},
     {"certify", "<n> <extra-agents> [flags]",
      "  Statistical model checking (S23): an SPRT certificate that the\n"
@@ -731,9 +683,6 @@ constexpr VerbHelp kVerbs[] = {
      "  identical at every thread count for fixed (seed, errors, budget).\n"
      "    --trials=N         trial budget (default 4096)\n"
      "    --round=K          trials per SPRT round (default 8)\n"
-     "    --batch=B          lockstep lanes per worker (S28): auto\n"
-     "                       (default), off, or a lane count; the\n"
-     "                       certificate digest is identical at every width\n"
      "    --threads=T        worker threads; 0 = all hardware (default)\n"
      "    --seed=S           master seed (default 42)\n"
      "    --delta=D          certified failure probability (default 0.01)\n"
@@ -742,8 +691,6 @@ constexpr VerbHelp kVerbs[] = {
      "    --indifference=E   SPRT indifference width (default 0.05)\n"
      "    --window=W         consensus stability window (default 9e7)\n"
      "    --budget=I         per-trial interaction budget (default 2e9)\n"
-     "    --dispatch=D       execution core (S26): bytecode (default) or\n"
-     "                       interp; the certificate digest is identical\n"
      "    --scheduler=S      meeting scheduler (S27): uniform (default),\n"
      "                       clique, ring, grid[:W], regular[:D],\n"
      "                       biased[:G], aging\n"
@@ -763,10 +710,7 @@ constexpr VerbHelp kVerbs[] = {
      "    --max-edges=E      edge budget (default unlimited)\n"
      "    --max-bytes=B      interner byte budget (default unlimited)\n"
      "    --prune            drop states no run can occupy before\n"
-     "                       exploring (verdict unchanged)\n"
-     "    --dispatch=D       execution core (S26) for the successor\n"
-     "                       generator: bytecode (default) or interp;\n"
-     "                       node IDs, SCCs and verdict are identical\n"},
+     "                       exploring (verdict unchanged)\n"},
     {"decide", "<n> <m> [--equality]",
      "  Program-level exhaustive decision.\n"
      "    --equality   decide the x = k(n) variant\n"},
@@ -804,9 +748,9 @@ constexpr VerbHelp kVerbs[] = {
      "  response (exit 0 iff the response says ok).\n"
      "    certify <n> <extra>   SPRT certification; accepts the same\n"
      "                          --trials/--seed/--delta/--indifference/\n"
-     "                          --alpha/--beta/--window/--budget/--dispatch/\n"
-     "                          --scheduler/--fault/--batch flags as\n"
-     "                          `ppde certify`, plus --shard=K\n"
+     "                          --alpha/--beta/--window/--budget/\n"
+     "                          --scheduler/--fault flags as `ppde certify`,\n"
+     "                          plus --shard=K\n"
      "    ensemble <n> <extra>  fleet summary; --trials=N is the exact\n"
      "                          fleet size\n"
      "    stats                 daemon uptime, worker pool state, and the\n"
@@ -879,6 +823,11 @@ int main(int argc, char** argv) {
   if (command == "help")
     return cmd_help(pos.size() >= 2 ? pos[1] : nullptr);
   try {
+    // The flag is gone, but the CLI ignores unknown flags: without this
+    // check `--dispatch=interp` would silently run bytecode and let a
+    // user believe they ran the interpreter oracle.
+    if (const char* dispatch = flag_cstr(argc, argv, "--dispatch"))
+      serve::check_dispatch(dispatch);
     if (command == "serve") return cmd_serve(argc, argv);
     if (command == "worker")
       return serve::worker_listen(
@@ -971,7 +920,6 @@ int main(int argc, char** argv) {
                           static_cast<std::uint32_t>(std::atoi(pos[2])),
                           pos.size() >= 4 ? std::strtoull(pos[3], nullptr, 10)
                                           : 42,
-                          flag_dispatch(argc, argv),
                           flag_scenario(argc, argv));
     if (command == "ensemble" && pos.size() >= 4)
       return cmd_ensemble(
@@ -979,8 +927,7 @@ int main(int argc, char** argv) {
           std::strtoull(pos[3], nullptr, 10),
           pos.size() >= 5 ? static_cast<unsigned>(std::atoi(pos[4])) : 0,
           pos.size() >= 6 ? std::strtoull(pos[5], nullptr, 10) : 42, json,
-          flag_dispatch(argc, argv), flag_scenario(argc, argv),
-          flag_batch(argc, argv));
+          flag_scenario(argc, argv));
     if (command == "certify" && pos.size() >= 3)
       return cmd_certify(argc, argv, n,
                          static_cast<std::uint32_t>(std::atoi(pos[2])), json);
