@@ -84,8 +84,8 @@ RobustnessResult sweep_simulated(const pp::Protocol& protocol,
   // of (trial, seed).
   engine::TrialExecutor executor(protocol, kind, sched::Scenario{},
                                  engine::fleet_workers(trials, threads));
-  const std::vector<engine::TrialResult> outcomes = engine::run_trial_fleet(
-      trials, threads, seed,
+  const std::vector<engine::TrialResult> outcomes = engine::run_trial_range(
+      0, trials, threads, seed,
       [&](unsigned worker, std::uint64_t trial, std::uint64_t trial_seed) {
         return executor.run(worker, configs[trial], trial_seed, options);
       });
@@ -129,21 +129,8 @@ smc::Certificate sweep_certified(const pp::Protocol& protocol,
 
     // The scheduler continues on the same per-trial stream the noise came
     // from; distinct trials stay decorrelated by seed derivation.
-    const engine::TrialResult trial =
-        executor.run(worker, config, rng(), options.sim);
-    const pp::SimulationResult& sim = trial.sim;
-    smc::TrialOutcome outcome;
-    outcome.metrics = trial.metrics;
-    outcome.stabilised =
-        sim.stabilised &&
-        sim.consensus_since != pp::SimulationResult::kNeverStabilised;
-    outcome.success =
-        outcome.stabilised && sim.output == predicate(config.total());
-    if (outcome.stabilised)
-      outcome.convergence_parallel_time =
-          static_cast<double>(sim.consensus_since) /
-          static_cast<double>(config.total());
-    return outcome;
+    return smc::outcome_of(executor.run(worker, config, rng(), options.sim),
+                           predicate(config.total()), config.total());
   };
 
   smc::Certificate cert = smc::certify_trials(body, options);

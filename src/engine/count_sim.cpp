@@ -386,7 +386,6 @@ void CountSimulator::fire_cells(pp::State q, pp::State r, std::uint32_t pos) {
 
 void CountSimulator::apply_active_meeting(std::uint64_t active) {
   const std::uint64_t target = rng_.below(active);
-  ++metrics_.tree_descents;
   // The seed engine's linear prefix scan over the slot weights.
   std::uint64_t remaining = target;
   std::size_t slot = 0;

@@ -71,23 +71,6 @@ unsigned fleet_workers(std::uint64_t trials, unsigned threads) {
       std::min<std::uint64_t>(requested, std::max<std::uint64_t>(trials, 1)));
 }
 
-std::vector<TrialResult> run_trial_fleet(
-    std::uint64_t trials, unsigned threads, std::uint64_t master_seed,
-    const std::function<TrialResult(std::uint64_t, std::uint64_t)>& body) {
-  return run_trial_fleet(
-      trials, threads, master_seed,
-      [&body](unsigned, std::uint64_t trial, std::uint64_t seed) {
-        return body(trial, seed);
-      });
-}
-
-std::vector<TrialResult> run_trial_fleet(
-    std::uint64_t trials, unsigned threads, std::uint64_t master_seed,
-    const std::function<TrialResult(unsigned, std::uint64_t, std::uint64_t)>&
-        body) {
-  return run_trial_range(0, trials, threads, master_seed, body);
-}
-
 std::vector<TrialResult> run_trial_range(
     std::uint64_t first_trial, std::uint64_t trials, unsigned threads,
     std::uint64_t master_seed,
@@ -136,7 +119,7 @@ std::vector<TrialResult> run_trial_range(
     });
   } catch (...) {
     if (failed)
-      throw std::runtime_error("run_trial_fleet: trial " +
+      throw std::runtime_error("run_trial_range: trial " +
                                std::to_string(failed_trial) +
                                " failed: " + failed_what);
     throw;
@@ -199,8 +182,8 @@ EnsembleStats run_ensemble(const pp::Protocol& protocol,
   // the serve workers run.
   const unsigned workers = fleet_workers(options.trials, options.threads);
   TrialExecutor executor(protocol, options.engine, options.scenario, workers);
-  const std::vector<TrialResult> results = run_trial_fleet(
-      options.trials, options.threads, options.master_seed,
+  const std::vector<TrialResult> results = run_trial_range(
+      0, options.trials, options.threads, options.master_seed,
       [&](unsigned worker, std::uint64_t, std::uint64_t seed) {
         return executor.run(worker, initial, seed, options.sim);
       });
@@ -232,7 +215,7 @@ std::string describe(const EnsembleStats& stats) {
       "interactions ...... p50 %.3g  p90 %.3g  max %.3g\n"
       "parallel time ..... p50 %.3g  p90 %.3g  max %.3g\n"
       "meetings/sec ...... %.3g effective (%llu firings, %llu skip batches)\n"
-      "incremental ....... %llu weight updates, %llu tree descents\n"
+      "incremental ....... %llu weight updates\n"
       "wall .............. %.3fs\n",
       static_cast<unsigned long long>(stats.trials), stats.threads_used,
       stats.stabilised_fraction(), stats.accept_fraction(),
@@ -242,7 +225,6 @@ std::string describe(const EnsembleStats& stats) {
       static_cast<unsigned long long>(stats.totals.firings),
       static_cast<unsigned long long>(stats.totals.null_skip_batches),
       static_cast<unsigned long long>(stats.totals.weight_updates),
-      static_cast<unsigned long long>(stats.totals.tree_descents),
       stats.wall_seconds);
   return buffer;
 }

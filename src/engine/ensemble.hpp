@@ -43,6 +43,9 @@ enum class EngineKind {
 
 const char* to_string(EngineKind kind);
 
+/// One trial's result: the one per-trial record, from TrialExecutor::run
+/// through run_trial_range and the serve wire to the daemon's fold
+/// (smc::outcome_of) and aggregation.
 struct TrialResult {
   pp::SimulationResult sim;
   RunMetrics metrics;
@@ -98,36 +101,22 @@ struct EnsembleOptions {
 /// hardware concurrency) capped at the trial count, at least 1.
 unsigned fleet_workers(std::uint64_t trials, unsigned threads);
 
-/// Run `body(trial, derive_trial_seed(master_seed, trial))` for every
-/// trial in [0, trials) on a fixed pool of `threads` workers (0 ⇒ hardware
-/// concurrency). Results are indexed by trial. If any body throws, the
-/// pool drains and a std::runtime_error naming the lowest failing trial
+/// Run `body(worker, trial, derive_trial_seed(master_seed, trial))` for
+/// every trial in [first_trial, first_trial + trials) on a fixed pool of
+/// `threads` workers (0 ⇒ hardware concurrency); results are indexed by
+/// offset. Each trial gets its *global* derived seed, so any partition of
+/// the trial index space into ranges reproduces exactly the per-trial
+/// results of one range over the union — regardless of which process runs
+/// which range (the serve daemon's shards, S25). `worker` is the
+/// executing worker's index in [0, fleet_workers(trials, threads)), so
+/// callers can keep one reusable simulator per worker
+/// (CountSimulator::reset) instead of reconstructing per trial; each
+/// result must remain a pure function of (trial, seed) — reuse scratch
+/// through the worker index, never results. `body` must be safe to call
+/// concurrently from different threads. If any body throws, the pool
+/// drains and a std::runtime_error naming the lowest failing global trial
 /// index (with the original what()) is thrown — never a silent partial
-/// result. `body` must be safe to call concurrently from different
-/// threads.
-std::vector<TrialResult> run_trial_fleet(
-    std::uint64_t trials, unsigned threads, std::uint64_t master_seed,
-    const std::function<TrialResult(std::uint64_t trial, std::uint64_t seed)>&
-        body);
-
-/// Same contract, but the body also receives the executing worker's index
-/// in [0, fleet_workers(trials, threads)), so callers can keep one
-/// reusable simulator per worker (CountSimulator::reset) instead of
-/// reconstructing per trial. Each trial's result must remain a pure
-/// function of (trial, seed) — reuse scratch through the worker index,
-/// never results.
-std::vector<TrialResult> run_trial_fleet(
-    std::uint64_t trials, unsigned threads, std::uint64_t master_seed,
-    const std::function<TrialResult(unsigned worker, std::uint64_t trial,
-                                    std::uint64_t seed)>& body);
-
-/// Shard variant for the serve daemon (S25): run trials [first_trial,
-/// first_trial + trials), each with its *global* derived seed
-/// derive_trial_seed(master_seed, first_trial + i), results indexed by
-/// offset i. Any partition of the trial index space into ranges therefore
-/// reproduces exactly the per-trial results of one run_trial_fleet over
-/// the union — regardless of which process runs which range. Exceptions
-/// are wrapped with the failing global trial index and rethrown.
+/// result.
 std::vector<TrialResult> run_trial_range(
     std::uint64_t first_trial, std::uint64_t trials, unsigned threads,
     std::uint64_t master_seed,

@@ -1,10 +1,9 @@
 // One trial body for every execution layer (S27).
 //
-// Before this class, four near-identical trial bodies lived in
-// engine::run_ensemble, smc::certify's TrialRunner, the serve worker's
-// ensemble batch and the analysis sweeps: pick per-agent or count
-// simulator, reuse one count simulator per worker, run until stable.
-// TrialExecutor is that body, written once — and the single place where
+// Every layer that runs trials — engine::run_ensemble, smc::certify, the
+// serve worker's batches and the analysis sweeps — runs this one body:
+// pick per-agent or count simulator, reuse one count simulator per
+// worker, run until stable. It is also the single place where
 // the S27 scenario fallback rule lives: the count engine keeps its
 // flat-weight fast path for the default scenario, while any non-default
 // scenario (graph topology, biased weighting, faults — all of which need

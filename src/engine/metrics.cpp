@@ -12,7 +12,6 @@ void RunMetrics::merge(const RunMetrics& other) {
   skipped_meetings += other.skipped_meetings;
   consensus_flips += other.consensus_flips;
   weight_updates += other.weight_updates;
-  tree_descents += other.tree_descents;
   wall_seconds += other.wall_seconds;
 }
 
@@ -28,15 +27,13 @@ std::string RunMetrics::to_string() const {
   char buffer[256];
   std::snprintf(buffer, sizeof buffer,
                 "meetings=%llu firings=%llu null_skip_batches=%llu "
-                "skipped=%llu flips=%llu weight_updates=%llu "
-                "tree_descents=%llu wall=%.3fs",
+                "skipped=%llu flips=%llu weight_updates=%llu wall=%.3fs",
                 static_cast<unsigned long long>(meetings),
                 static_cast<unsigned long long>(firings),
                 static_cast<unsigned long long>(null_skip_batches),
                 static_cast<unsigned long long>(skipped_meetings),
                 static_cast<unsigned long long>(consensus_flips),
                 static_cast<unsigned long long>(weight_updates),
-                static_cast<unsigned long long>(tree_descents),
                 wall_seconds);
   return buffer;
 }

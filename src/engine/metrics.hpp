@@ -32,10 +32,6 @@ struct RunMetrics {
   /// Incremental per-slot active-weight refreshes (CountSimulator only;
   /// excludes initial-configuration loading).
   std::uint64_t weight_updates = 0;
-  /// Weighted active-pair selections, one per firing (CountSimulator
-  /// only). The name dates from the Fenwick-tree engine; the field keeps
-  /// it for output and wire compatibility.
-  std::uint64_t tree_descents = 0;
   /// Wall-clock seconds spent inside run_until_stable.
   double wall_seconds = 0.0;
 

@@ -43,6 +43,9 @@ const std::string& element_str(const std::vector<Json>& fields,
   return fields[i].as_string();
 }
 
+/// Fields of one trial record on the wire (proto.hpp, BatchResult).
+constexpr std::size_t kRecordFields = 9;
+
 void append_json_string(std::string& out, std::string_view text) {
   out += '"';
   for (const char c : text) {
@@ -295,11 +298,8 @@ std::string encode_error(const std::string& message, bool busy) {
 std::string encode_batch_request(const BatchRequest& request) {
   smc::JsonWriter json;
   json.field("op", std::string_view("batch"));
-  json.field("kind",
-             std::string_view(request.ensemble ? "ensemble" : "certify"));
   json.field("n", request.n);
   json.field("extra", static_cast<std::uint64_t>(request.extra));
-  json.field("expected", request.expected);
   json.field("seed", request.seed);
   json.field("first", request.first);
   json.field("count", request.count);
@@ -315,10 +315,8 @@ BatchRequest parse_batch_request(const Json& json) {
   if (json.str("op", "") != "batch")
     throw std::runtime_error("serve proto: expected a batch op");
   BatchRequest request;
-  request.ensemble = json.str("kind", "certify") == "ensemble";
   request.n = static_cast<int>(json.u64("n", 1));
   request.extra = static_cast<std::uint32_t>(json.u64("extra", 0));
-  request.expected = json.boolean("expected", false);
   request.seed = json.u64("seed", 0);
   request.first = json.u64("first", 0);
   request.count = json.u64("count", 0);
@@ -333,87 +331,33 @@ std::string encode_exit() { return R"({"op":"exit"})"; }
 
 bool is_exit(const Json& json) { return json.str("op", "") == "exit"; }
 
-EnsembleRecord make_ensemble_record(std::uint64_t trial,
-                                    const engine::TrialResult& result) {
-  EnsembleRecord record;
-  record.trial = trial;
-  record.stabilised = result.sim.stabilised;
-  record.output = result.sim.output;
-  record.interactions = result.sim.interactions;
-  record.parallel_time_bits =
-      std::bit_cast<std::uint64_t>(result.sim.parallel_time);
-  record.meetings = result.metrics.meetings;
-  record.firings = result.metrics.firings;
-  record.null_skip_batches = result.metrics.null_skip_batches;
-  record.skipped_meetings = result.metrics.skipped_meetings;
-  record.consensus_flips = result.metrics.consensus_flips;
-  record.weight_updates = result.metrics.weight_updates;
-  record.tree_descents = result.metrics.tree_descents;
-  return record;
-}
-
-engine::TrialResult to_trial_result(const EnsembleRecord& record) {
-  engine::TrialResult result;
-  result.sim.stabilised = record.stabilised;
-  result.sim.output = record.output;
-  result.sim.interactions = record.interactions;
-  result.sim.parallel_time = std::bit_cast<double>(record.parallel_time_bits);
-  result.metrics.meetings = record.meetings;
-  result.metrics.firings = record.firings;
-  result.metrics.null_skip_batches = record.null_skip_batches;
-  result.metrics.skipped_meetings = record.skipped_meetings;
-  result.metrics.consensus_flips = record.consensus_flips;
-  result.metrics.weight_updates = record.weight_updates;
-  result.metrics.tree_descents = record.tree_descents;
-  return result;
-}
-
-std::string encode_batch_result(const BatchResult& result, bool ensemble) {
+std::string encode_batch_result(const BatchResult& result) {
   std::string out = R"({"op":"result","first":)";
   append_u64(out, result.first);
   out += ",\"records\":[";
-  bool first_record = true;
-  if (!ensemble) {
-    for (const smc::TrialRecord& record : result.records) {
-      if (!first_record) out += ',';
-      first_record = false;
-      out += '[';
-      append_u64(out, record.trial);
+  for (std::size_t i = 0; i < result.records.size(); ++i) {
+    const engine::TrialResult& record = result.records[i];
+    if (i != 0) out += ',';
+    out += '[';
+    append_u64(out, result.first + i);
+    out += ',';
+    out += record.sim.stabilised ? '1' : '0';
+    out += ',';
+    out += record.sim.output ? '1' : '0';
+    out += ',';
+    append_u64(out, record.sim.interactions);
+    out += ',';
+    append_u64(out, record.sim.consensus_since);
+    out += ',';
+    append_hex_string(out,
+                      std::bit_cast<std::uint64_t>(record.sim.parallel_time));
+    for (const std::uint64_t value :
+         {record.metrics.meetings, record.metrics.firings,
+          record.metrics.null_skip_batches}) {
       out += ',';
-      out += record.success ? '1' : '0';
-      out += ',';
-      out += record.stabilised ? '1' : '0';
-      out += ',';
-      append_hex_string(out, record.time_bits);
-      out += ',';
-      append_u64(out, record.meetings);
-      out += ',';
-      append_u64(out, record.firings);
-      out += ']';
+      append_u64(out, value);
     }
-  } else {
-    for (const EnsembleRecord& record : result.ensemble_records) {
-      if (!first_record) out += ',';
-      first_record = false;
-      out += '[';
-      append_u64(out, record.trial);
-      out += ',';
-      out += record.stabilised ? '1' : '0';
-      out += ',';
-      out += record.output ? '1' : '0';
-      out += ',';
-      append_u64(out, record.interactions);
-      out += ',';
-      append_hex_string(out, record.parallel_time_bits);
-      for (const std::uint64_t value :
-           {record.meetings, record.firings, record.null_skip_batches,
-            record.skipped_meetings, record.consensus_flips,
-            record.weight_updates, record.tree_descents}) {
-        out += ',';
-        append_u64(out, value);
-      }
-      out += ']';
-    }
+    out += ']';
   }
   out += ']';
   if (result.worker_pid != 0) {
@@ -427,7 +371,7 @@ std::string encode_batch_result(const BatchResult& result, bool ensemble) {
   return out;
 }
 
-BatchResult parse_batch_result(const Json& json, bool ensemble) {
+BatchResult parse_batch_result(const Json& json) {
   if (json.str("op", "") != "result")
     throw std::runtime_error("serve proto: expected a result op");
   BatchResult result;
@@ -435,33 +379,26 @@ BatchResult parse_batch_result(const Json& json, bool ensemble) {
   const Json* records = json.find("records");
   if (records == nullptr)
     throw std::runtime_error("serve proto: result without records");
+  result.records.reserve(records->items().size());
   for (const Json& entry : records->items()) {
     const std::vector<Json>& fields = entry.items();
-    if (!ensemble) {
-      smc::TrialRecord record;
-      record.trial = element_u64(fields, 0);
-      record.success = element_u64(fields, 1) != 0;
-      record.stabilised = element_u64(fields, 2) != 0;
-      record.time_bits = element_hex(fields, 3);
-      record.meetings = element_u64(fields, 4);
-      record.firings = element_u64(fields, 5);
-      result.records.push_back(record);
-    } else {
-      EnsembleRecord record;
-      record.trial = element_u64(fields, 0);
-      record.stabilised = element_u64(fields, 1) != 0;
-      record.output = element_u64(fields, 2) != 0;
-      record.interactions = element_u64(fields, 3);
-      record.parallel_time_bits = element_hex(fields, 4);
-      record.meetings = element_u64(fields, 5);
-      record.firings = element_u64(fields, 6);
-      record.null_skip_batches = element_u64(fields, 7);
-      record.skipped_meetings = element_u64(fields, 8);
-      record.consensus_flips = element_u64(fields, 9);
-      record.weight_updates = element_u64(fields, 10);
-      record.tree_descents = element_u64(fields, 11);
-      result.ensemble_records.push_back(record);
-    }
+    if (fields.size() != kRecordFields)
+      throw std::runtime_error("serve proto: trial record has " +
+                               std::to_string(fields.size()) +
+                               " fields, expected " +
+                               std::to_string(kRecordFields));
+    if (fields[0].as_u64() != result.first + result.records.size())
+      throw std::runtime_error(
+          "serve proto: trial record out of its result's range");
+    engine::TrialResult& record = result.records.emplace_back();
+    record.sim.stabilised = fields[1].as_u64() != 0;
+    record.sim.output = fields[2].as_u64() != 0;
+    record.sim.interactions = fields[3].as_u64();
+    record.sim.consensus_since = fields[4].as_u64();
+    record.sim.parallel_time = std::bit_cast<double>(fields[5].as_hex_u64());
+    record.metrics.meetings = fields[6].as_u64();
+    record.metrics.firings = fields[7].as_u64();
+    record.metrics.null_skip_batches = fields[8].as_u64();
   }
   result.worker_pid = json.u64("pid", 0);
   if (const Json* trace = json.find("trace"))

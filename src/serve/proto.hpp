@@ -5,17 +5,22 @@
 //   client <-> daemon      {"req":"certify"|"ensemble"|"stats"|"shutdown",
 //                           ...query parameters...}
 //                          -> {"ok":true, ...} | {"ok":false,"error":...}
-//   daemon <-> worker      {"op":"batch", kind, n, extra, expected, seed,
-//                           first, count, window, budget}
+//   daemon <-> worker      {"op":"batch", n, extra, seed, first, count,
+//                           window, budget[, scenario][, trace_id]}
 //                          -> {"op":"result","first",...,"records":[...]}
 //                          {"op":"exit"}
 //
-// Trial records travel as compact JSON arrays, with every 64-bit integer
-// as a decimal number (exact — the wire parser re-reads the raw token via
-// strtoull) and every double as the hex string of its IEEE-754 bit
-// pattern, so a record crosses the wire bit-identically and the
-// coordinator's canonical fold (smc/partial.hpp) sees exactly what an
-// in-process fold would.
+// A batch names a workload (construction n, extra agents, stopping rule,
+// scenario) and a trial range; it carries nothing of the query kind. A
+// worker runs every batch the same way and ships one record per trial —
+// its engine::TrialResult — from which the daemon either folds a
+// certificate (smc::outcome_of, then the canonical fold of
+// smc/partial.hpp) or aggregates ensemble statistics. Records travel as
+// compact JSON arrays, with every 64-bit integer as a decimal number
+// (exact — the wire parser re-reads the raw token via strtoull) and every
+// double as the hex string of its IEEE-754 bit pattern, so a record
+// crosses the wire bit-identically and the daemon sees exactly what an
+// in-process run would.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +33,6 @@
 #include "obs/trace.hpp"
 #include "serve/wire.hpp"
 #include "smc/certify.hpp"
-#include "smc/partial.hpp"
 
 namespace ppde::serve {
 
@@ -94,10 +98,8 @@ std::string encode_error(const std::string& message, bool busy = false);
 // Daemon <-> worker.
 
 struct BatchRequest {
-  bool ensemble = false;  ///< certify record shape otherwise
   int n = 1;
   std::uint32_t extra = 0;
-  bool expected = false;  ///< certify: the output being certified
   std::uint64_t seed = 0;
   std::uint64_t first = 0;
   std::uint64_t count = 0;
@@ -121,37 +123,16 @@ BatchRequest parse_batch_request(const Json& json);
 std::string encode_exit();
 bool is_exit(const Json& json);
 
-/// One ensemble trial's wire record: exactly the TrialResult fields
-/// engine::aggregate and the ensemble JSONL summary consume (per-trial
-/// wall/CPU time is an execution record, not a statistic, and stays
-/// process-local).
-struct EnsembleRecord {
-  std::uint64_t trial = 0;
-  bool stabilised = false;
-  bool output = false;
-  std::uint64_t interactions = 0;
-  std::uint64_t parallel_time_bits = 0;
-  std::uint64_t meetings = 0;
-  std::uint64_t firings = 0;
-  std::uint64_t null_skip_batches = 0;
-  std::uint64_t skipped_meetings = 0;
-  std::uint64_t consensus_flips = 0;
-  std::uint64_t weight_updates = 0;
-  std::uint64_t tree_descents = 0;
-
-  bool operator==(const EnsembleRecord&) const = default;
-};
-
-EnsembleRecord make_ensemble_record(std::uint64_t trial,
-                                    const engine::TrialResult& result);
-/// Inverse of make_ensemble_record up to the unshipped fields (seed,
-/// consensus_since, wall) — everything aggregate() reads round-trips.
-engine::TrialResult to_trial_result(const EnsembleRecord& record);
-
+/// A worker's reply to one batch. records[i] is trial first + i; on the
+/// wire each record is the array
+///   [trial, stabilised, output, interactions, consensus_since,
+///    "parallel-time-bits", meetings, firings, null_skip_batches]
+/// — exactly the TrialResult fields the daemon reads for either query
+/// kind. The rest of the result (seed, wall time and the remaining run
+/// counters) is an execution record and stays in the worker.
 struct BatchResult {
   std::uint64_t first = 0;
-  std::vector<smc::TrialRecord> records;           ///< certify batches
-  std::vector<EnsembleRecord> ensemble_records;    ///< ensemble batches
+  std::vector<engine::TrialResult> records;
   /// Observability sidecar (S29). None of it feeds the canonical fold:
   /// parse_batch_result round-trips records identically whether these
   /// fields are present, absent, or dropped by an old peer.
@@ -160,9 +141,11 @@ struct BatchResult {
   std::vector<obs::MetricSnapshot> metric_deltas;  ///< registry deltas
 };
 
-std::string encode_batch_result(const BatchResult& result, bool ensemble);
-/// Throws std::runtime_error unless `json` is a result op of the expected
-/// shape.
-BatchResult parse_batch_result(const Json& json, bool ensemble);
+std::string encode_batch_result(const BatchResult& result);
+/// Throws std::runtime_error unless `json` is a result op whose every
+/// record has exactly the record's field count and the trial index
+/// first + i — a reply in another record shape (say, from a worker of an
+/// older build) is refused, never misread.
+BatchResult parse_batch_result(const Json& json);
 
 }  // namespace ppde::serve

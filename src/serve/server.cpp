@@ -252,27 +252,8 @@ struct Pump {
         const int worker = workers[i];
         const Inflight entry = inflight.at(worker);
         inflight.erase(worker);
-        std::string payload;
-        bool ok = false;
-        try {
-          ok = read_frame(supervisor.fd(worker), payload);
-        } catch (...) {
-        }
-        if (!ok) {
+        if (!collect(worker, entry))
           retire(worker, entry.range, /*reassign=*/true);
-          continue;
-        }
-        try {
-          BatchResult result =
-              parse_batch_result(Json::parse(payload), prototype.ensemble);
-          ++batches_collected;
-          if (observe) observe(worker, result, micros_since(entry.sent));
-          deliver(std::move(result));
-        } catch (const std::exception&) {
-          retire(worker, entry.range, /*reassign=*/true);
-          continue;
-        }
-        supervisor.release(worker);
       }
     }
 
@@ -280,34 +261,38 @@ struct Pump {
     return "";
   }
 
-  /// Read (and deliver) every outstanding response so worker sockets hold
-  /// no stale frames for the next query. Late results of ranges that were
-  /// also re-run elsewhere are exact duplicates; the sinks drop them.
+  /// Read one worker's reply to `entry` and deliver it. A reply is taken
+  /// only if it covers exactly the dispatched range (parse_batch_result
+  /// checks each record's trial index against `first`); an IO failure, a
+  /// malformed frame or any other range is refused with false, and the
+  /// caller retires the worker — its records were never delivered.
+  bool collect(int worker, const Inflight& entry) {
+    try {
+      std::string payload;
+      if (!read_frame(supervisor.fd(worker), payload)) return false;
+      BatchResult result = parse_batch_result(Json::parse(payload));
+      if (result.first != entry.range.first ||
+          result.records.size() != entry.range.count)
+        return false;
+      ++batches_collected;
+      if (observe) observe(worker, result, micros_since(entry.sent));
+      deliver(std::move(result));
+    } catch (const std::exception&) {
+      return false;
+    }
+    supervisor.release(worker);
+    return true;
+  }
+
+  /// Collect every outstanding response so worker sockets hold no stale
+  /// frames for the next query. Late results of ranges that were also
+  /// re-run elsewhere are exact duplicates; the sinks drop them.
   void drain(std::map<int, Inflight>& inflight) {
     Metrics& metrics = Metrics::get();
     for (const auto& [worker, entry] : inflight) {
-      std::string payload;
-      bool ok = false;
-      try {
-        ok = read_frame(supervisor.fd(worker), payload);
-      } catch (...) {
-      }
-      if (!ok) {
-        supervisor.report_dead(worker);
-        metrics.worker_deaths.add();
-        continue;
-      }
-      try {
-        BatchResult result =
-            parse_batch_result(Json::parse(payload), prototype.ensemble);
-        ++batches_collected;
-        if (observe) observe(worker, result, micros_since(entry.sent));
-        deliver(std::move(result));
-        supervisor.release(worker);
-      } catch (const std::exception&) {
-        supervisor.report_dead(worker);
-        metrics.worker_deaths.add();
-      }
+      if (collect(worker, entry)) continue;
+      supervisor.report_dead(worker);
+      metrics.worker_deaths.add();
     }
     inflight.clear();
   }
@@ -404,9 +389,7 @@ struct Server::Impl {
         tracer->emit_foreign(result.worker_pid, group, event);
     }
     record.trials_executed += result.records.size();
-    record.trials_executed += result.ensemble_records.size();
-    Metrics::get().trials_delivered.add(result.records.size() +
-                                        result.ensemble_records.size());
+    Metrics::get().trials_delivered.add(result.records.size());
     for (obs::WorkerLatency& latency : record.workers) {
       if (latency.worker != worker) continue;
       ++latency.batches;
@@ -420,13 +403,11 @@ struct Server::Impl {
   /// The batch every worker range of `query` is cut from (first/count are
   /// filled per dispatch). trace_id asks workers to ship span deltas back
   /// iff this daemon is tracing.
-  static BatchRequest batch_prototype(const QueryParams& query, bool ensemble,
-                                      bool expected, std::uint64_t seq) {
+  static BatchRequest batch_prototype(const QueryParams& query,
+                                      std::uint64_t seq) {
     return BatchRequest{
-        .ensemble = ensemble,
         .n = query.n,
         .extra = query.extra,
-        .expected = expected,
         .seed = query.seed,
         .first = 0,
         .count = 0,
@@ -440,6 +421,8 @@ struct Server::Impl {
     const Clock::time_point began = Clock::now();
     const Statement& statement = cached_statement(query.n);
     const std::uint64_t m = statement.num_pointers + query.extra;
+    const std::uint64_t population =
+        statement.conversion.initial_config(m).total();
     const bool expected =
         bignum::Nat(query.extra) >= statement.threshold;
     const smc::CertifyOptions certify_options = certify_options_of(query);
@@ -450,8 +433,7 @@ struct Server::Impl {
 
     Pump pump{
         .supervisor = supervisor,
-        .prototype = batch_prototype(query, /*ensemble=*/false, expected,
-                                     record.seq),
+        .prototype = batch_prototype(query, record.seq),
         .total_trials = certify_options.max_trials,
         .shard = std::max<std::uint64_t>(1, query.shard ? query.shard
                                                         : options.shard),
@@ -462,7 +444,12 @@ struct Server::Impl {
             [&](BatchResult&& result) {
               obs::ObsSpan fold_span("merge_fold", "serve");
               fold_span.set_value(static_cast<double>(result.first));
-              merger.absorb(result.first, std::move(result.records));
+              std::vector<smc::TrialOutcome> outcomes;
+              outcomes.reserve(result.records.size());
+              for (const engine::TrialResult& trial : result.records)
+                outcomes.push_back(
+                    smc::outcome_of(trial, expected, population));
+              merger.absorb(result.first, std::move(outcomes));
             },
         .on_dispatch = [this] { note_dispatch(); },
         .observe =
@@ -480,7 +467,7 @@ struct Server::Impl {
 
     smc::Certificate certificate = merger.finish();
     certificate.protocol_fingerprint = statement.fingerprint;
-    certificate.population = statement.conversion.initial_config(m).total();
+    certificate.population = population;
     certificate.expected_output = expected;
     certificate.wall_seconds = seconds_since(began);
     certificate.threads_used = supervisor.alive();
@@ -507,7 +494,7 @@ struct Server::Impl {
     const std::uint64_t total = query.trials;
     if (total == 0) return encode_error("ensemble query with zero trials");
 
-    std::vector<EnsembleRecord> records(total);
+    std::vector<engine::TrialResult> results(total);
     std::vector<char> seen(total, 0);
     std::uint64_t remaining = total;
 
@@ -516,8 +503,7 @@ struct Server::Impl {
 
     Pump pump{
         .supervisor = supervisor,
-        .prototype = batch_prototype(query, /*ensemble=*/true,
-                                     /*expected=*/false, record.seq),
+        .prototype = batch_prototype(query, record.seq),
         .total_trials = total,
         .shard = std::max<std::uint64_t>(1, query.shard ? query.shard
                                                         : options.shard),
@@ -526,10 +512,13 @@ struct Server::Impl {
         .done = [&] { return remaining == 0; },
         .deliver =
             [&](BatchResult&& result) {
-              for (const EnsembleRecord& entry : result.ensemble_records) {
-                if (entry.trial >= total || seen[entry.trial]) continue;
-                seen[entry.trial] = 1;
-                records[entry.trial] = entry;
+              // collect() vouches that the records cover exactly a
+              // dispatched range inside [0, total).
+              for (std::size_t i = 0; i < result.records.size(); ++i) {
+                const std::uint64_t trial = result.first + i;
+                if (seen[trial]) continue;
+                seen[trial] = 1;
+                results[trial] = std::move(result.records[i]);
                 --remaining;
               }
             },
@@ -546,14 +535,13 @@ struct Server::Impl {
     record.batches = pump.batches_collected;
     record.reassigned = pump.trials_reassigned;
     if (!error.empty()) return encode_error(error);
+    if (remaining != 0)
+      return encode_error(std::to_string(remaining) + " of " +
+                          std::to_string(total) +
+                          " ensemble trials never arrived");
 
-    // Reconstruct per-trial results in trial order; aggregation is then
-    // exactly engine::run_ensemble's (same records, same order).
-    std::vector<engine::TrialResult> results(total);
-    for (std::uint64_t i = 0; i < total; ++i) {
-      results[i] = to_trial_result(records[i]);
-      results[i].seed = engine::derive_trial_seed(query.seed, i);
-    }
+    // Per-trial results in trial order; aggregation is then exactly
+    // engine::run_ensemble's (same records, same order).
     engine::EnsembleStats stats = engine::aggregate(results);
     stats.wall_seconds = seconds_since(began);
     stats.threads_used = supervisor.alive();

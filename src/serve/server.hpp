@@ -4,12 +4,14 @@
 // JSON protocol (serve/wire.hpp, serve/proto.hpp), admits them through a
 // bounded queue with per-query trial and wall budgets, and fans trial
 // batches out to a prefork pool of worker processes (serve/supervisor.hpp)
-// plus optional remote `ppde worker` endpoints. Workers ship ordered
-// per-trial records; the daemon replays the canonical certification fold
-// via smc::StreamingMerger, so the certificate digest is byte-identical to
-// in-process smc::certify under any worker count, shard size, arrival
-// order, or mid-query worker death (ranges of a dead worker are re-run on
-// survivors — outcomes are pure functions of (trial, seed)).
+// plus optional remote `ppde worker` endpoints. Workers ship one
+// engine::TrialResult per trial; the daemon checks each reply against the
+// range it dispatched, maps the records with smc::outcome_of and replays
+// the canonical certification fold via smc::StreamingMerger, so the
+// certificate digest is byte-identical to in-process smc::certify under
+// any worker count, shard size, arrival order, or mid-query worker death
+// (ranges of a dead or misreplying worker are re-run on survivors —
+// results are pure functions of (trial, seed)).
 //
 // Threading: the Supervisor forks its workers in the Server constructor,
 // strictly before run() spawns the accept loop and runner threads, because

@@ -22,8 +22,6 @@
 #include "sched/scenario.hpp"
 #include "serve/proto.hpp"
 #include "serve/wire.hpp"
-#include "smc/certify.hpp"
-#include "smc/partial.hpp"
 
 namespace ppde::serve {
 
@@ -47,58 +45,33 @@ CachedProtocol& cached_protocol(int n) {
   return *slot;
 }
 
-BatchResult run_certify_batch(const BatchRequest& request) {
-  CachedProtocol& cached = cached_protocol(request.n);
-  const std::uint64_t m = cached.conversion.num_pointers + request.extra;
-  const pp::Config initial = cached.conversion.initial_config(m);
-  smc::CertifyOptions options;
-  options.seed = request.seed;
-  options.sim.stable_window = request.window;
-  options.sim.max_interactions = request.budget;
-  if (!request.scenario.empty())
-    options.scenario = sched::Scenario::parse(request.scenario);
-  // threads = 1: a worker process is single-threaded by design — the
-  // daemon's parallelism is processes, and a forked child must not spawn
-  // threads anyway.
-  const std::vector<smc::TrialOutcome> outcomes = smc::run_outcome_range(
-      cached.conversion.protocol, initial, request.expected, options,
-      request.first, request.count, /*threads=*/1);
-  BatchResult result;
-  result.first = request.first;
-  result.records.reserve(outcomes.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i)
-    result.records.push_back(
-        smc::make_trial_record(request.first + i, outcomes[i]));
-  return result;
-}
-
-BatchResult run_ensemble_batch(const BatchRequest& request) {
+/// The one batch body, for certify and ensemble queries alike: trials
+/// [first, first + count) on the shared trial body (S27) — the S21
+/// default engine (count + null-skip) for the default scenario, the
+/// per-agent fallback inside the executor otherwise. threads = 1: a
+/// worker process is single-threaded by design — the daemon's
+/// parallelism is processes, and a forked child must not spawn threads
+/// anyway.
+BatchResult run_batch(const BatchRequest& request) {
   CachedProtocol& cached = cached_protocol(request.n);
   const std::uint64_t m = cached.conversion.num_pointers + request.extra;
   const pp::Config initial = cached.conversion.initial_config(m);
   pp::SimulationOptions sim_stop;
   sim_stop.stable_window = request.window;
   sim_stop.max_interactions = request.budget;
-  // The shared trial body (S27): the serve protocol runs the S21 default
-  // engine (count + null-skip) for the default scenario; a non-default
-  // scenario falls back to the per-agent simulator inside the executor.
   sched::Scenario scenario;
   if (!request.scenario.empty())
     scenario = sched::Scenario::parse(request.scenario);
   engine::TrialExecutor executor(cached.conversion.protocol,
                                  engine::EngineKind::kCountNullSkip, scenario,
                                  /*workers=*/1);
-  const std::vector<engine::TrialResult> trials = engine::run_trial_range(
+  BatchResult result;
+  result.first = request.first;
+  result.records = engine::run_trial_range(
       request.first, request.count, /*threads=*/1, request.seed,
       [&](unsigned worker, std::uint64_t, std::uint64_t seed) {
         return executor.run(worker, initial, seed, sim_stop);
       });
-  BatchResult result;
-  result.first = request.first;
-  result.ensemble_records.reserve(trials.size());
-  for (std::size_t i = 0; i < trials.size(); ++i)
-    result.ensemble_records.push_back(
-        make_ensemble_record(request.first + i, trials[i]));
   return result;
 }
 
@@ -132,8 +105,7 @@ bool worker_main(int fd) {
     {
       obs::ObsSpan span("worker_batch", "serve");
       span.set_value(static_cast<double>(request.trace_id));
-      result = request.ensemble ? run_ensemble_batch(request)
-                                : run_certify_batch(request);
+      result = run_batch(request);
     }
     trials_executed.add(request.count);
     batch_micros.record((obs::now_ns() - start_ns) / 1000);
@@ -142,7 +114,7 @@ bool worker_main(int fd) {
     if (request.trace_id != 0 && obs::Tracer::capturing())
       result.trace = obs::Tracer::drain_capture();
     result.metric_deltas = tracker.collect();
-    write_frame(fd, encode_batch_result(result, request.ensemble));
+    write_frame(fd, encode_batch_result(result));
   }
   return false;
 }

@@ -4,13 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <memory>
-#include <optional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
-#include "engine/count_sim.hpp"
 #include "engine/executor.hpp"
 #include "engine/pool.hpp"
 #include "obs/registry.hpp"
@@ -46,7 +42,7 @@ Certificate certify_trials(const TrialFn& body,
   const auto start_time = std::chrono::steady_clock::now();
 
   // The entire statistical state lives in the same FoldState the serve
-  // daemon's StreamingMerger resumes (smc/partial.hpp), so the two paths
+  // daemon's StreamingMerger replays (smc/partial.hpp), so the two paths
   // cannot drift apart: one fold implementation, one digest.
   FoldState fold(options);
 
@@ -92,7 +88,7 @@ Certificate certify_trials(const TrialFn& body,
     // statistic covers exactly the trials the sequential test consumed —
     // the tail of the last batch ran but is not part of the certificate.
     for (std::uint64_t i = 0; i < batch && !fold.decided(); ++i)
-      fold.fold(make_trial_record(base + i, outcomes[i]));
+      fold.fold(outcomes[i]);
     next_trial = base + batch;
     rounds_counter.add(1);
     trials_gauge.set(static_cast<double>(fold.sprt().trials()));
@@ -110,80 +106,39 @@ Certificate certify_trials(const TrialFn& body,
   return cert;
 }
 
-namespace {
-
-/// The per-trial workload certify() folds, reusable by shard range runs.
-/// Engine/scenario selection and per-worker simulator reuse live in
-/// engine::TrialExecutor (S27) — the same body run_ensemble and the serve
-/// workers run; this class only maps the run to a TrialOutcome against the
-/// expected output.
-class TrialRunner {
- public:
-  TrialRunner(const pp::Protocol& protocol, const pp::Config& initial,
-              bool expected_output, const CertifyOptions& options,
-              unsigned workers)
-      : initial_(initial),
-        expected_output_(expected_output),
-        options_(options),
-        executor_(protocol, options.engine, options.scenario, workers) {}
-
-  TrialOutcome run(unsigned worker, std::uint64_t seed) {
-    return outcome_of(executor_.run(worker, initial_, seed, options_.sim));
-  }
-
- private:
-  TrialOutcome outcome_of(const engine::TrialResult& trial) const {
-    const pp::SimulationResult& sim = trial.sim;
-    TrialOutcome outcome;
-    outcome.metrics = trial.metrics;
-    outcome.stabilised =
-        sim.stabilised &&
-        sim.consensus_since != pp::SimulationResult::kNeverStabilised;
-    outcome.success = outcome.stabilised && sim.output == expected_output_;
-    if (outcome.stabilised)
-      outcome.convergence_parallel_time =
-          static_cast<double>(sim.consensus_since) /
-          static_cast<double>(initial_.total());
-    return outcome;
-  }
-
-  const pp::Config& initial_;
-  bool expected_output_;
-  const CertifyOptions& options_;
-  engine::TrialExecutor executor_;
-};
-
-}  // namespace
+TrialOutcome outcome_of(const engine::TrialResult& trial,
+                        bool expected_output, std::uint64_t population) {
+  const pp::SimulationResult& sim = trial.sim;
+  TrialOutcome outcome;
+  outcome.metrics = trial.metrics;
+  outcome.stabilised =
+      sim.stabilised &&
+      sim.consensus_since != pp::SimulationResult::kNeverStabilised;
+  outcome.success = outcome.stabilised && sim.output == expected_output;
+  if (outcome.stabilised)
+    outcome.convergence_parallel_time =
+        static_cast<double>(sim.consensus_since) /
+        static_cast<double>(population);
+  return outcome;
+}
 
 Certificate certify(const pp::Protocol& protocol, const pp::Config& initial,
                     bool expected_output, const CertifyOptions& options) {
-  TrialRunner runner(protocol, initial, expected_output, options,
-                     engine::fleet_workers(options.batch, options.threads));
+  // Engine/scenario selection and per-worker simulator reuse live in
+  // engine::TrialExecutor (S27), the body every layer runs.
+  engine::TrialExecutor executor(
+      protocol, options.engine, options.scenario,
+      engine::fleet_workers(options.batch, options.threads));
   Certificate cert = certify_trials(
       [&](unsigned worker, std::uint64_t, std::uint64_t seed) {
-        return runner.run(worker, seed);
+        return outcome_of(executor.run(worker, initial, seed, options.sim),
+                          expected_output, initial.total());
       },
       options);
   cert.protocol_fingerprint = protocol.fingerprint();
   cert.population = initial.total();
   cert.expected_output = expected_output;
   return cert;
-}
-
-std::vector<TrialOutcome> run_outcome_range(
-    const pp::Protocol& protocol, const pp::Config& initial,
-    bool expected_output, const CertifyOptions& options, std::uint64_t first,
-    std::uint64_t count, unsigned threads) {
-  std::vector<TrialOutcome> outcomes(count);
-  if (count == 0) return outcomes;
-  const unsigned workers = engine::fleet_workers(count, threads);
-  TrialRunner runner(protocol, initial, expected_output, options, workers);
-  engine::WorkerPool pool(workers);
-  pool.parallel_for_workers(count, [&](unsigned worker, std::uint64_t i) {
-    outcomes[i] = runner.run(
-        worker, engine::derive_trial_seed(options.seed, first + i));
-  });
-  return outcomes;
 }
 
 std::string describe(const Certificate& cert) {

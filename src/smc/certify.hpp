@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "engine/ensemble.hpp"
 #include "engine/metrics.hpp"
@@ -92,6 +91,15 @@ struct TrialOutcome {
   engine::RunMetrics metrics;
 };
 
+/// The one mapping from a run to its certify outcome. Success = the run's
+/// window heuristic fired AND the consensus equals `expected_output`; a
+/// budget-capped run counts as failure (conservative: a certificate never
+/// credits unfinished runs). The convergence time is consensus_since /
+/// `population` (the run's agent count). certify(), the analysis sweeps
+/// and the serve daemon's fold all map through here.
+TrialOutcome outcome_of(const engine::TrialResult& trial,
+                        bool expected_output, std::uint64_t population);
+
 struct Certificate {
   /// Format version of the JSONL serialisation (smc/json.hpp).
   static constexpr int kVersion = 1;
@@ -156,24 +164,9 @@ using TrialFn = std::function<TrialOutcome(
 Certificate certify_trials(const TrialFn& body, const CertifyOptions& options);
 
 /// Certify "`protocol` stabilises to `expected_output` from `initial` with
-/// probability >= 1 - delta". Success = the run's window heuristic fired
-/// AND the consensus equals expected_output; a budget-capped run counts as
-/// failure (conservative: the certificate never credits unfinished runs).
+/// probability >= 1 - delta", each trial mapped through outcome_of.
 Certificate certify(const pp::Protocol& protocol, const pp::Config& initial,
                     bool expected_output, const CertifyOptions& options);
-
-/// Run trials [first, first + count) of the same workload certify() folds,
-/// without folding: outcome i of the result is trial first + i, run with
-/// seed derive_trial_seed(options.seed, first + i). This is the shard
-/// entry point of the serve daemon (S25) — because each outcome is a pure
-/// function of (trial, seed), any partition of the trial index space into
-/// ranges reproduces exactly the outcome sequence certify() would fold,
-/// regardless of which process runs which range. `threads` as in
-/// CertifyOptions::threads (0 = hardware concurrency; capped at count).
-std::vector<TrialOutcome> run_outcome_range(
-    const pp::Protocol& protocol, const pp::Config& initial,
-    bool expected_output, const CertifyOptions& options, std::uint64_t first,
-    std::uint64_t count, unsigned threads);
 
 /// Human-readable multi-line rendering (used by the CLI).
 std::string describe(const Certificate& certificate);

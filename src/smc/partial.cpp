@@ -1,99 +1,6 @@
 #include "smc/partial.hpp"
 
-#include <bit>
-#include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
-
 namespace ppde::smc {
-
-namespace {
-
-constexpr const char* kFoldTag = "smc_fold_v1";
-
-void append_hex(std::string& out, std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof buffer, " %llx",
-                static_cast<unsigned long long>(value));
-  out += buffer;
-}
-
-void append_p2(std::string& out, const P2Quantile::Snapshot& snapshot) {
-  append_hex(out, snapshot.count);
-  for (int i = 0; i < 5; ++i) append_hex(out, snapshot.heights[i]);
-  for (int i = 0; i < 5; ++i) append_hex(out, snapshot.positions[i]);
-  for (int i = 0; i < 5; ++i) append_hex(out, snapshot.desired[i]);
-  for (int i = 0; i < 5; ++i) append_hex(out, snapshot.increments[i]);
-}
-
-/// Whitespace tokenizer + hex parser over a checkpoint string; throws
-/// std::runtime_error with a field name on any malformed token.
-class TokenReader {
- public:
-  explicit TokenReader(const std::string& text) : text_(text) {}
-
-  std::string word(const char* what) {
-    skip_spaces();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && !is_space(text_[pos_])) ++pos_;
-    if (pos_ == start)
-      throw std::runtime_error(std::string("FoldState: missing ") + what);
-    return text_.substr(start, pos_ - start);
-  }
-
-  std::uint64_t hex(const char* what) {
-    const std::string token = word(what);
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(token.c_str(), &end, 16);
-    if (errno != 0 || end == token.c_str() || *end != '\0')
-      throw std::runtime_error(std::string("FoldState: bad ") + what + " '" +
-                               token + "'");
-    return value;
-  }
-
-  void expect_end() {
-    skip_spaces();
-    if (pos_ != text_.size())
-      throw std::runtime_error("FoldState: trailing data in checkpoint");
-  }
-
- private:
-  static bool is_space(char c) {
-    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-  }
-  void skip_spaces() {
-    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-P2Quantile::Snapshot read_p2(TokenReader& reader, const char* which) {
-  P2Quantile::Snapshot snapshot;
-  snapshot.count = reader.hex(which);
-  for (int i = 0; i < 5; ++i) snapshot.heights[i] = reader.hex(which);
-  for (int i = 0; i < 5; ++i) snapshot.positions[i] = reader.hex(which);
-  for (int i = 0; i < 5; ++i) snapshot.desired[i] = reader.hex(which);
-  for (int i = 0; i < 5; ++i) snapshot.increments[i] = reader.hex(which);
-  return snapshot;
-}
-
-}  // namespace
-
-TrialRecord make_trial_record(std::uint64_t trial,
-                              const TrialOutcome& outcome) {
-  TrialRecord record;
-  record.trial = trial;
-  record.success = outcome.success;
-  record.stabilised = outcome.stabilised;
-  record.time_bits =
-      std::bit_cast<std::uint64_t>(outcome.convergence_parallel_time);
-  record.meetings = outcome.metrics.meetings;
-  record.firings = outcome.metrics.firings;
-  return record;
-}
 
 Certificate certificate_statement(const CertifyOptions& options) {
   Certificate cert;
@@ -113,16 +20,15 @@ Certificate certificate_statement(const CertifyOptions& options) {
 FoldState::FoldState(const CertifyOptions& options)
     : sprt_(options.sprt()) {}
 
-void FoldState::fold(const TrialRecord& record) {
+void FoldState::fold(const TrialOutcome& outcome) {
   if (sprt_.decided()) return;
-  sprt_.update(record.success);
-  if (record.stabilised) {
+  sprt_.update(outcome.success);
+  if (outcome.stabilised) {
     ++stabilised_;
-    if (record.success)
-      tails_.add(std::bit_cast<double>(record.time_bits));
+    if (outcome.success) tails_.add(outcome.convergence_parallel_time);
   }
-  meetings_ += record.meetings;
-  firings_ += record.firings;
+  meetings_ += outcome.metrics.meetings;
+  firings_ += outcome.metrics.firings;
 }
 
 Certificate FoldState::finish(const CertifyOptions& options) const {
@@ -148,76 +54,34 @@ Certificate FoldState::finish(const CertifyOptions& options) const {
   return cert;
 }
 
-std::string FoldState::serialize() const {
-  std::string out = kFoldTag;
-  append_hex(out, sprt_.trials());
-  append_hex(out, sprt_.successes());
-  append_hex(out, std::bit_cast<std::uint64_t>(sprt_.llr()));
-  append_hex(out, stabilised_);
-  append_hex(out, meetings_);
-  append_hex(out, firings_);
-  const QuantileTails::Snapshot tails = tails_.snapshot();
-  append_p2(out, tails.p50);
-  append_p2(out, tails.p90);
-  append_p2(out, tails.p99);
-  return out;
-}
-
-FoldState FoldState::deserialize(const CertifyOptions& options,
-                                 const std::string& text) {
-  TokenReader reader(text);
-  if (reader.word("tag") != kFoldTag)
-    throw std::runtime_error("FoldState: not an smc_fold_v1 checkpoint");
-  FoldState state(options);
-  const std::uint64_t trials = reader.hex("trials");
-  const std::uint64_t successes = reader.hex("successes");
-  const double llr = std::bit_cast<double>(reader.hex("llr"));
-  if (successes > trials)
-    throw std::runtime_error("FoldState: successes > trials");
-  state.sprt_.restore(trials, successes, llr);
-  state.stabilised_ = reader.hex("stabilised");
-  state.meetings_ = reader.hex("meetings");
-  state.firings_ = reader.hex("firings");
-  QuantileTails::Snapshot tails;
-  tails.p50 = read_p2(reader, "p50");
-  tails.p90 = read_p2(reader, "p90");
-  tails.p99 = read_p2(reader, "p99");
-  reader.expect_end();
-  state.tails_.restore(tails);
-  return state;
-}
-
 StreamingMerger::StreamingMerger(const CertifyOptions& options)
     : options_(options), fold_(options) {}
 
 void StreamingMerger::absorb(std::uint64_t first,
-                             std::vector<TrialRecord> records) {
-  for (std::size_t i = 0; i < records.size(); ++i)
-    if (records[i].trial != first + i)
-      throw std::invalid_argument(
-          "StreamingMerger: record trial index does not match its range");
+                             std::vector<TrialOutcome> outcomes) {
   if (fold_.decided()) {
     pending_.clear();  // verdict is final; nothing further can fold
     return;
   }
-  if (records.empty() || first + records.size() <= next_) return;
+  if (outcomes.empty() || first + outcomes.size() <= next_) return;
   if (first < next_) {  // re-delivered prefix (reassignment race): trim
-    records.erase(records.begin(),
-                  records.begin() + static_cast<std::ptrdiff_t>(next_ - first));
+    outcomes.erase(
+        outcomes.begin(),
+        outcomes.begin() + static_cast<std::ptrdiff_t>(next_ - first));
     first = next_;
   }
-  const std::size_t length = records.size();
+  const std::size_t length = outcomes.size();
   auto it = pending_.find(first);
   if (it == pending_.end())
-    pending_.emplace(first, std::move(records));
+    pending_.emplace(first, std::move(outcomes));
   else if (it->second.size() < length)
-    it->second = std::move(records);  // keep the longer duplicate
+    it->second = std::move(outcomes);  // keep the longer duplicate
 
   // Drain every range that touches the frontier, folding in trial order.
   while (!fold_.decided() && !pending_.empty()) {
     auto front = pending_.begin();
     if (front->first > next_) break;
-    const std::vector<TrialRecord>& range = front->second;
+    const std::vector<TrialOutcome>& range = front->second;
     const std::uint64_t skip = next_ - front->first;
     for (std::uint64_t i = skip;
          i < range.size() && !fold_.decided() && next_ < options_.max_trials;

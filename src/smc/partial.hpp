@@ -13,20 +13,19 @@
 // function of the trial-outcome sequence folded in trial order up to and
 // including the SPRT decision point (smc/certify.cpp's fold loop), and
 // outcome i is a pure function of (trial i, derive_trial_seed(seed, i))
-// alone. So shards do not fold — they ship *ordered per-trial records*
-// (TrialRecord), and the coordinator replays the one canonical fold:
+// alone. So shards do not fold — workers ship their engine::TrialResult
+// records in trial order (serve/proto.hpp), the daemon maps each to a
+// TrialOutcome with smc::outcome_of, and replays the one canonical fold:
 //
-//   * FoldState is that fold as a resumable state machine — exactly the
-//     Sprt / QuantileTails / counter updates of smc::certify_trials, plus
-//     bit-exact serialization (doubles travel as IEEE-754 bit patterns) so
-//     a checkpointed fold resumes byte-identically.
+//   * FoldState is that fold as a state machine — exactly the Sprt /
+//     QuantileTails / counter updates of smc::certify_trials.
 //   * StreamingMerger wraps a FoldState in a reorder buffer: contiguous
-//     record ranges absorbed in ANY arrival order, duplicates and
-//     already-folded prefixes dropped, records folded strictly in trial
+//     outcome ranges absorbed in ANY arrival order, duplicates and
+//     already-folded prefixes dropped, outcomes folded strictly in trial
 //     order, folding stopped at the SPRT decision point.
 //
 // Hence the merged certificate is byte-identical to in-process
-// smc::certify under any shard layout — same records, same order, same
+// smc::certify under any shard layout — same outcomes, same order, same
 // fold — which tests/test_serve.cpp and the serve-smoke CI job assert
 // differentially against smc::certify at several worker counts and shard
 // splits (including after a killed-worker trial reassignment).
@@ -34,7 +33,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "smc/certify.hpp"
@@ -43,25 +41,6 @@
 
 namespace ppde::smc {
 
-/// One trial's digest-relevant outcome, tagged with its trial index so the
-/// coordinator can re-establish the canonical fold order. A pure function
-/// of (trial, derive_trial_seed(seed, trial)) — never of the worker that
-/// happened to run it. The convergence time travels as an IEEE-754 bit
-/// pattern for exact round-trip through the wire protocol.
-struct TrialRecord {
-  std::uint64_t trial = 0;
-  bool success = false;
-  bool stabilised = false;
-  std::uint64_t time_bits = 0;  ///< bit_cast of convergence_parallel_time
-  std::uint64_t meetings = 0;
-  std::uint64_t firings = 0;
-
-  bool operator==(const TrialRecord&) const = default;
-};
-
-TrialRecord make_trial_record(std::uint64_t trial,
-                              const TrialOutcome& outcome);
-
 /// Statement fields of a certificate that depend only on the options (the
 /// system-under-test fields — fingerprint, population, expected_output —
 /// stay zero for the caller to fill). Shared by certify_trials and
@@ -69,15 +48,15 @@ TrialRecord make_trial_record(std::uint64_t trial,
 Certificate certificate_statement(const CertifyOptions& options);
 
 /// The canonical certification fold (certify_trials' inner loop) as a
-/// resumable, bit-exactly serializable state machine.
+/// state machine.
 class FoldState {
  public:
   explicit FoldState(const CertifyOptions& options);
 
   /// Fold one outcome — exactly one iteration of certify_trials' loop.
   /// No-op once the SPRT has decided (the stopped test's statistics are
-  /// final; trailing records of the last batch are discarded there too).
-  void fold(const TrialRecord& record);
+  /// final; trailing outcomes of the last batch are discarded there too).
+  void fold(const TrialOutcome& outcome);
 
   bool decided() const { return sprt_.decided(); }
   const Sprt& sprt() const { return sprt_; }
@@ -88,14 +67,6 @@ class FoldState {
   /// execution record, not statistics, and are the caller's).
   Certificate finish(const CertifyOptions& options) const;
 
-  /// Checkpoint as a single-line token string (tag smc_fold_v1, all
-  /// numbers hex, doubles as IEEE-754 bit patterns).
-  std::string serialize() const;
-  /// Inverse of serialize(); `options` must match the checkpointing
-  /// fold's. Throws std::runtime_error on a malformed checkpoint.
-  static FoldState deserialize(const CertifyOptions& options,
-                               const std::string& text);
-
  private:
   Sprt sprt_;
   QuantileTails tails_;
@@ -104,20 +75,20 @@ class FoldState {
   std::uint64_t firings_ = 0;
 };
 
-/// Reorder buffer around a FoldState: absorbs contiguous trial-record
-/// ranges in any arrival order and folds them strictly in trial order.
+/// Reorder buffer around a FoldState: absorbs contiguous outcome ranges
+/// in any arrival order and folds them strictly in trial order.
 /// Duplicate deliveries (e.g. a range reassigned after a worker death
-/// whose original response later arrived anyway) and records past the
+/// whose original response later arrived anyway) and outcomes past the
 /// SPRT decision point or the trial budget are dropped — the fold consumes
 /// exactly the prefix the single-process fold would.
 class StreamingMerger {
  public:
   explicit StreamingMerger(const CertifyOptions& options);
 
-  /// Absorb `records` covering trials [first, first + records.size());
-  /// records[i].trial must equal first + i (throws std::invalid_argument
-  /// otherwise — a wire-decoding bug, not a statistics question).
-  void absorb(std::uint64_t first, std::vector<TrialRecord> records);
+  /// Absorb `outcomes` of trials [first, first + outcomes.size()). The
+  /// caller vouches for the range: the serve daemon checks every worker
+  /// reply against the range it dispatched before it gets here.
+  void absorb(std::uint64_t first, std::vector<TrialOutcome> outcomes);
 
   bool decided() const { return fold_.decided(); }
   /// Lowest trial index not yet folded (the dispatch frontier).
@@ -131,7 +102,7 @@ class StreamingMerger {
   std::uint64_t next_ = 0;
   /// Out-of-order ranges keyed by first trial index, trimmed so that no
   /// stored range starts below next_.
-  std::map<std::uint64_t, std::vector<TrialRecord>> pending_;
+  std::map<std::uint64_t, std::vector<TrialOutcome>> pending_;
 };
 
 }  // namespace ppde::smc

@@ -36,21 +36,6 @@ void Sprt::update(bool success) {
     decision_ = Decision::kAcceptH0;
 }
 
-void Sprt::restore(std::uint64_t trials, std::uint64_t successes,
-                   double llr) {
-  if (successes > trials)
-    throw std::invalid_argument("Sprt::restore: successes > trials");
-  trials_ = trials;
-  successes_ = successes;
-  llr_ = llr;
-  decision_ = Decision::kContinue;
-  if (trials_ == 0) return;
-  if (llr_ >= upper_)
-    decision_ = Decision::kAcceptH1;
-  else if (llr_ <= lower_)
-    decision_ = Decision::kAcceptH0;
-}
-
 double Sprt::expected_samples(double p) const {
   // E_p[N] ~= (L(p) * lower + (1 - L(p)) * upper) / E_p[Z], where L(p) is
   // the probability of accepting H0 and Z the per-observation llr

@@ -52,14 +52,6 @@ class Sprt {
   /// ignored (the stopped test's verdict is final by definition).
   void update(bool success);
 
-  /// Rehydrate the test mid-stream from a serialized fold checkpoint
-  /// (smc/partial.hpp, serve S25): counters and llr of a folded prefix.
-  /// The decision is recomputed from llr against the Wald thresholds,
-  /// which is exactly where update() would have left it — update() never
-  /// moves llr past a boundary, so a restored test continues the stream
-  /// byte-identically to one that never paused.
-  void restore(std::uint64_t trials, std::uint64_t successes, double llr);
-
   Decision decision() const { return decision_; }
   bool decided() const { return decision_ != Decision::kContinue; }
 

@@ -1,7 +1,6 @@
 #include "smc/stats.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -162,40 +161,6 @@ void P2Quantile::add(double value) {
       positions_[i] += d;
     }
   }
-}
-
-namespace {
-
-std::array<std::uint64_t, 5> to_bits(const std::array<double, 5>& values) {
-  std::array<std::uint64_t, 5> bits{};
-  for (int i = 0; i < 5; ++i) bits[i] = std::bit_cast<std::uint64_t>(values[i]);
-  return bits;
-}
-
-std::array<double, 5> from_bits(const std::array<std::uint64_t, 5>& bits) {
-  std::array<double, 5> values{};
-  for (int i = 0; i < 5; ++i) values[i] = std::bit_cast<double>(bits[i]);
-  return values;
-}
-
-}  // namespace
-
-P2Quantile::Snapshot P2Quantile::snapshot() const {
-  Snapshot snapshot;
-  snapshot.count = count_;
-  snapshot.heights = to_bits(heights_);
-  snapshot.positions = to_bits(positions_);
-  snapshot.desired = to_bits(desired_);
-  snapshot.increments = to_bits(increments_);
-  return snapshot;
-}
-
-void P2Quantile::restore(const Snapshot& snapshot) {
-  count_ = snapshot.count;
-  heights_ = from_bits(snapshot.heights);
-  positions_ = from_bits(snapshot.positions);
-  desired_ = from_bits(snapshot.desired);
-  increments_ = from_bits(snapshot.increments);
 }
 
 double P2Quantile::value() const {

@@ -45,22 +45,12 @@ BinomialInterval clopper_pearson(std::uint64_t successes,
 double incomplete_beta(double a, double b, double x);
 
 /// Streaming P² estimator of one quantile.
+///
+/// P² updates are *order-dependent* (each marker adjustment depends on the
+/// whole prefix), which is why the serve daemon replays the canonical fold
+/// in trial order instead of unioning per-shard sketches (smc/partial.hpp).
 class P2Quantile {
  public:
-  /// Bit-exact serializable state (smc/partial.hpp, serve S25). The five
-  /// marker arrays travel as IEEE-754 bit patterns, so a restored
-  /// estimator continues the observation stream byte-identically to one
-  /// that never paused — P² updates are *order-dependent* (each marker
-  /// adjustment depends on the whole prefix), which is why shard merge
-  /// must resume the canonical fold instead of unioning sketches.
-  struct Snapshot {
-    std::uint64_t count = 0;
-    std::array<std::uint64_t, 5> heights{};
-    std::array<std::uint64_t, 5> positions{};
-    std::array<std::uint64_t, 5> desired{};
-    std::array<std::uint64_t, 5> increments{};
-  };
-
   /// `probability` in (0, 1): the quantile to track (0.5 = median).
   explicit P2Quantile(double probability);
 
@@ -68,10 +58,6 @@ class P2Quantile {
 
   /// Current estimate. Exact while count() < 5; NaN while count() == 0.
   double value() const;
-
-  Snapshot snapshot() const;
-  /// Restore a snapshot taken from an estimator of the same probability.
-  void restore(const Snapshot& snapshot);
 
   std::uint64_t count() const { return count_; }
   double probability() const { return probability_; }
@@ -91,27 +77,12 @@ class P2Quantile {
 /// The tail set every certificate reports: p50 / p90 / p99 of one stream.
 class QuantileTails {
  public:
-  struct Snapshot {
-    P2Quantile::Snapshot p50;
-    P2Quantile::Snapshot p90;
-    P2Quantile::Snapshot p99;
-  };
-
   QuantileTails() : p50_(0.5), p90_(0.9), p99_(0.99) {}
 
   void add(double value) {
     p50_.add(value);
     p90_.add(value);
     p99_.add(value);
-  }
-
-  Snapshot snapshot() const {
-    return {p50_.snapshot(), p90_.snapshot(), p99_.snapshot()};
-  }
-  void restore(const Snapshot& snapshot) {
-    p50_.restore(snapshot.p50);
-    p90_.restore(snapshot.p90);
-    p99_.restore(snapshot.p99);
   }
 
   std::uint64_t count() const { return p50_.count(); }

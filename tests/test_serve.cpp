@@ -1,11 +1,11 @@
 // Tests for the serve subsystem (DESIGN.md S25): wire framing and the
-// recursive-descent JSON parser, bit-exact snapshot/restore of the SPRT
-// and P² estimators, the resumable certification fold (FoldState) and its
-// reorder-buffer wrapper (StreamingMerger) differentially against
-// certify_trials under many shard layouts, the worker batch protocol over
-// a real socketpair, the end-to-end daemon against in-process
+// recursive-descent JSON parser, the certification fold's reorder buffer
+// (StreamingMerger) differentially against certify_trials under many
+// shard layouts, the one trial record's codec, the worker batch protocol
+// over a real socketpair, the end-to-end daemon against in-process
 // smc::certify (byte-identical certificate digest, including after a
-// killed-worker trial reassignment), and the SIGINT/SIGTERM watcher.
+// killed-worker trial reassignment and after a worker that replies with
+// the wrong range or record shape), and the SIGINT/SIGTERM watcher.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +35,7 @@
 #include "compile/to_protocol.hpp"
 #include "czerner/construction.hpp"
 #include "engine/ensemble.hpp"
+#include "engine/executor.hpp"
 #include "serve/client.hpp"
 #include "serve/proto.hpp"
 #include "serve/server.hpp"
@@ -152,38 +153,7 @@ TEST(Wire, RejectsOversizedFrames) {
 }
 
 // ---------------------------------------------------------------------------
-// SMC partial state: snapshot/restore and the canonical fold.
-
-TEST(PartialState, P2SnapshotResumesByteIdentically) {
-  std::mt19937_64 rng(11);
-  std::uniform_real_distribution<double> dist(0.0, 100.0);
-  std::vector<double> stream(500);
-  for (double& value : stream) value = dist(rng);
-
-  for (const std::size_t split : {0ul, 1ul, 3ul, 4ul, 5ul, 17ul, 499ul}) {
-    smc::QuantileTails uninterrupted;
-    smc::QuantileTails first;
-    for (std::size_t i = 0; i < split; ++i) {
-      uninterrupted.add(stream[i]);
-      first.add(stream[i]);
-    }
-    smc::QuantileTails resumed;
-    resumed.restore(first.snapshot());
-    for (std::size_t i = split; i < stream.size(); ++i) {
-      uninterrupted.add(stream[i]);
-      resumed.add(stream[i]);
-    }
-    // Bit-exact, not approximately equal: the digest depends on it.
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(uninterrupted.p50()),
-              std::bit_cast<std::uint64_t>(resumed.p50()))
-        << "split " << split;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(uninterrupted.p90()),
-              std::bit_cast<std::uint64_t>(resumed.p90()));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(uninterrupted.p99()),
-              std::bit_cast<std::uint64_t>(resumed.p99()));
-    EXPECT_EQ(uninterrupted.count(), resumed.count());
-  }
-}
+// SMC partial state: the canonical fold behind a reorder buffer.
 
 smc::CertifyOptions fold_options() {
   smc::CertifyOptions options;
@@ -209,73 +179,14 @@ smc::TrialOutcome fake_outcome(std::uint64_t, std::uint64_t seed) {
   return outcome;
 }
 
-std::vector<smc::TrialRecord> fake_records(const smc::CertifyOptions& options,
-                                           std::uint64_t count) {
-  std::vector<smc::TrialRecord> records;
-  records.reserve(count);
+std::vector<smc::TrialOutcome> fake_outcomes(
+    const smc::CertifyOptions& options, std::uint64_t count) {
+  std::vector<smc::TrialOutcome> outcomes;
+  outcomes.reserve(count);
   for (std::uint64_t trial = 0; trial < count; ++trial)
-    records.push_back(smc::make_trial_record(
-        trial,
-        fake_outcome(trial, engine::derive_trial_seed(options.seed, trial))));
-  return records;
-}
-
-TEST(PartialState, SprtRestoreContinuesByteIdentically) {
-  const smc::CertifyOptions options = fold_options();
-  const std::vector<smc::TrialRecord> records =
-      fake_records(options, options.max_trials);
-  for (const std::size_t split : {0ul, 1ul, 7ul, 20ul}) {
-    smc::Sprt uninterrupted(options.sprt());
-    for (std::size_t i = 0; i < records.size() && !uninterrupted.decided();
-         ++i)
-      uninterrupted.update(records[i].success);
-
-    smc::Sprt prefix(options.sprt());
-    for (std::size_t i = 0; i < split && !prefix.decided(); ++i)
-      prefix.update(records[i].success);
-    smc::Sprt resumed(options.sprt());
-    resumed.restore(prefix.trials(), prefix.successes(), prefix.llr());
-    for (std::size_t i = split; i < records.size() && !resumed.decided();
-         ++i)
-      resumed.update(records[i].success);
-
-    EXPECT_EQ(resumed.decision(), uninterrupted.decision()) << split;
-    EXPECT_EQ(resumed.trials(), uninterrupted.trials());
-    EXPECT_EQ(resumed.successes(), uninterrupted.successes());
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(resumed.llr()),
-              std::bit_cast<std::uint64_t>(uninterrupted.llr()));
-  }
-}
-
-TEST(PartialState, FoldStateSerializationResumesAtEverySplit) {
-  const smc::CertifyOptions options = fold_options();
-  const std::vector<smc::TrialRecord> records =
-      fake_records(options, options.max_trials);
-
-  smc::FoldState reference(options);
-  for (const smc::TrialRecord& record : records) reference.fold(record);
-  const std::string reference_payload =
-      smc::certificate_payload(reference.finish(options));
-
-  for (std::size_t split = 0; split <= records.size(); split += 13) {
-    smc::FoldState before(options);
-    for (std::size_t i = 0; i < split; ++i) before.fold(records[i]);
-    smc::FoldState after =
-        smc::FoldState::deserialize(options, before.serialize());
-    for (std::size_t i = split; i < records.size(); ++i)
-      after.fold(records[i]);
-    EXPECT_EQ(smc::certificate_payload(after.finish(options)),
-              reference_payload)
-        << "split " << split;
-  }
-}
-
-TEST(PartialState, FoldStateRejectsMalformedCheckpoints) {
-  const smc::CertifyOptions options = fold_options();
-  EXPECT_THROW(smc::FoldState::deserialize(options, "not_a_checkpoint"),
-               std::runtime_error);
-  EXPECT_THROW(smc::FoldState::deserialize(options, "smc_fold_v1 1 2"),
-               std::runtime_error);
+    outcomes.push_back(
+        fake_outcome(trial, engine::derive_trial_seed(options.seed, trial)));
+  return outcomes;
 }
 
 // The tentpole differential: the streaming merge reproduces the
@@ -292,19 +203,19 @@ TEST(PartialState, MergerMatchesCertifyTrialsUnderAnyShardLayout) {
   const std::string reference_payload = smc::certificate_payload(reference);
   ASSERT_GT(reference.trials, 0u);
 
-  const std::vector<smc::TrialRecord> records =
-      fake_records(options, options.max_trials);
+  const std::vector<smc::TrialOutcome> outcomes =
+      fake_outcomes(options, options.max_trials);
 
   const auto shards_of = [&](std::uint64_t shard) {
-    std::vector<std::pair<std::uint64_t, std::vector<smc::TrialRecord>>>
+    std::vector<std::pair<std::uint64_t, std::vector<smc::TrialOutcome>>>
         shards;
-    for (std::uint64_t first = 0; first < records.size(); first += shard) {
+    for (std::uint64_t first = 0; first < outcomes.size(); first += shard) {
       const std::uint64_t count =
-          std::min<std::uint64_t>(shard, records.size() - first);
+          std::min<std::uint64_t>(shard, outcomes.size() - first);
       shards.emplace_back(
-          first, std::vector<smc::TrialRecord>(
-                     records.begin() + static_cast<std::ptrdiff_t>(first),
-                     records.begin() +
+          first, std::vector<smc::TrialOutcome>(
+                     outcomes.begin() + static_cast<std::ptrdiff_t>(first),
+                     outcomes.begin() +
                          static_cast<std::ptrdiff_t>(first + count)));
     }
     return shards;
@@ -343,66 +254,124 @@ TEST(PartialState, MergerMatchesCertifyTrialsUnderAnyShardLayout) {
   }
 }
 
-TEST(PartialState, MergerRejectsMislabelledRecords) {
-  smc::StreamingMerger merger(fold_options());
-  std::vector<smc::TrialRecord> records(2);
-  records[0].trial = 4;
-  records[1].trial = 6;  // not contiguous with first=4
-  EXPECT_THROW(merger.absorb(4, records), std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------------
-// Proto: record round-trips.
+// Proto: the one trial record, as certify and ensemble queries read it.
 
 TEST(Proto, CertifyRecordsRoundTripBitExactly) {
+  // Every shipped field distinct and nonzero — the parallel time a
+  // non-terminating binary fraction, so a decimal round-trip would show —
+  // plus one budget-capped run.
   BatchResult result;
   result.first = 17;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    smc::TrialRecord record;
-    record.trial = 17 + i;
-    record.success = i % 2 == 0;
-    record.stabilised = i != 3;
-    record.time_bits = std::bit_cast<std::uint64_t>(0.1 * (i + 1));
-    record.meetings = 1000 + i;
-    record.firings = 500 + i;
-    result.records.push_back(record);
+  result.records.resize(5);
+  for (std::uint64_t i = 0; i < result.records.size(); ++i) {
+    engine::TrialResult& trial = result.records[i];
+    trial.sim.stabilised = i != 3;
+    trial.sim.output = i % 2 == 0;
+    trial.sim.interactions = 123'456'789'012ull + i;
+    trial.sim.consensus_since =
+        trial.sim.stabilised ? 1'000 * (i + 1)
+                             : pp::SimulationResult::kNeverStabilised;
+    trial.sim.parallel_time = 0.1 * static_cast<double>(i + 1);
+    trial.metrics.meetings = 1'000 + i;
+    trial.metrics.firings = 500 + i;
+    trial.metrics.null_skip_batches = 50 + i;
   }
-  const BatchResult parsed = parse_batch_result(
-      Json::parse(encode_batch_result(result, false)), false);
+  const BatchResult parsed =
+      parse_batch_result(Json::parse(encode_batch_result(result)));
   EXPECT_EQ(parsed.first, result.first);
   ASSERT_EQ(parsed.records.size(), result.records.size());
-  for (std::size_t i = 0; i < result.records.size(); ++i)
-    EXPECT_EQ(parsed.records[i], result.records[i]) << i;
+  for (std::size_t i = 0; i < result.records.size(); ++i) {
+    const engine::TrialResult& sent = result.records[i];
+    const engine::TrialResult& got = parsed.records[i];
+    EXPECT_EQ(got.sim.stabilised, sent.sim.stabilised) << i;
+    EXPECT_EQ(got.sim.output, sent.sim.output) << i;
+    EXPECT_EQ(got.sim.interactions, sent.sim.interactions) << i;
+    EXPECT_EQ(got.sim.consensus_since, sent.sim.consensus_since) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.sim.parallel_time),
+              std::bit_cast<std::uint64_t>(sent.sim.parallel_time))
+        << i;
+    EXPECT_EQ(got.metrics.meetings, sent.metrics.meetings) << i;
+    EXPECT_EQ(got.metrics.firings, sent.metrics.firings) << i;
+    EXPECT_EQ(got.metrics.null_skip_batches, sent.metrics.null_skip_batches)
+        << i;
+    // The certify outcome the daemon maps from the decoded record is the
+    // one the worker's own record maps to, convergence time bit for bit.
+    const smc::TrialOutcome want = smc::outcome_of(sent, true, 29);
+    const smc::TrialOutcome have = smc::outcome_of(got, true, 29);
+    EXPECT_EQ(have.success, want.success) << i;
+    EXPECT_EQ(have.stabilised, want.stabilised) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(have.convergence_parallel_time),
+              std::bit_cast<std::uint64_t>(want.convergence_parallel_time))
+        << i;
+  }
 }
 
 TEST(Proto, EnsembleRecordsRoundTripThroughTrialResults) {
+  // An ensemble batch ships the same record; the daemon aggregates the
+  // decoded TrialResults, so every statistic must come back bit for bit.
   engine::TrialResult trial;
   trial.sim.stabilised = true;
   trial.sim.output = true;
   trial.sim.interactions = 123456;
+  trial.sim.consensus_since = 120000;
   trial.sim.parallel_time = 98.75;
   trial.metrics.meetings = 1;
   trial.metrics.firings = 2;
   trial.metrics.null_skip_batches = 3;
-  trial.metrics.skipped_meetings = 4;
-  trial.metrics.consensus_flips = 5;
-  trial.metrics.weight_updates = 6;
-  trial.metrics.tree_descents = 7;
 
   BatchResult result;
   result.first = 3;
-  result.ensemble_records.push_back(make_ensemble_record(3, trial));
-  const BatchResult parsed = parse_batch_result(
-      Json::parse(encode_batch_result(result, true)), true);
-  ASSERT_EQ(parsed.ensemble_records.size(), 1u);
-  EXPECT_EQ(parsed.ensemble_records[0], result.ensemble_records[0]);
+  result.records.push_back(trial);
+  const BatchResult parsed =
+      parse_batch_result(Json::parse(encode_batch_result(result)));
+  EXPECT_EQ(parsed.first, 3u);
+  ASSERT_EQ(parsed.records.size(), 1u);
 
-  const engine::TrialResult back =
-      to_trial_result(parsed.ensemble_records[0]);
+  const engine::TrialResult& back = parsed.records[0];
+  EXPECT_EQ(back.sim.stabilised, trial.sim.stabilised);
+  EXPECT_EQ(back.sim.output, trial.sim.output);
   EXPECT_EQ(back.sim.interactions, trial.sim.interactions);
+  EXPECT_EQ(back.sim.consensus_since, trial.sim.consensus_since);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(back.sim.parallel_time),
             std::bit_cast<std::uint64_t>(trial.sim.parallel_time));
-  EXPECT_EQ(back.metrics.tree_descents, trial.metrics.tree_descents);
+  EXPECT_EQ(back.metrics.meetings, trial.metrics.meetings);
+  EXPECT_EQ(back.metrics.firings, trial.metrics.firings);
+  EXPECT_EQ(back.metrics.null_skip_batches, trial.metrics.null_skip_batches);
+
+  const engine::EnsembleStats want = engine::aggregate({trial});
+  const engine::EnsembleStats have = engine::aggregate(parsed.records);
+  EXPECT_EQ(have.stabilised, want.stabilised);
+  EXPECT_EQ(have.accepted, want.accepted);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(have.interactions.p50),
+            std::bit_cast<std::uint64_t>(want.interactions.p50));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(have.parallel_time.max),
+            std::bit_cast<std::uint64_t>(want.parallel_time.max));
+  EXPECT_EQ(have.totals.firings, want.totals.firings);
+  EXPECT_EQ(have.totals.null_skip_batches, want.totals.null_skip_batches);
+}
+
+TEST(Proto, ResultDecoderRefusesOtherRecordShapesAndRanges) {
+  const auto refused = [](const std::string& frame) {
+    try {
+      (void)parse_batch_result(Json::parse(frame));
+    } catch (const std::runtime_error&) {
+      return true;
+    }
+    return false;
+  };
+  const std::string head = R"({"op":"result","first":4,"records":[)";
+  const std::string one = "\"3ff0000000000000\"";
+  // The current shape decodes...
+  EXPECT_FALSE(refused(head + "[4,1,1,9,3," + one + ",9,5,1]]}"));
+  // ...the records of an older build's worker do not: the 6-field certify
+  // record and the 12-field ensemble record.
+  EXPECT_TRUE(refused(head + "[4,1,1," + one + ",9,5]]}"));
+  EXPECT_TRUE(refused(head + "[4,1,1,9," + one + ",9,5,1,0,0,0,0]]}"));
+  // A record whose trial index is not first + i.
+  EXPECT_TRUE(refused(head + "[5,1,1,9,3," + one + ",9,5,1]]}"));
+  EXPECT_TRUE(refused(head + "[4,1,1,9,3," + one + ",9,5,1],[4,1,1,9,3," +
+                      one + ",9,5,1]]}"));
 }
 
 TEST(Proto, QueryRoundTripsAndDefaults) {
@@ -479,32 +448,30 @@ TEST(Worker, BatchRecordsMatchInProcessOutcomes) {
   ::close(pair[1]);
 
   BatchRequest request;
-  request.ensemble = false;
   request.n = 1;
   request.extra = 2;
-  request.expected = true;
   request.seed = 7;
   request.first = 2;
   request.count = 4;
   request.window = 1'000'000;
   request.budget = 100'000'000;
-  // The same range twice: as encoded today, and as a daemon predating the
-  // single execution core sent it, with "dispatch" and "batch" members.
-  // The worker ignores both; the records must be identical.
+  // The same range three times: as encoded today; as a daemon predating
+  // the single execution core sent it, with "dispatch" and "batch"
+  // members; and as a daemon predating the one trial record sent a
+  // certify batch, with "kind" and "expected" members. The worker ignores
+  // them all; the reply is the same frame every time.
   const std::string current = encode_batch_request(request);
   const std::string legacy =
       R"({"dispatch":"bytecode","batch":4,)" + current.substr(1);
+  const std::string certify_kind =
+      R"({"kind":"certify","expected":true,)" + current.substr(1);
   std::vector<BatchResult> results;
-  for (const std::string& frame : {current, legacy}) {
+  for (const std::string& frame : {current, legacy, certify_kind}) {
     write_frame(pair[0], frame);
     std::string payload;
     ASSERT_TRUE(read_frame(pair[0], payload));
-    results.push_back(parse_batch_result(Json::parse(payload), false));
+    results.push_back(parse_batch_result(Json::parse(payload)));
   }
-  const BatchResult& result = results[0];
-  ASSERT_EQ(results[1].records.size(), result.records.size());
-  for (std::size_t j = 0; j < result.records.size(); ++j)
-    EXPECT_EQ(results[1].records[j], result.records[j]) << "record " << j;
   write_frame(pair[0], encode_exit());
   int status = 0;
   ::waitpid(pid, &status, 0);
@@ -512,22 +479,50 @@ TEST(Worker, BatchRecordsMatchInProcessOutcomes) {
   ::close(pair[0]);
 
   // Differential: the worker's records are exactly what the in-process
-  // shard entry point computes for the same range.
+  // range runner computes for the same trials, and map to exactly the
+  // outcomes in-process certify folds.
   const auto lowered =
       compile::lower_program(czerner::build_construction(1).program);
   const auto conv = compile::machine_to_protocol(lowered.machine);
-  smc::CertifyOptions options;
-  options.seed = 7;
-  options.sim.stable_window = 1'000'000;
-  options.sim.max_interactions = 100'000'000;
-  const std::vector<smc::TrialOutcome> outcomes = smc::run_outcome_range(
-      conv.protocol, conv.initial_config(conv.num_pointers + 2), true,
-      options, 2, 4, 1);
-  ASSERT_EQ(result.records.size(), outcomes.size());
-  EXPECT_EQ(result.first, 2u);
-  for (std::size_t i = 0; i < outcomes.size(); ++i)
-    EXPECT_EQ(result.records[i], smc::make_trial_record(2 + i, outcomes[i]))
-        << i;
+  const pp::Config initial = conv.initial_config(conv.num_pointers + 2);
+  pp::SimulationOptions sim;
+  sim.stable_window = 1'000'000;
+  sim.max_interactions = 100'000'000;
+  engine::TrialExecutor executor(conv.protocol,
+                                 engine::EngineKind::kCountNullSkip,
+                                 sched::Scenario{}, 1);
+  const std::vector<engine::TrialResult> expected = engine::run_trial_range(
+      2, 4, 1, 7, [&](unsigned worker, std::uint64_t, std::uint64_t seed) {
+        return executor.run(worker, initial, seed, sim);
+      });
+  for (const BatchResult& result : results) {
+    EXPECT_EQ(result.first, 2u);
+    ASSERT_EQ(result.records.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const engine::TrialResult& got = result.records[i];
+      EXPECT_EQ(got.sim.stabilised, expected[i].sim.stabilised) << i;
+      EXPECT_EQ(got.sim.output, expected[i].sim.output) << i;
+      EXPECT_EQ(got.sim.interactions, expected[i].sim.interactions) << i;
+      EXPECT_EQ(got.sim.consensus_since, expected[i].sim.consensus_since)
+          << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.sim.parallel_time),
+                std::bit_cast<std::uint64_t>(expected[i].sim.parallel_time))
+          << i;
+      EXPECT_EQ(got.metrics.meetings, expected[i].metrics.meetings) << i;
+      EXPECT_EQ(got.metrics.firings, expected[i].metrics.firings) << i;
+      EXPECT_EQ(got.metrics.null_skip_batches,
+                expected[i].metrics.null_skip_batches)
+          << i;
+      const smc::TrialOutcome have =
+          smc::outcome_of(got, true, initial.total());
+      const smc::TrialOutcome want =
+          smc::outcome_of(expected[i], true, initial.total());
+      EXPECT_EQ(have.success, want.success) << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(have.convergence_parallel_time),
+                std::bit_cast<std::uint64_t>(want.convergence_parallel_time))
+          << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -683,15 +678,227 @@ TEST(Server, KilledWorkerRangeIsReassignedWithSameDigest) {
   EXPECT_EQ(digest_of(response), digest_of(reference)) << response;
 }
 
-TEST(Server, EnsembleSummaryMatchesInProcessStats) {
+/// How FakeRemoteWorker answers: every reply is one the daemon must
+/// refuse. kShort drops the range's last record; kShifted is a
+/// well-formed reply for the range 1000 trials further on; the parent
+/// shapes are the 6-field certify and 12-field ensemble records an older
+/// build's worker ships.
+enum class BadReply { kShort, kShifted, kParentCertify, kParentEnsemble };
+
+/// A remote `ppde worker` stand-in on 127.0.0.1 that answers every batch
+/// with a BadReply until the daemon hangs up. The constructor only
+/// listens, so a Server built next can fork its local workers and then
+/// connect (the kernel queues the connection); start() must follow the
+/// Server, because a thread alive across fork() can leave a lock held
+/// forever in the child.
+class FakeRemoteWorker {
+ public:
+  explicit FakeRemoteWorker(BadReply mode) : mode_(mode) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t length = sizeof addr;
+    if (listen_fd_ < 0 ||
+        ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), length) != 0 ||
+        ::listen(listen_fd_, 1) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                      &length) != 0)
+      throw std::runtime_error("FakeRemoteWorker: cannot listen");
+    port_ = ntohs(addr.sin_port);
+  }
+
+  ~FakeRemoteWorker() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // wakes accept() if never reached
+    if (thread_.joinable()) thread_.join();
+    ::close(listen_fd_);
+  }
+
+  FakeRemoteWorker(const FakeRemoteWorker&) = delete;
+  FakeRemoteWorker& operator=(const FakeRemoteWorker&) = delete;
+
+  std::string endpoint() const {
+    return "127.0.0.1:" + std::to_string(port_);
+  }
+  void start() {
+    thread_ = std::thread([this] { serve(); });
+  }
+  std::uint64_t batches() const { return batches_.load(); }
+
+ private:
+  void serve() {
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) return;
+    try {
+      std::string payload;
+      while (read_frame(fd, payload)) {
+        const Json message = Json::parse(payload);
+        if (is_exit(message)) break;
+        ++batches_;
+        write_frame(fd, reply_to(parse_batch_request(message)));
+      }
+    } catch (const std::exception&) {
+      // The daemon hung up mid-frame; nothing left to answer.
+    }
+    ::close(fd);
+  }
+
+  std::string reply_to(const BatchRequest& request) const {
+    BatchResult result;
+    result.first = request.first;
+    result.records.resize(request.count);
+    switch (mode_) {
+      case BadReply::kShort:
+        result.records.pop_back();
+        return encode_batch_result(result);
+      case BadReply::kShifted:
+        result.first += 1000;
+        return encode_batch_result(result);
+      case BadReply::kParentCertify:
+      case BadReply::kParentEnsemble:
+        break;
+    }
+    // The older build's records after the trial index:
+    // [success, stabilised, time-bits, meetings, firings] for certify,
+    // [stabilised, output, interactions, parallel-time-bits, meetings,
+    // firings, and five more run counters] for ensemble.
+    const char* rest = mode_ == BadReply::kParentCertify
+                           ? R"(,1,1,"3ff0000000000000",9,5])"
+                           : R"(,1,1,9,"3ff0000000000000",9,5,1,0,0,0,0])";
+    std::string frame = R"({"op":"result","first":)" +
+                        std::to_string(request.first) + R"(,"records":[)";
+    for (std::uint64_t i = 0; i < request.count; ++i)
+      frame += (i == 0 ? "[" : ",[") + std::to_string(request.first + i) +
+               rest;
+    return frame + "]}";
+  }
+
+  BadReply mode_;
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::atomic<std::uint64_t> batches_{0};
+  std::thread thread_;
+};
+
+QueryParams small_ensemble_query() {
   QueryParams query;
   query.req = "ensemble";
   query.n = 1;
   query.extra = 2;
-  query.trials = 12;
+  query.trials = 4;
   query.seed = 5;
   query.window = 1'000'000;
   query.budget = 100'000'000;
+  return query;
+}
+
+/// The in-process ensemble summary for the workload a daemon query names.
+std::string reference_ensemble_summary(const QueryParams& query) {
+  const auto lowered =
+      compile::lower_program(czerner::build_construction(query.n).program);
+  const auto conv = compile::machine_to_protocol(lowered.machine);
+  const std::uint64_t m = conv.num_pointers + query.extra;
+  engine::EnsembleOptions ensemble;
+  ensemble.trials = query.trials;
+  ensemble.threads = 1;
+  ensemble.master_seed = query.seed;
+  ensemble.sim.stable_window = query.window;
+  ensemble.sim.max_interactions = query.budget;
+  engine::EnsembleStats stats =
+      engine::run_ensemble(conv.protocol, conv.initial_config(m), ensemble);
+  // Execution record, not statistics: the daemon fills its own.
+  stats.wall_seconds = 0.0;
+  stats.threads_used = 0;
+  return smc::to_jsonl(stats, m, query.seed,
+                       engine::EngineKind::kCountNullSkip);
+}
+
+/// `summary` with its execution-record fields zeroed, as
+/// reference_ensemble_summary renders them.
+std::string without_execution_record(const Json& summary) {
+  std::string text = summary.dump();
+  for (const char* key : {"\"wall_seconds\":", "\"threads\":"}) {
+    const std::size_t at = text.find(key);
+    if (at == std::string::npos) continue;
+    const std::size_t start = at + std::string(key).size();
+    const std::size_t end = text.find_first_of(",}", start);
+    text.replace(start, end - start, "0");
+  }
+  return text;
+}
+
+TEST(Server, MisrangedAndOldShapeRepliesAreRefusedAndReassigned) {
+  // One local worker plus a remote worker that always misreplies: the
+  // daemon must refuse the reply, retire the worker and re-run its range
+  // locally — promptly, not after the query's wall budget runs out.
+  const QueryParams certify = smoke_query();
+  const smc::Certificate reference = reference_certificate(certify);
+  const std::string reference_digest =
+      digest_of(smc::to_jsonl(reference));
+  ASSERT_NE(reference_digest, "");
+  const std::uint64_t certify_shard = 2;
+  // The remote worker gets the second shard; the fold needs it.
+  ASSERT_GT(reference.trials, certify_shard);
+  const QueryParams ensemble = small_ensemble_query();
+  const std::uint64_t ensemble_shard = 2;
+  const Json expected_summary =
+      Json::parse(reference_ensemble_summary(ensemble));
+  const double wall_budget = 20.0;
+
+  obs::Counter& deaths =
+      obs::Registry::global().counter("serve.worker_deaths");
+  obs::Counter& reassigned =
+      obs::Registry::global().counter("serve.trials_reassigned");
+  for (const BadReply mode :
+       {BadReply::kShort, BadReply::kShifted, BadReply::kParentCertify,
+        BadReply::kParentEnsemble}) {
+    for (const bool is_certify : {true, false}) {
+      SCOPED_TRACE(testing::Message()
+                   << "mode " << static_cast<int>(mode) << ", "
+                   << (is_certify ? "certify" : "ensemble"));
+      FakeRemoteWorker fake(mode);
+      ServerOptions options;
+      options.port = 0;
+      options.workers = 1;
+      options.remote_workers = {fake.endpoint()};
+      options.shard = is_certify ? certify_shard : ensemble_shard;
+      options.max_query_seconds = wall_budget;
+      RunningServer running(options);
+      fake.start();
+      const std::uint64_t deaths_before = deaths.value();
+      const std::uint64_t reassigned_before = reassigned.value();
+
+      const auto started = std::chrono::steady_clock::now();
+      std::string response;
+      std::string error;
+      ASSERT_TRUE(rpc(running.endpoint(),
+                      encode_query(is_certify ? certify : ensemble),
+                      &response, &error))
+          << error;
+      const double waited = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - started)
+                                .count();
+      const Json reply = Json::parse(response);
+      ASSERT_TRUE(reply.boolean("ok", false)) << response;
+      EXPECT_LT(waited, wall_budget);
+      if (is_certify) {
+        EXPECT_EQ(digest_of(response), reference_digest) << response;
+      } else {
+        const Json* summary = reply.find("summary");
+        ASSERT_NE(summary, nullptr) << response;
+        EXPECT_EQ(without_execution_record(*summary),
+                  expected_summary.dump());
+      }
+      EXPECT_EQ(fake.batches(), 1u);
+      EXPECT_EQ(deaths.value() - deaths_before, 1u);
+      EXPECT_EQ(reassigned.value() - reassigned_before, options.shard);
+    }
+  }
+}
+
+TEST(Server, EnsembleSummaryMatchesInProcessStats) {
+  QueryParams query = small_ensemble_query();
+  query.trials = 12;
 
   ServerOptions options;
   options.port = 0;
@@ -707,28 +914,8 @@ TEST(Server, EnsembleSummaryMatchesInProcessStats) {
   ASSERT_TRUE(json.boolean("ok", false)) << response;
   const Json* summary = json.find("summary");
   ASSERT_NE(summary, nullptr);
-
-  const auto lowered =
-      compile::lower_program(czerner::build_construction(1).program);
-  const auto conv = compile::machine_to_protocol(lowered.machine);
-  engine::EnsembleOptions ensemble;
-  ensemble.trials = 12;
-  ensemble.threads = 1;
-  ensemble.master_seed = 5;
-  ensemble.sim.stable_window = query.window;
-  ensemble.sim.max_interactions = query.budget;
-  const engine::EnsembleStats stats = engine::run_ensemble(
-      conv.protocol, conv.initial_config(conv.num_pointers + 2), ensemble);
-
-  EXPECT_EQ(summary->u64("trials", 0), stats.trials);
-  EXPECT_EQ(summary->u64("stabilised", 0), stats.stabilised);
-  EXPECT_EQ(summary->u64("accepted", 0), stats.accepted);
-  EXPECT_EQ(summary->u64("total_meetings", 0), stats.totals.meetings);
-  EXPECT_EQ(summary->u64("total_firings", 0), stats.totals.firings);
-  EXPECT_DOUBLE_EQ(summary->dbl("interactions_max", 0.0),
-                   stats.interactions.max);
-  EXPECT_DOUBLE_EQ(summary->dbl("parallel_time_p50", 0.0),
-                   stats.parallel_time.p50);
+  EXPECT_EQ(without_execution_record(*summary),
+            Json::parse(reference_ensemble_summary(query)).dump());
 }
 
 TEST(Server, StatsShutdownAndAdmissionControl) {
@@ -813,10 +1000,8 @@ TEST(Worker, ShipsMetricDeltasAndTraceSidecar) {
   ::close(pair[1]);
 
   BatchRequest request;
-  request.ensemble = false;
   request.n = 1;
   request.extra = 2;
-  request.expected = true;
   request.seed = 7;
   request.first = 0;
   request.count = 4;
@@ -828,7 +1013,7 @@ TEST(Worker, ShipsMetricDeltasAndTraceSidecar) {
     write_frame(pair[0], encode_batch_request(request));
     std::string payload;
     EXPECT_TRUE(read_frame(pair[0], payload));
-    return parse_batch_result(Json::parse(payload), false);
+    return parse_batch_result(Json::parse(payload));
   };
 
   const auto delta_of = [](const BatchResult& result,
@@ -991,6 +1176,46 @@ TEST(Server, StatsRollUpFlightRecorderAndPrometheusSurfaces) {
   ASSERT_TRUE(rpc(running.endpoint(), encode_query(stats_query), &response,
                   &error));
   EXPECT_FALSE(Json::parse(response).boolean("ok", true)) << response;
+}
+
+TEST(Server, CertifyTrialsCountInTheWorkerRollUp) {
+  // Certify batches run through the engine's range runner like ensemble
+  // batches, so every trial a worker executes also shows as a finished
+  // engine trial in the fleet roll-up.
+  ServerOptions options;
+  options.port = 0;
+  options.workers = 2;
+  options.shard = 4;
+  RunningServer running(options);
+  const auto counter_value = [&](std::string_view name) {
+    std::string response;
+    std::string error;
+    EXPECT_TRUE(rpc(running.endpoint(), encode_query(QueryParams{"stats"}),
+                    &response, &error))
+        << error;
+    const Json parsed = Json::parse(response);
+    const Json* metrics = parsed.find("metrics");
+    EXPECT_NE(metrics, nullptr);
+    return metrics == nullptr ? 0 : metrics->u64(name, 0);
+  };
+  const std::uint64_t executed_before =
+      counter_value("worker.serve.trials_executed");
+  const std::uint64_t done_before = counter_value("worker.engine.trials_done");
+  const std::uint64_t firings_before = counter_value("worker.engine.firings");
+
+  std::string response;
+  std::string error;
+  ASSERT_TRUE(rpc(running.endpoint(), encode_query(smoke_query()), &response,
+                  &error))
+      << error;
+  ASSERT_TRUE(Json::parse(response).boolean("ok", false)) << response;
+
+  const std::uint64_t executed =
+      counter_value("worker.serve.trials_executed") - executed_before;
+  EXPECT_GT(executed, 0u);
+  EXPECT_EQ(counter_value("worker.engine.trials_done") - done_before,
+            executed);
+  EXPECT_GT(counter_value("worker.engine.firings"), firings_before);
 }
 
 TEST(Server, TracedFleetStitchesWorkersWithUnchangedDigest) {

@@ -214,7 +214,7 @@ std::string format_eta(double seconds) {
 
 /// Heartbeat line for `ensemble`: trials done / total, trial rate, ETA,
 /// cumulative meetings. Reads only registry metrics published by
-/// engine::run_trial_fleet, so it observes without perturbing.
+/// engine::run_trial_range, so it observes without perturbing.
 std::function<std::string()> ensemble_heartbeat() {
   return [meter = RateMeter()]() mutable -> std::string {
     obs::Registry& registry = obs::Registry::global();
