@@ -16,7 +16,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "baselines/flock.hpp"
@@ -67,47 +71,45 @@ struct EngineComparison {
   EngineRow rows[2];
 };
 
-EngineComparison measure_engines(std::uint32_t extra_agents,
+template <typename Sim>
+EngineRow measure_step(const char* name, Sim& sim, double budget_seconds) {
+  const auto start = std::chrono::steady_clock::now();
+  run_for(budget_seconds, [&] { sim.step(); });
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return {name, sim.interactions(), sim.metrics().firings, elapsed};
+}
+
+EngineRow measure_count_step(const compile::ProtocolConversion& conv,
+                             std::uint32_t m, double budget_seconds) {
+  const engine::PairIndex index(conv.protocol);
+  engine::CountSimulator sim(conv.protocol, index, conv.initial_config(m), 13);
+  return measure_step("count+null-skip", sim, budget_seconds);
+}
+
+EngineComparison measure_engines(const compile::ProtocolConversion& conv,
+                                 std::uint32_t extra_agents,
                                  double budget_seconds) {
+  const std::uint32_t m = conv.num_pointers + extra_agents;
+  pp::Simulator per_agent(conv.protocol, conv.initial_config(m), 13);
+  EngineComparison result;
+  result.m = m;
+  result.rows[0] = measure_step("per-agent", per_agent, budget_seconds);
+  result.rows[1] = measure_count_step(conv, m, budget_seconds);
+  return result;
+}
+
+compile::ProtocolConversion czerner_n1() {
   const auto lowered =
       compile::lower_program(czerner::build_construction(1).program);
-  const auto conv = compile::machine_to_protocol(lowered.machine);
-  const pp::Config initial =
-      conv.initial_config(conv.num_pointers + extra_agents);
-  const engine::PairIndex index(conv.protocol);
-
-  EngineComparison result;
-  result.m = conv.num_pointers + extra_agents;
-
-  {
-    pp::Simulator sim(conv.protocol, initial, 13);
-    const auto start = std::chrono::steady_clock::now();
-    run_for(budget_seconds, [&] { sim.step(); });
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    result.rows[0] = {"per-agent", sim.interactions(), sim.metrics().firings,
-                      elapsed};
-  }
-  {
-    engine::CountSimulator sim(conv.protocol, index, initial, 13);
-    const auto start = std::chrono::steady_clock::now();
-    run_for(budget_seconds, [&] { sim.step(); });
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    result.rows[1] = {"count+null-skip", sim.interactions(),
-                      sim.metrics().firings, elapsed};
-  }
-  return result;
+  return compile::machine_to_protocol(lowered.machine);
 }
 
 void print_engine_comparison(std::uint32_t extra_agents,
                              double budget_seconds) {
   const EngineComparison comparison =
-      measure_engines(extra_agents, budget_seconds);
+      measure_engines(czerner_n1(), extra_agents, budget_seconds);
   std::printf(
       "\n=== Engine comparison: converted Czerner n=1, m = %u agents, "
       "%.1fs budget per engine ===\n",
@@ -135,9 +137,10 @@ void print_engine_comparison(std::uint32_t extra_agents,
 // regression metric (work actually done); effective_meetings_per_sec
 // counts closed-form-skipped null meetings too and is the figure
 // comparable across engine modes. "step" rows drive one simulator's
-// step() loop, "fleet" rows drive run_ensemble at threads = 1. Schema v4
-// drops v3's "dispatch" and "batch" columns along with the interpreter
-// and lane-batched cores they described.
+// step() loop, "fleet" rows drive run_ensemble at threads = 1. Schema v5
+// adds the certification populations m = |F| + 2 and |F| + 9 (16 and 23;
+// count engine only, where certificates are earned) and a "host" object
+// naming the machine and build that produced the rows.
 // ---------------------------------------------------------------------------
 
 struct ReportRow {
@@ -170,20 +173,57 @@ ReportRow measure_fleet(const compile::ProtocolConversion& conv,
           static_cast<double>(stats.totals.meetings) / wall};
 }
 
+/// `text` as a JSON string literal.
+std::string json_string(std::string_view text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
+}
+
+/// The "host" object: the facts needed to read the rows.
+std::string host_json() {
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);)
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos) {
+        cpu_model = line.substr(colon + 1);
+        cpu_model.erase(0, cpu_model.find_first_not_of(" \t"));
+      }
+      break;
+    }
+  return "{\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu_model\": " + json_string(cpu_model) +
+         ", \"compiler\": " + json_string(PPDE_COMPILER) +
+         ", \"build_type\": " + json_string(PPDE_BUILD_TYPE) +
+         ", \"cxx_flags\": " + json_string(PPDE_CXX_FLAGS) + "}";
+}
+
 int write_json_report(const char* path, double budget_seconds) {
-  const auto lowered =
-      compile::lower_program(czerner::build_construction(1).program);
-  const auto conv = compile::machine_to_protocol(lowered.machine);
+  const auto conv = czerner_n1();
 
   std::vector<ReportRow> rows;
-  for (const std::uint32_t extra : {10'000u, 100'000u}) {
+  for (const std::uint32_t extra : {2u, 9u, 10'000u, 100'000u}) {
+    const std::uint32_t m = conv.num_pointers + extra;
+    // The per-agent engine only runs beside the count engine at the large
+    // populations; certification runs use the count engine alone.
+    std::vector<EngineRow> steps;
+    if (extra >= 10'000) {
+      const EngineComparison comparison =
+          measure_engines(conv, extra, budget_seconds);
+      steps.assign(std::begin(comparison.rows), std::end(comparison.rows));
+    } else {
+      steps.push_back(measure_count_step(conv, m, budget_seconds));
+    }
     double null_skip_rate = 0.0;
-    const EngineComparison comparison =
-        measure_engines(extra, budget_seconds);
-    for (const EngineRow& row : comparison.rows) {
+    for (const EngineRow& row : steps) {
       const double eff = static_cast<double>(row.interactions) / row.seconds;
       const double firings = static_cast<double>(row.firings) / row.seconds;
-      rows.push_back({comparison.m, row.name, "step", firings, eff});
+      rows.push_back({m, row.name, "step", firings, eff});
       if (std::string_view(row.name) == "count+null-skip")
         null_skip_rate = eff;
     }
@@ -193,7 +233,7 @@ int write_json_report(const char* path, double budget_seconds) {
     const std::uint64_t per_trial = std::max<std::uint64_t>(
         100'000,
         static_cast<std::uint64_t>(null_skip_rate * budget_seconds) / trials);
-    rows.push_back(measure_fleet(conv, comparison.m, trials, per_trial));
+    rows.push_back(measure_fleet(conv, m, trials, per_trial));
   }
 
   std::FILE* out = std::fopen(path, "w");
@@ -202,7 +242,8 @@ int write_json_report(const char* path, double budget_seconds) {
                  path);
     return 1;
   }
-  std::fprintf(out, "{\n  \"bench_engine_v\": 4,\n  \"rows\": [");
+  std::fprintf(out, "{\n  \"bench_engine_v\": 5,\n  \"host\": %s,\n  \"rows\": [",
+               host_json().c_str());
   bool first = true;
   for (const ReportRow& row : rows) {
     std::fprintf(out,

@@ -50,21 +50,17 @@ void CountSimulator::load(const pp::Config& initial) {
     position_[q] = static_cast<std::uint32_t>(populated_.size());
     populated_.push_back(q);
   }
-  sorted_populated_ = populated_;  // built in ascending state order above
   const auto filled = static_cast<std::uint32_t>(populated_.size());
   matrix_ok_ = filled <= kMatrixSlots;
   if (matrix_ok_) {
     if (act_.empty()) act_.assign(kMatrixSlots * kMatrixSlots, 0);
     col_mask_.fill(0);
-    // Populated list is ascending here, so slot index == sorted rank.
-    for (std::uint32_t i = 0; i < filled; ++i)
-      rank_[i] = static_cast<std::uint8_t>(i);
   }
   partner_sum_.resize(filled);
   for (std::uint32_t slot = 0; slot < filled; ++slot) {
     const pp::State q = populated_[slot];
-    partner_sum_[slot] = matrix_ok_ ? build_matrix_row(slot, /*ranked=*/true)
-                                    : fresh_partner_sum(q);
+    partner_sum_[slot] =
+        matrix_ok_ ? build_matrix_row(slot) : fresh_partner_sum(q);
     weight_push(counts_[q] * partner_sum_[slot]);
   }
 }
@@ -78,7 +74,6 @@ void CountSimulator::reset(const pp::Config& initial, std::uint64_t seed) {
   partner_sum_.clear();
   weight_.clear();
   weight_total_ = 0;
-  sorted_populated_.clear();
   cached_active_ = 0;  // sample_null_run never sees W == 0; forces recompute
   accepting_ = 0;
   interactions_ = 0;
@@ -109,84 +104,28 @@ void CountSimulator::refresh_weight(std::uint32_t slot) {
   weight_set(slot, counts_[populated_[slot]] * partner_sum_[slot]);
 }
 
-std::uint64_t CountSimulator::build_matrix_row(std::uint32_t slot,
-                                               bool ranked) {
+std::uint64_t CountSimulator::build_matrix_row(std::uint32_t slot) {
   const pp::State q = populated_[slot];
   const auto filled = static_cast<std::uint32_t>(populated_.size());
   std::uint32_t* row = act_.data() + slot * kMatrixSlots;
-  // No row wipe: cells at inactive positions may hold stale codes from the
-  // slot's previous occupant, but every act_ read is gated by a mask bit
-  // (srow_mask_ in the responder walk, col_mask_ in the update walks), so
-  // stale cells are unreachable. Likewise bit `slot` cannot yet be set in
-  // any watcher mask — the list surgery strips bits at or above the live
-  // size — so no clearing pass is needed either.
+  // Probe the populated slots (the slot itself included: its diagonal).
+  // Only active cells are written — stale codes left at inactive positions
+  // by the slot's previous occupant are unreachable, since every act_ read
+  // is gated by a mask bit — and each gets the unresolved code 1, since
+  // most pairs are never selected before the row is rebuilt.
   const std::uint64_t bit = std::uint64_t{1} << slot;
   std::uint64_t sum = index_->self_active(q) ? ~std::uint64_t{0} : 0;  // −1
-  std::uint64_t srow = 0;
-  const auto partners = index_->partners_of(q);
-  if (partners.size() <= std::size_t{16} * filled) {
-    // One walk over q's partner row fills the codes (pair positions come
-    // for free: row index k), the mask bits, and A(q); non-populated
-    // partners have count zero and contribute nothing.
-    const std::uint32_t base = index_->pair_offset(q);
-    for (std::uint32_t k = 0; k < partners.size(); ++k) {
-      const std::uint32_t j = position_[partners[k]];
-      if (j == kNoPosition) continue;
-      row[j] = base + k + 2;
-      col_mask_[j] |= bit;
-      if (j != slot || ranked) srow |= std::uint64_t{1} << rank_[j];
-      sum += counts_[partners[k]];
-    }
-  } else {
-    // Huge out-degree: probe per populated state instead.
-    for (std::uint32_t j = 0; j < filled; ++j) {
-      const pp::State r = populated_[j];
-      if (!index_->pair_active(q, r)) continue;
-      row[j] = index_->pair_pos(q, r) + 2;
-      col_mask_[j] |= bit;
-      if (j != slot || ranked) srow |= std::uint64_t{1} << rank_[j];
-      sum += counts_[r];
-    }
+  std::uint64_t mask = 0;
+  for (std::uint32_t j = 0; j < filled; ++j) {
+    const pp::State r = populated_[j];
+    if (!index_->pair_active(q, r)) continue;
+    row[j] = 1;
+    col_mask_[j] |= bit;
+    mask |= std::uint64_t{1} << j;
+    sum += counts_[r];
   }
-  srow_mask_[slot] = srow;
+  row_mask_[slot] = mask;
   return sum;
-}
-
-void CountSimulator::sorted_insert(pp::State state) {
-  const auto it = std::lower_bound(sorted_populated_.begin(),
-                                   sorted_populated_.end(), state);
-  const auto rank =
-      static_cast<std::uint32_t>(it - sorted_populated_.begin());
-  sorted_populated_.insert(it, state);
-  if (!matrix_ok_) return;
-  // Open rank `rank` in every live sorted-row mask (the new bit comes
-  // from the state's watcher column) and bump the ranks it displaced.
-  const std::uint64_t low = (std::uint64_t{1} << rank) - 1;
-  const std::uint64_t watchers = col_mask_[position_[state]];
-  const auto filled = static_cast<std::uint32_t>(populated_.size());
-  for (std::uint32_t i = 0; i < filled; ++i) {
-    const std::uint64_t m = srow_mask_[i];
-    srow_mask_[i] = (m & low) | ((m & ~low) << 1) |
-                    (((watchers >> i) & 1) << rank);
-    rank_[i] += rank_[i] >= rank ? 1 : 0;
-  }
-  rank_[position_[state]] = static_cast<std::uint8_t>(rank);
-}
-
-void CountSimulator::sorted_erase(pp::State state) {
-  const auto it = std::lower_bound(sorted_populated_.begin(),
-                                   sorted_populated_.end(), state);
-  const auto rank =
-      static_cast<std::uint32_t>(it - sorted_populated_.begin());
-  sorted_populated_.erase(it);
-  if (!matrix_ok_) return;
-  const std::uint64_t low = (std::uint64_t{1} << rank) - 1;
-  const auto filled = static_cast<std::uint32_t>(populated_.size());
-  for (std::uint32_t i = 0; i < filled; ++i) {
-    const std::uint64_t m = srow_mask_[i];
-    srow_mask_[i] = (m & low) | ((m >> 1) & ~low);
-    rank_[i] -= rank_[i] > rank ? 1 : 0;
-  }
 }
 
 void CountSimulator::change_count(pp::State state, std::int64_t delta) {
@@ -212,11 +151,13 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
     std::uint32_t col = position_[state];
     if (appearing) {
       col = filled;
+      const std::uint64_t bit = std::uint64_t{1} << col;
       std::uint64_t built = 0;
       // Activity is static, so the new column is just state's in-partner
-      // list restricted to populated slots. Only active cells are written
-      // (stale inactive cells are unreachable behind the masks); walk
-      // whichever side is shorter.
+      // list restricted to populated slots; each watcher's row mask gains
+      // the column's bit. Only active cells are written (stale inactive
+      // cells are unreachable behind the masks); walk whichever side is
+      // shorter.
       if (const auto initiators = index_->initiators_meeting(state);
           initiators.size() <= filled) {
         for (pp::State p : initiators) {
@@ -224,12 +165,14 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
           if (i == kNoPosition) continue;
           act_[i * kMatrixSlots + col] = 1;  // pair position resolved lazily
           built |= std::uint64_t{1} << i;
+          row_mask_[i] |= bit;
         }
       } else {
         for (std::uint32_t i = 0; i < filled; ++i)
           if (index_->pair_active(populated_[i], state)) {
             act_[i * kMatrixSlots + col] = 1;
             built |= std::uint64_t{1} << i;
+            row_mask_[i] |= bit;
           }
       }
       col_mask_[col] = built;
@@ -283,42 +226,45 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
         for (std::uint32_t i = 0; i < last; ++i)
           act_[i * kMatrixSlots + hole] = act_[i * kMatrixSlots + last];
         act_[hole * kMatrixSlots + hole] = corner;
-        // Relabel the watcher masks the same way: drop the removed slot's
-        // bit (`hole`), move bit `last` down to `hole`, and move column
-        // `last` to `hole`. Masks carry no bits at or above the new size.
+        // Relabel the row and column masks the same way: drop the removed
+        // slot's bit (`hole`), move bit `last` down to `hole`, and move
+        // mask `last` to `hole`. Masks carry no bits at or above the new
+        // size.
         const std::uint64_t keep =
             ~((std::uint64_t{1} << hole) | (std::uint64_t{1} << last));
         const auto relabel = [&](std::uint64_t m) {
           return (m & keep) | (((m >> last) & 1) << hole);
         };
         col_mask_[hole] = relabel(col_mask_[last]);
+        row_mask_[hole] = relabel(row_mask_[last]);
         for (std::uint32_t j = 0; j < last; ++j)
-          if (j != hole) col_mask_[j] = relabel(col_mask_[j]);
-        // Sorted-row masks are rank-indexed, so their *contents* survive
-        // the slot swap untouched — only the moved slot's mask changes
-        // home. The removed state's rank bit is dropped by sorted_erase.
-        srow_mask_[hole] = srow_mask_[last];
-        rank_[hole] = rank_[last];
+          if (j != hole) {
+            col_mask_[j] = relabel(col_mask_[j]);
+            row_mask_[j] = relabel(row_mask_[j]);
+          }
       }
     } else if (matrix_ok_) {
-      // Removed the final slot: just drop its watcher bit everywhere.
+      // Removed the final slot: just drop its bit everywhere.
       const std::uint64_t keep = ~(std::uint64_t{1} << last);
-      for (std::uint32_t j = 0; j < last; ++j) col_mask_[j] &= keep;
+      for (std::uint32_t j = 0; j < last; ++j) {
+        col_mask_[j] &= keep;
+        row_mask_[j] &= keep;
+      }
     }
     partner_sum_.pop_back();
     weight_pop();
-    sorted_erase(state);
+    ++metrics_.depopulate_events;
   } else if (appearing) {
     const auto slot = static_cast<std::uint32_t>(populated_.size());
     position_[state] = slot;
     populated_.push_back(state);
-    // Column `slot` was built before the A-loop; one fused walk builds the
+    // Column `slot` was built before the A-loop; one probe pass builds the
     // row (diagonal included) and the fresh partner sum.
-    partner_sum_.push_back(matrix_ok_ ? build_matrix_row(slot, /*ranked=*/false)
+    partner_sum_.push_back(matrix_ok_ ? build_matrix_row(slot)
                                       : fresh_partner_sum(state));
     ++metrics_.weight_updates;
     weight_push(counts_[state] * partner_sum_[slot]);
-    sorted_insert(state);
+    ++metrics_.populate_events;
   } else {
     refresh_weight(position_[state]);
   }
@@ -392,60 +338,60 @@ void CountSimulator::apply_active_meeting(std::uint64_t active) {
   while (remaining >= weight_[slot]) remaining -= weight_[slot++];
   const pp::State q = populated_[slot];
   const std::uint64_t cq = counts_[q];
-  pp::State r = q;  // overwritten below; a walk must find a partner
-  if (matrix_ok_) {
-    // The seed engine's responder walk — q's partners in ascending state
-    // order, each absorbing its pair weight — restricted to the populated
-    // states: a zero-count partner carries zero weight and can never
-    // absorb the remainder, so the selected responder is identical. The
-    // sorted-rank mask makes the walk visit *only* the active populated
-    // partners (typically one or two set bits) in ascending state order;
-    // the selected cell's code hands the firing its candidate transitions
-    // (resolved on first use; the walk always selects, since
-    // remaining < the slot's total pair weight).
-    std::uint32_t* row = act_.data() + slot * kMatrixSlots;
-    std::uint32_t code = 0;
-    for (std::uint64_t mask = srow_mask_[slot]; mask != 0; mask &= mask - 1) {
-      const pp::State partner =
-          sorted_populated_[static_cast<std::uint32_t>(std::countr_zero(mask))];
-      const std::uint64_t weight =
-          cq * (counts_[partner] - (partner == q ? 1 : 0));
+  // The seed engine's responder walk: q's active partners in ascending
+  // state order, each absorbing its pair weight, until one exceeds the
+  // remainder (one always does: remaining < the slot's weight).
+  const auto weight_of = [&](pp::State partner) {
+    return cq * (counts_[partner] - (partner == q ? 1 : 0));
+  };
+  if (!matrix_ok_) {
+    // A zero-count partner carries zero weight and never absorbs the
+    // remainder, so walking the whole (ascending) partner list is exact.
+    pp::State r = q;  // overwritten: the walk always selects
+    for (pp::State partner : index_->partners_of(q)) {
+      const std::uint64_t weight = weight_of(partner);
       if (remaining < weight) {
         r = partner;
-        const std::uint32_t j = position_[partner];
-        const std::uint32_t cell = row[j];
-        code = cell != 1 ? cell : (row[j] = index_->pair_pos(q, r) + 2);
         break;
       }
       remaining -= weight;
     }
-    fire_cells(q, r, code - 2);
+    fire_cells(q, r, index_->compiled().entry_of(q, r));  // (q, r) is active
     return;
   }
-  if (const auto partners = index_->partners_of(q);
-             partners.size() <= populated_.size()) {
-    for (pp::State partner : partners) {
-      const std::uint64_t weight =
-          cq * (counts_[partner] - (partner == q ? 1 : 0));
-      if (remaining < weight) {
-        r = partner;
-        break;
-      }
-      remaining -= weight;
+  // For the same reason the walk may skip every unpopulated partner: it
+  // visits the set bits of row_mask_[slot] — q's active populated partners
+  // — in ascending state order. Typically there are one or two, so those
+  // cases take no sort.
+  std::uint64_t mask = row_mask_[slot];
+  auto j = static_cast<std::uint32_t>(std::countr_zero(mask));
+  mask &= mask - 1;
+  if (mask != 0 && (mask & (mask - 1)) == 0) {
+    auto k = static_cast<std::uint32_t>(std::countr_zero(mask));
+    if (populated_[k] < populated_[j]) std::swap(j, k);
+    if (remaining >= weight_of(populated_[j])) j = k;
+  } else if (mask != 0) {
+    // (state, slot) keys sort into ascending state order.
+    std::array<std::uint64_t, kMatrixSlots> keys;
+    std::size_t n = 0;
+    for (mask = row_mask_[slot]; mask != 0; mask &= mask - 1) {
+      const auto i = static_cast<std::uint32_t>(std::countr_zero(mask));
+      keys[n++] = (std::uint64_t{populated_[i]} << 32) | i;
     }
-  } else {
-    for (pp::State partner : sorted_populated_) {
-      if (!index_->pair_active(q, partner)) continue;
-      const std::uint64_t weight =
-          cq * (counts_[partner] - (partner == q ? 1 : 0));
-      if (remaining < weight) {
-        r = partner;
-        break;
-      }
+    std::sort(keys.begin(), keys.begin() + n);
+    for (std::size_t k = 0;; ++k) {
+      j = static_cast<std::uint32_t>(keys[k]);
+      const std::uint64_t weight = weight_of(populated_[j]);
+      if (remaining < weight) break;
       remaining -= weight;
     }
   }
-  fire_cells(q, r, index_->compiled().entry_of(q, r));  // (q, r) is active
+  const pp::State r = populated_[j];
+  // The cell's code hands the firing its pair position, resolved on the
+  // pair's first selection.
+  std::uint32_t& code = act_[slot * kMatrixSlots + j];
+  if (code == 1) code = index_->compiled().entry_of(q, r) + 2;
+  fire_cells(q, r, code - 2);
 }
 
 bool CountSimulator::step() {

@@ -86,19 +86,9 @@ class PairIndex {
     return compiled_->partners_of(q);
   }
 
-  /// Active pairs carry a dense *pair position*: pair (q, partners_of(q)[k])
-  /// sits at pair_offset(q) + k, in [0, num_active_pairs()). The position
-  /// keys the compiled opcode-cell stream (one cell per candidate, in the
-  /// order of Protocol::transitions_for), so firing an active pair needs
-  /// no hash lookup.
-  std::uint32_t pair_offset(pp::State q) const {
-    return compiled_->pair_offset(q);
-  }
-  /// Pair position of an active (q, r); r must be a partner of q.
-  std::uint32_t pair_pos(pp::State q, pp::State r) const {
-    return compiled_->pair_pos(q, r);
-  }
-  /// The pair's compiled cells, one per candidate transition.
+  /// The compiled cells of the active pair at *pair position* `pos`
+  /// (compiled().entry_of(q, r)), one per candidate transition, in the
+  /// order of Protocol::transitions_for.
   std::span<const isa::Cell> pair_cells(std::uint32_t pos) const {
     return compiled_->cells(pos);
   }
@@ -210,15 +200,12 @@ class CountSimulator {
   /// change_count(from, -1); change_count(to, +1) — with a fused fast path
   /// for the dominant firing shape, where both states stay populated.
   void shift_pair(pp::State from, pp::State to);
-  void sorted_insert(pp::State state);
-  void sorted_erase(pp::State state);
-  /// Build matrix row `slot` (activity codes with pair positions) and
-  /// return A(populated_[slot]) — one walk computes both. The slot must
-  /// already be in the populated list; counts must be current. `ranked`
-  /// says whether the slot's own state is already in the sorted list (true
-  /// from load): only then may its self-pair rank bit enter srow_mask_ —
-  /// on a live append the bit arrives via sorted_insert instead.
-  std::uint64_t build_matrix_row(std::uint32_t slot, bool ranked);
+  /// Build matrix row `slot` (unresolved activity codes, row_mask_[slot]
+  /// and the slot's bit in every partner's col_mask_) and return
+  /// A(populated_[slot]) — one pass over the populated slots computes
+  /// both. The slot must already be in the populated list; counts must be
+  /// current.
+  std::uint64_t build_matrix_row(std::uint32_t slot);
   /// Pick a candidate of active pair `pos` — no draw for a single
   /// candidate, one uniform draw otherwise — and execute its compiled
   /// cell.
@@ -288,20 +275,18 @@ class CountSimulator {
   /// running total W.
   LineVector<std::uint64_t> weight_;
   std::uint64_t weight_total_ = 0;
-  /// The populated states in ascending state order — the responder-walk
-  /// order. Maintained incrementally (O(#populated) on populate/depopulate,
-  /// both rare) so sampling never sorts.
-  LineVector<pp::State> sorted_populated_;
   /// Slot-by-slot activity matrix over the populated list. Cell
-  /// act_[i * kMatrixSlots + j] describes (populated_[i], populated_[j]):
-  /// 0 — inactive; 1 — active, pair position not yet resolved; c >= 2 —
-  /// active at PairIndex pair position c − 2, giving the firing path its
-  /// candidate transitions without a hash lookup. 16 KB and L1-resident,
-  /// it replaces the |Q|²-bit PairIndex probes on every hot-path walk;
-  /// PairIndex is consulted only when a state enters the populated list.
-  /// Maintained while the populated list fits in kMatrixSlots slots
-  /// (matrix_ok_); beyond that the simulator falls back to
-  /// PairIndex::pair_active until the next reset.
+  /// act_[i * kMatrixSlots + j] caches the pair position of (populated_[i],
+  /// populated_[j]) when that pair is active: 1 — not yet resolved; c >= 2
+  /// — pair position c − 2, giving the firing path its candidate
+  /// transitions. Row and column builds write 1 and the responder walk
+  /// resolves a code through entry_of on the pair's first selection, so a
+  /// pair never selected before its row is rebuilt costs no lookup. Only
+  /// cells behind a row_mask_/col_mask_ bit are meaningful; the rest may
+  /// hold stale codes. PairIndex is consulted only when a state enters the
+  /// populated list. Maintained while the populated list fits in
+  /// kMatrixSlots slots (matrix_ok_); beyond that the simulator falls back
+  /// to PairIndex until the next reset.
   std::vector<std::uint32_t> act_;
   /// col_mask_[j]: bit i set iff (populated_[i], populated_[j]) is active —
   /// the initiator slots watching populated_[j], as a 64-bit set mirroring
@@ -309,18 +294,11 @@ class CountSimulator {
   /// fused pair shift walks the XOR of two columns — empty whenever both
   /// states are watched by the same initiators, the typical firing.
   std::array<std::uint64_t, kMatrixSlots> col_mask_{};
-  /// srow_mask_[i]: bit k set iff (populated_[i], sorted_populated_[k]) is
-  /// active — slot i's matrix row re-indexed by *sorted rank*, so the
-  /// responder walk visits exactly the active populated partners in
-  /// ascending state order by iterating set bits. sorted_insert /
-  /// sorted_erase shift the rank bits of every live mask in step with
-  /// the list.
-  std::array<std::uint64_t, kMatrixSlots> srow_mask_{};
-  /// rank_[i]: sorted rank of populated_[i] — the bit position slot i's
-  /// state occupies in every srow_mask_. Maintained by sorted_insert /
-  /// sorted_erase in the same loop that shifts the masks, so
-  /// build_matrix_row can emit rank bits straight from its partner walk.
-  std::array<std::uint8_t, kMatrixSlots> rank_{};
+  /// row_mask_[i]: bit j set iff (populated_[i], populated_[j]) is active —
+  /// the transpose of col_mask_, kept in the same loops. The responder
+  /// walk visits exactly these partners (typically one or two) and orders
+  /// them by state only when there are several.
+  std::array<std::uint64_t, kMatrixSlots> row_mask_{};
   bool matrix_ok_ = false;
   /// Memoised geometric-law parameters for sample_null_run: log1p(−p) for
   /// the current (W, m). The dominant firing moves one agent between two

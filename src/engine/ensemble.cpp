@@ -207,7 +207,7 @@ std::string describe(const EnsembleStats& stats) {
                                stats.wall_seconds
                          : 0.0;
   if (!std::isfinite(effective)) effective = 0.0;
-  char buffer[640];
+  char buffer[768];
   std::snprintf(
       buffer, sizeof buffer,
       "trials ............ %llu (%u threads)\n"
@@ -215,7 +215,8 @@ std::string describe(const EnsembleStats& stats) {
       "interactions ...... p50 %.3g  p90 %.3g  max %.3g\n"
       "parallel time ..... p50 %.3g  p90 %.3g  max %.3g\n"
       "meetings/sec ...... %.3g effective (%llu firings, %llu skip batches)\n"
-      "incremental ....... %llu weight updates\n"
+      "incremental ....... %llu weight updates, %llu populate / %llu "
+      "depopulate events\n"
       "wall .............. %.3fs\n",
       static_cast<unsigned long long>(stats.trials), stats.threads_used,
       stats.stabilised_fraction(), stats.accept_fraction(),
@@ -225,6 +226,8 @@ std::string describe(const EnsembleStats& stats) {
       static_cast<unsigned long long>(stats.totals.firings),
       static_cast<unsigned long long>(stats.totals.null_skip_batches),
       static_cast<unsigned long long>(stats.totals.weight_updates),
+      static_cast<unsigned long long>(stats.totals.populate_events),
+      static_cast<unsigned long long>(stats.totals.depopulate_events),
       stats.wall_seconds);
   return buffer;
 }

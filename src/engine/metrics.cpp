@@ -12,6 +12,8 @@ void RunMetrics::merge(const RunMetrics& other) {
   skipped_meetings += other.skipped_meetings;
   consensus_flips += other.consensus_flips;
   weight_updates += other.weight_updates;
+  populate_events += other.populate_events;
+  depopulate_events += other.depopulate_events;
   wall_seconds += other.wall_seconds;
 }
 
@@ -24,16 +26,19 @@ double RunMetrics::effective_meetings_per_second() const {
 }
 
 std::string RunMetrics::to_string() const {
-  char buffer[256];
+  char buffer[320];
   std::snprintf(buffer, sizeof buffer,
                 "meetings=%llu firings=%llu null_skip_batches=%llu "
-                "skipped=%llu flips=%llu weight_updates=%llu wall=%.3fs",
+                "skipped=%llu flips=%llu weight_updates=%llu populate=%llu "
+                "depopulate=%llu wall=%.3fs",
                 static_cast<unsigned long long>(meetings),
                 static_cast<unsigned long long>(firings),
                 static_cast<unsigned long long>(null_skip_batches),
                 static_cast<unsigned long long>(skipped_meetings),
                 static_cast<unsigned long long>(consensus_flips),
                 static_cast<unsigned long long>(weight_updates),
+                static_cast<unsigned long long>(populate_events),
+                static_cast<unsigned long long>(depopulate_events),
                 wall_seconds);
   return buffer;
 }

@@ -32,6 +32,12 @@ struct RunMetrics {
   /// Incremental per-slot active-weight refreshes (CountSimulator only;
   /// excludes initial-configuration loading).
   std::uint64_t weight_updates = 0;
+  /// States entering / leaving the populated list (CountSimulator only;
+  /// excludes initial-configuration loading). Each event rebuilds a slot's
+  /// bookkeeping, so at small populations, where nearly every firing moves
+  /// an agent into an empty state, these drive the cost per firing.
+  std::uint64_t populate_events = 0;
+  std::uint64_t depopulate_events = 0;
   /// Wall-clock seconds spent inside run_until_stable.
   double wall_seconds = 0.0;
 

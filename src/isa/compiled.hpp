@@ -171,10 +171,6 @@ class CompiledProtocol {
     return {t_.out_flat.data() + t_.out_begin[q],
             t_.out_flat.data() + t_.out_begin[q + 1]};
   }
-  /// First pair position of initiator q's row.
-  std::uint32_t pair_offset(pp::State q) const { return t_.out_begin[q]; }
-  /// Pair position of an active (q, r); r must be a partner of q.
-  std::uint32_t pair_pos(pp::State q, pp::State r) const;
   /// States q such that (q, r) is active, r as the responder; ascending.
   std::span<const pp::State> initiators_meeting(pp::State r) const {
     return {t_.in_flat.data() + t_.in_begin[r],

@@ -2,7 +2,9 @@
 
 #include <bit>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "smc/json.hpp"
 
@@ -215,6 +217,22 @@ std::vector<obs::MetricSnapshot> parse_metric_deltas(const Json& array) {
   return deltas;
 }
 
+/// Member `key` of `json` as a u64 no larger than `max`. A larger value is
+/// refused rather than narrowed: cast to int, n = 2^32 + 1 would name the
+/// n = 1 construction.
+std::uint64_t bounded_u64(const Json& json, const char* key,
+                          std::uint64_t fallback, std::uint64_t max) {
+  const std::uint64_t value = json.u64(key, fallback);
+  if (value > max)
+    throw std::runtime_error("serve proto: " + std::string(key) + " = " +
+                             std::to_string(value) + " is out of range (max " +
+                             std::to_string(max) + ")");
+  return value;
+}
+
+constexpr std::uint64_t kMaxN = std::numeric_limits<int>::max();
+constexpr std::uint64_t kMaxExtra = std::numeric_limits<std::uint32_t>::max();
+
 }  // namespace
 
 std::string encode_query(const QueryParams& query) {
@@ -244,8 +262,9 @@ QueryParams parse_query(const Json& json) {
   query.req = json.str("req", "");
   if (query.req.empty())
     throw std::runtime_error("serve proto: query without a req field");
-  query.n = static_cast<int>(json.u64("n", 1));
-  query.extra = static_cast<std::uint32_t>(json.u64("extra", 0));
+  query.n = static_cast<int>(bounded_u64(json, "n", 1, kMaxN));
+  query.extra =
+      static_cast<std::uint32_t>(bounded_u64(json, "extra", 0, kMaxExtra));
   query.trials = json.u64("trials", query.trials);
   query.seed = json.u64("seed", query.seed);
   query.delta = json.dbl("delta", query.delta);
@@ -315,8 +334,9 @@ BatchRequest parse_batch_request(const Json& json) {
   if (json.str("op", "") != "batch")
     throw std::runtime_error("serve proto: expected a batch op");
   BatchRequest request;
-  request.n = static_cast<int>(json.u64("n", 1));
-  request.extra = static_cast<std::uint32_t>(json.u64("extra", 0));
+  request.n = static_cast<int>(bounded_u64(json, "n", 1, kMaxN));
+  request.extra =
+      static_cast<std::uint32_t>(bounded_u64(json, "extra", 0, kMaxExtra));
   request.seed = json.u64("seed", 0);
   request.first = json.u64("first", 0);
   request.count = json.u64("count", 0);

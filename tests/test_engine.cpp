@@ -357,6 +357,10 @@ TEST(Ensemble, StatsAreIndependentOfThreadCount) {
     // The incremental-maintenance counters ride the same trajectories, so
     // they must be just as thread-count-deterministic as the physics.
     EXPECT_EQ(runs[i].totals.weight_updates, runs[0].totals.weight_updates);
+    EXPECT_EQ(runs[i].totals.populate_events,
+              runs[0].totals.populate_events);
+    EXPECT_EQ(runs[i].totals.depopulate_events,
+              runs[0].totals.depopulate_events);
   }
   EXPECT_GT(runs[0].totals.weight_updates, 0u);
 }
@@ -391,34 +395,70 @@ TEST(Ensemble, FleetRethrowsBodyExceptions) {
                std::runtime_error);
 }
 
-TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
-  // The tentpole contract: same seed, same trajectory, bit for bit — the
-  // incremental weights and activity matrix may only change how fast the
-  // next firing is found, never which firing it is. Four protocols cover
-  // the regimes: tiny two-state, the 4-state majority, the converted
-  // Czerner n = 1 (≈880 states, ~24 populated, heavy populate/depopulate
-  // churn), and a 40-state carousel with a large populated list.
-  const pp::Protocol opinion = make_opinion_protocol();
-  const pp::Protocol majority = baselines::make_majority();
-  const auto lowered =
-      compile::lower_program(czerner::build_construction(1).program);
-  const auto conv = compile::machine_to_protocol(lowered.machine);
-  const pp::Protocol carousel = make_carousel_protocol(40);
-  pp::Config carousel_initial(carousel.num_states());
-  for (pp::State q = 0; q < 40; ++q) carousel_initial.add(q, 3);
-
+// The differential case table of the linear-scan oracle tests. Seven
+// cases cover the regimes: tiny two-state, the 4-state majority, the
+// converted Czerner n = 1 (≈880 states) at two populations — |F| + 400
+// (~24 populated, heavy populate/depopulate churn) and |F| + 2, the
+// certification regime where every agent sits in its own state — and the
+// carousel with a large populated list: 40 states inside the 64-slot
+// matrix, 80 states beyond it from load, and 80 states starting at 60
+// populated, which outgrows the matrix mid-run (at step 2,318 for seed 1).
+struct OracleCases {
   struct Case {
     const pp::Protocol* protocol;
     pp::Config initial;
     int steps;
   };
-  const Case cases[] = {
-      {&opinion, opinion_initial(opinion, 5, 4), 4'000},
-      {&majority, baselines::majority_initial(majority, 23, 20), 4'000},
-      {&conv.protocol, conv.initial_config(conv.num_pointers + 400), 12'000},
-      {&carousel, carousel_initial, 12'000},
-  };
-  for (const Case& test_case : cases) {
+
+  OracleCases()
+      : opinion(make_opinion_protocol()),
+        majority(baselines::make_majority()),
+        conv(compile::machine_to_protocol(
+            compile::lower_program(czerner::build_construction(1).program)
+                .machine)),
+        carousel40(make_carousel_protocol(40)),
+        carousel80(make_carousel_protocol(80)) {
+    const auto carousel_initial = [](const pp::Protocol& carousel,
+                                     std::uint32_t states,
+                                     std::uint32_t agents) {
+      pp::Config initial(carousel.num_states());
+      for (pp::State q = 0; q < states; ++q) initial.add(q, agents);
+      return initial;
+    };
+    cases = {
+        {&opinion, opinion_initial(opinion, 5, 4), 4'000},
+        {&majority, baselines::majority_initial(majority, 23, 20), 4'000},
+        {&conv.protocol, conv.initial_config(conv.num_pointers + 400), 12'000},
+        {&conv.protocol, conv.initial_config(conv.num_pointers + 2), 12'000},
+        {&carousel40, carousel_initial(carousel40, 40, 3), 12'000},
+        {&carousel80, carousel_initial(carousel80, 80, 3), 12'000},
+        {&carousel80, carousel_initial(carousel80, 60, 4), 12'000},
+    };
+  }
+  // The cases point into the protocols above.
+  OracleCases(const OracleCases&) = delete;
+  OracleCases& operator=(const OracleCases&) = delete;
+
+  pp::Protocol opinion;
+  pp::Protocol majority;
+  compile::ProtocolConversion conv;
+  pp::Protocol carousel40;
+  pp::Protocol carousel80;
+  std::vector<Case> cases;
+};
+
+std::size_t populated_states(const pp::Config& config) {
+  return static_cast<std::size_t>(
+      std::count_if(config.counts().begin(), config.counts().end(),
+                    [](std::uint32_t c) { return c != 0; }));
+}
+
+TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
+  // The tentpole contract: same seed, same trajectory, bit for bit — the
+  // incremental weights and activity matrix may only change how fast the
+  // next firing is found, never which firing it is.
+  const OracleCases table;
+  for (const OracleCases::Case& test_case : table.cases) {
     for (const std::uint64_t seed : {1ull, 29ull}) {
       CountSimulator sim(*test_case.protocol, test_case.initial, seed);
       oracle::LinearScanOracle oracle(*test_case.protocol, test_case.initial,
@@ -437,6 +477,31 @@ TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
       ASSERT_EQ(sim.metrics().meetings, oracle.metrics().meetings);
     }
   }
+}
+
+TEST(CountSimulator, PopulateEventsCountTheChurn) {
+  // Every state entering or leaving the populated list during a run is
+  // one event, so on every oracle case the two counters balance to the
+  // change in the number of populated states since load.
+  const OracleCases table;
+  for (const OracleCases::Case& test_case : table.cases) {
+    CountSimulator sim(*test_case.protocol, test_case.initial, 1);
+    for (int step = 0; step < test_case.steps; ++step) sim.step();
+    const auto& metrics = sim.metrics();
+    EXPECT_EQ(static_cast<std::int64_t>(metrics.populate_events) -
+                  static_cast<std::int64_t>(metrics.depopulate_events),
+              static_cast<std::int64_t>(populated_states(sim.config())) -
+                  static_cast<std::int64_t>(
+                      populated_states(test_case.initial)));
+  }
+  // In the certification regime (m = |F| + 2) nearly every firing moves
+  // an agent into an empty state: more populate events than firings.
+  const auto& conv = table.conv;
+  CountSimulator sim(conv.protocol, conv.initial_config(conv.num_pointers + 2),
+                     7);
+  for (int step = 0; step < 5'000; ++step) sim.step();
+  EXPECT_GT(sim.metrics().populate_events, sim.metrics().firings);
+  EXPECT_GT(sim.metrics().depopulate_events, 0u);
 }
 
 TEST(CountSimulator, RunUntilStableMatchesOracle) {
@@ -608,6 +673,8 @@ TEST(RunMetrics, MergeSumsEveryFieldIncludingWallTime) {
   a.skipped_meetings = 5;
   a.consensus_flips = 2;
   a.weight_updates = 11;
+  a.populate_events = 13;
+  a.depopulate_events = 17;
   a.wall_seconds = 0.25;
   RunMetrics b;
   b.meetings = 100;
@@ -616,6 +683,8 @@ TEST(RunMetrics, MergeSumsEveryFieldIncludingWallTime) {
   b.skipped_meetings = 50;
   b.consensus_flips = 20;
   b.weight_updates = 110;
+  b.populate_events = 130;
+  b.depopulate_events = 170;
   b.wall_seconds = 0.5;
 
   a.merge(b);
@@ -625,6 +694,8 @@ TEST(RunMetrics, MergeSumsEveryFieldIncludingWallTime) {
   EXPECT_EQ(a.skipped_meetings, 55u);
   EXPECT_EQ(a.consensus_flips, 22u);
   EXPECT_EQ(a.weight_updates, 121u);
+  EXPECT_EQ(a.populate_events, 143u);
+  EXPECT_EQ(a.depopulate_events, 187u);
   EXPECT_DOUBLE_EQ(a.wall_seconds, 0.75);
 
   // Merging a default-constructed record is the identity.
@@ -664,10 +735,12 @@ TEST(RunMetrics, ToStringRendersEveryField) {
   m.skipped_meetings = 4;
   m.consensus_flips = 5;
   m.weight_updates = 6;
+  m.populate_events = 7;
+  m.depopulate_events = 8;
   m.wall_seconds = 1.5;
   EXPECT_EQ(m.to_string(),
             "meetings=1 firings=2 null_skip_batches=3 skipped=4 flips=5 "
-            "weight_updates=6 wall=1.500s");
+            "weight_updates=6 populate=7 depopulate=8 wall=1.500s");
 }
 
 TEST(RunMetrics, EffectiveRateGuardsDegenerateWallTimes) {

@@ -352,6 +352,8 @@ TEST_F(MajorityFixture, EnsembleFallsBackToPerAgentAndStaysDeterministic) {
   // every trial through the per-agent simulator.
   EXPECT_EQ(one.totals.null_skip_batches, 0u);
   EXPECT_EQ(one.totals.weight_updates, 0u);
+  EXPECT_EQ(one.totals.populate_events, 0u);
+  EXPECT_EQ(one.totals.depopulate_events, 0u);
   EXPECT_GT(one.totals.meetings, 0u);
   EXPECT_EQ(one.trials, four.trials);
   EXPECT_EQ(one.stabilised, four.stabilised);

@@ -418,6 +418,39 @@ TEST(Proto, QueryRejectsRemovedDispatchAndIgnoresBatch) {
   }
 }
 
+TEST(Proto, DecodersRefuseOutOfRangeNAndExtra) {
+  // n is an int and extra a u32: a larger value is refused, never
+  // narrowed (n = 2^32 + 1 used to be admitted as the n = 1 construction).
+  const auto refused = [](const auto& decode, const char* frame,
+                          const char* field) {
+    try {
+      (void)decode(Json::parse(frame));
+      ADD_FAILURE() << "accepted " << frame;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+      EXPECT_NE(std::string(error.what()).find("out of range"),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  const auto query = [](const Json& json) { return parse_query(json); };
+  const auto batch = [](const Json& json) { return parse_batch_request(json); };
+  refused(query, R"({"req":"certify","n":4294967297,"extra":2})", "n = ");
+  refused(query, R"({"req":"certify","n":1,"extra":4294967296})", "extra = ");
+  refused(batch, R"({"op":"batch","n":4294967297,"extra":2})", "n = ");
+  refused(batch, R"({"op":"batch","n":1,"extra":4294967296})", "extra = ");
+  // The largest representable values still decode.
+  const QueryParams largest = parse_query(
+      Json::parse(R"({"req":"certify","n":2147483647,"extra":4294967295})"));
+  EXPECT_EQ(largest.n, 2147483647);
+  EXPECT_EQ(largest.extra, 4294967295u);
+  const BatchRequest request = parse_batch_request(
+      Json::parse(R"({"op":"batch","n":2147483647,"extra":4294967295})"));
+  EXPECT_EQ(request.n, 2147483647);
+  EXPECT_EQ(request.extra, 4294967295u);
+}
+
 TEST(Dispatch, ParseRejectsUnknown) {
   // One execution core remains: "bytecode" is accepted (older clients
   // send it), every other value — the removed "interp" included — is

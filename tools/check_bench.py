@@ -20,7 +20,9 @@ against a just-measured report on the current machine and flags any row
 whose throughput deviates by more than --factor (default 2.0) in either
 direction — a committed baseline from different hardware or predating an
 engine change fails loudly instead of anchoring EXPERIMENTS.md to numbers
-nobody can reproduce. --warn-only prints deviations without failing (for
+nobody can reproduce. Reports whose host objects differ are a
+cross-host comparison, which fails before any row is compared.
+--warn-only prints deviations and host mismatches without failing (for
 noisy CI runners).
 """
 
@@ -40,9 +42,18 @@ def require(path, condition, message):
 
 
 def check_engine(path, doc):
-    """bench_engine_v == 4: per-(mode, harness, m) rows."""
-    require(path, doc.get("bench_engine_v") == 4,
-            f"bench_engine_v != 4 (got {doc.get('bench_engine_v')})")
+    """bench_engine_v == 5: a host object and per-(mode, harness, m) rows."""
+    require(path, doc.get("bench_engine_v") == 5,
+            f"bench_engine_v != 5 (got {doc.get('bench_engine_v')})")
+    # The rows are only readable next to the machine and build that
+    # produced them.
+    host = doc.get("host")
+    require(path, isinstance(host, dict), "host missing")
+    require(path, isinstance(host.get("nproc"), int) and host["nproc"] > 0,
+            "host.nproc missing or nonpositive")
+    for key in ("cpu_model", "compiler", "build_type"):
+        require(path, isinstance(host.get(key), str) and host[key],
+                f"host.{key} missing or empty")
     rows = doc.get("rows")
     require(path, isinstance(rows, list) and rows, "rows missing or empty")
     for i, row in enumerate(rows):
@@ -56,15 +67,18 @@ def check_engine(path, doc):
                 f"rows[{i}] nonpositive effective_meetings_per_sec")
         require(path, row["harness"] in ("step", "fleet"),
                 f"rows[{i}] bad harness {row['harness']!r}")
-    # Both engines stepped and the production engine's fleet, at both
-    # populations.
+    # The production engine stepped and as a fleet at the certification
+    # populations (|F| + 2 and |F| + 9) and at both large ones, where the
+    # per-agent engine is stepped too.
     present = {(row["mode"], row["harness"], row["m"]) for row in rows}
-    for m in (10014, 100014):
-        for mode, harness in (("per-agent", "step"),
-                              ("count+null-skip", "step"),
-                              ("count+null-skip", "fleet")):
-            require(path, (mode, harness, m) in present,
-                    f"missing {mode} {harness} row at m={m}")
+    pinned = [(mode, harness, m)
+              for m in (16, 23, 10014, 100014)
+              for mode, harness in (("count+null-skip", "step"),
+                                    ("count+null-skip", "fleet"))]
+    pinned += [("per-agent", "step", m) for m in (10014, 100014)]
+    for mode, harness, m in pinned:
+        require(path, (mode, harness, m) in present,
+                f"missing {mode} {harness} row at m={m}")
 
 
 def row_key(row):
@@ -86,6 +100,17 @@ def compare_fresh(baseline_path, fresh_path, factor, warn_only):
     for doc, path in ((baseline, baseline_path), (fresh, fresh_path)):
         require(path, "bench_engine_v" in doc,
                 "--fresh compares bench_engine_v reports only")
+    # Rows measured on different machines or builds are not comparable:
+    # say so instead of reporting their ratio as a regression.
+    if baseline.get("host") != fresh.get("host"):
+        print(f"check_bench: cross-host comparison: {baseline_path} host "
+              f"{baseline.get('host')} vs {fresh_path} host "
+              f"{fresh.get('host')}")
+        if not warn_only:
+            raise SystemExit(
+                f"{baseline_path}: measured on another host or build than "
+                f"{fresh_path} (re-measure on one host, or run with "
+                f"--warn-only)")
     fresh_rows = {row_key(row): row for row in fresh["rows"]}
     deviations = []
     missing = []

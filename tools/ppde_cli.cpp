@@ -13,12 +13,16 @@
 //
 // Exit code: 0 on success (for verify/decide: also when the verdict was
 // computed, regardless of accept/reject), 1 on usage or resource errors.
+#include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -76,18 +80,55 @@ const char* flag_cstr(int argc, char** argv, const char* flag) {
   return nullptr;
 }
 
-/// Value of `--flag=<u64>` if present, else `fallback`.
-std::uint64_t flag_value(int argc, char** argv, const char* flag,
-                         std::uint64_t fallback) {
-  const char* text = flag_cstr(argc, argv, flag);
-  return text != nullptr ? std::strtoull(text, nullptr, 10) : fallback;
+/// The whole of `text` as a decimal integer in [0, max]. Throws
+/// std::invalid_argument naming `what` (a flag or positional argument) on
+/// an empty value, a sign, any other non-digit, or a value above `max` —
+/// so `--budget=4e11` is an error, not a budget of 4.
+std::uint64_t parse_unsigned(const char* text, const char* what,
+                             std::uint64_t max = UINT64_MAX) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t value = 0;
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error == std::errc::result_out_of_range ||
+      (error == std::errc{} && stop == end && value > max))
+    throw std::invalid_argument(std::string(what) + ": '" + text +
+                                "' is out of range (max " +
+                                std::to_string(max) + ")");
+  if (error != std::errc{} || stop != end)
+    throw std::invalid_argument(std::string(what) + ": '" + text +
+                                "' is not an unsigned decimal integer");
+  return value;
 }
 
-/// Value of `--flag=<double>` if present, else `fallback`.
+/// The whole of `text` as a finite decimal number; throws
+/// std::invalid_argument naming `what` otherwise.
+double parse_double(const char* text, const char* what) {
+  const char* end = text + std::strlen(text);
+  double value = 0.0;
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc{} || stop != end || !std::isfinite(value))
+    throw std::invalid_argument(std::string(what) + ": '" + text +
+                                "' is not a finite number");
+  return value;
+}
+
+/// Value of `--flag=<integer in [0, max]>` if present, else `fallback`.
+std::uint64_t flag_value(int argc, char** argv, const char* flag,
+                         std::uint64_t fallback,
+                         std::uint64_t max = UINT64_MAX) {
+  const char* text = flag_cstr(argc, argv, flag);
+  return text != nullptr ? parse_unsigned(text, flag, max) : fallback;
+}
+
+/// Value of `--flag=<finite double>` if present, else `fallback`.
 double flag_double(int argc, char** argv, const char* flag, double fallback) {
   const char* text = flag_cstr(argc, argv, flag);
-  return text != nullptr ? std::strtod(text, nullptr) : fallback;
+  return text != nullptr ? parse_double(text, flag) : fallback;
 }
+
+constexpr std::uint64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxPort = std::numeric_limits<std::uint16_t>::max();
 
 /// Stress scenario (S27) selected by `--scheduler=...` and `--fault=...`;
 /// both default to the classic uniform, fault-free model. Throws
@@ -116,7 +157,8 @@ czerner::Construction build(int n, bool equality) {
 obs::TracerOptions flag_tracer_options(int argc, char** argv) {
   obs::TracerOptions options;
   options.max_file_bytes =
-      flag_value(argc, argv, "--trace-max-mb", 0) * 1024 * 1024;
+      flag_value(argc, argv, "--trace-max-mb", 0, UINT64_MAX >> 20) * 1024 *
+      1024;
   return options;
 }
 
@@ -146,7 +188,7 @@ struct TracerGuard {
 /// never silent.
 double progress_period(int argc, char** argv) {
   const char* text = flag_cstr(argc, argv, "--progress");
-  if (text != nullptr) return std::strtod(text, nullptr);
+  if (text != nullptr) return parse_double(text, "--progress");
   if (has_flag(argc, argv, "--progress")) return 5.0;
   return PPDE_ISATTY(2) ? 10.0 : 0.0;
 }
@@ -394,7 +436,7 @@ int cmd_certify(int argc, char** argv, int n, std::uint32_t extra,
   options.max_trials = flag_value(argc, argv, "--trials", 4096);
   options.batch = flag_value(argc, argv, "--round", 8);
   options.threads =
-      static_cast<unsigned>(flag_value(argc, argv, "--threads", 0));
+      static_cast<unsigned>(flag_value(argc, argv, "--threads", 0, kMaxUnsigned));
   options.seed = flag_value(argc, argv, "--seed", 42);
   options.sim.stable_window =
       flag_value(argc, argv, "--window", 90'000'000);
@@ -433,7 +475,7 @@ int cmd_verify(int argc, char** argv, int n, std::uint64_t m_regs,
   options.max_bytes = flag_value(argc, argv, "--max-bytes", UINT64_MAX);
   // Default 0 = all hardware threads; results are thread-count-independent.
   options.threads = static_cast<unsigned>(
-      flag_value(argc, argv, "--threads", 0));
+      flag_value(argc, argv, "--threads", 0, kMaxUnsigned));
   options.prune = has_flag(argc, argv, "--prune");
   const auto verdict =
       pp::Verifier(conv.protocol)
@@ -479,13 +521,13 @@ int cmd_serve(int argc, char** argv) {
   serve::ServerOptions options;
   if (const char* host = flag_cstr(argc, argv, "--host")) options.host = host;
   options.port =
-      static_cast<std::uint16_t>(flag_value(argc, argv, "--port", 7421));
+      static_cast<std::uint16_t>(flag_value(argc, argv, "--port", 7421, kMaxPort));
   options.workers =
-      static_cast<unsigned>(flag_value(argc, argv, "--workers", 2));
+      static_cast<unsigned>(flag_value(argc, argv, "--workers", 2, kMaxUnsigned));
   options.max_active =
-      static_cast<unsigned>(flag_value(argc, argv, "--max-active", 2));
+      static_cast<unsigned>(flag_value(argc, argv, "--max-active", 2, kMaxUnsigned));
   options.queue_limit =
-      static_cast<unsigned>(flag_value(argc, argv, "--queue-limit", 16));
+      static_cast<unsigned>(flag_value(argc, argv, "--queue-limit", 16, kMaxUnsigned));
   options.max_trials_cap =
       flag_value(argc, argv, "--max-trials-cap", 1u << 20);
   options.max_query_seconds =
@@ -497,7 +539,7 @@ int cmd_serve(int argc, char** argv) {
   // (disabled) — so probe presence, not value.
   if (flag_cstr(argc, argv, "--prom-port") != nullptr)
     options.prom_port = static_cast<std::int32_t>(
-        flag_value(argc, argv, "--prom-port", 0));
+        flag_value(argc, argv, "--prom-port", 0, kMaxPort));
   options.flight_capacity = static_cast<std::size_t>(
       flag_value(argc, argv, "--flight-capacity", 128));
   if (const char* remote = flag_cstr(argc, argv, "--remote")) {
@@ -552,8 +594,9 @@ int cmd_client(int argc, char** argv, const std::vector<char*>& pos) {
                    query.req.c_str());
       return 1;
     }
-    query.n = std::atoi(pos[3]);
-    query.extra = static_cast<std::uint32_t>(std::atoi(pos[4]));
+    query.n = static_cast<int>(parse_unsigned(pos[3], "<n>", INT_MAX));
+    query.extra =
+        static_cast<std::uint32_t>(parse_unsigned(pos[4], "<extra>", kMaxU32));
     if (query.n < 1) return 1;
     query.trials = flag_value(argc, argv, "--trials", query.trials);
     query.seed = flag_value(argc, argv, "--seed", query.seed);
@@ -659,8 +702,8 @@ constexpr VerbHelp kVerbs[] = {
      "  Run the full protocol with m = |F| + extra agents until consensus\n"
      "  (per-agent reference simulator).\n"
      "    [seed]        RNG seed (default 42)\n"
-     "    --window=W    consensus stability window (default 9e7)\n"
-     "    --budget=I    interaction budget (default 2e9)\n"
+     "    --window=W    consensus stability window (default 90000000)\n"
+     "    --budget=I    interaction budget (default 2000000000)\n"
      "    --scheduler=S meeting scheduler (S27): uniform (default), clique,\n"
      "                  ring, grid[:W], regular[:D], biased[:G], aging\n"
      "    --fault=F     fault plan (S27): none (default), corrupt:RATE[,K],\n"
@@ -689,8 +732,10 @@ constexpr VerbHelp kVerbs[] = {
      "    --alpha=A          type-I error bound (default 0.01)\n"
      "    --beta=B           type-II error bound (default 0.01)\n"
      "    --indifference=E   SPRT indifference width (default 0.05)\n"
-     "    --window=W         consensus stability window (default 9e7)\n"
-     "    --budget=I         per-trial interaction budget (default 2e9)\n"
+     "    --window=W         consensus stability window\n"
+     "                       (default 90000000)\n"
+     "    --budget=I         per-trial interaction budget\n"
+     "                       (default 2000000000)\n"
      "    --scheduler=S      meeting scheduler (S27): uniform (default),\n"
      "                       clique, ring, grid[:W], regular[:D],\n"
      "                       biased[:G], aging\n"
@@ -779,7 +824,10 @@ void print_global_flags(std::FILE* out) {
       "                     a valid JSON array\n"
       "  --progress[=SECS]  heartbeat to stderr every SECS seconds\n"
       "                     (bare flag: 5s; =0 disables; auto-on at 10s\n"
-      "                     when stderr is a TTY)\n");
+      "                     when stderr is a TTY)\n"
+      "numbers are read whole: integer arguments and flags take plain\n"
+      "decimal digits (--budget=400000000000, not 4e11); anything else is\n"
+      "an error naming the argument.\n");
 }
 
 int usage() {
@@ -818,7 +866,7 @@ int main(int argc, char** argv) {
   if (pos.empty()) return usage();
   const std::string command = pos[0];
   // `help` takes a verb name, not a number — dispatch before the numeric
-  // argument checks below would reject it (atoi("verify") == 0). The
+  // argument checks below would reject it. The
   // serve-family verbs likewise take flags / a host:port, not <n>.
   if (command == "help")
     return cmd_help(pos.size() >= 2 ? pos[1] : nullptr);
@@ -831,7 +879,8 @@ int main(int argc, char** argv) {
     if (command == "serve") return cmd_serve(argc, argv);
     if (command == "worker")
       return serve::worker_listen(
-          static_cast<std::uint16_t>(flag_value(argc, argv, "--port", 7421)));
+          static_cast<std::uint16_t>(
+              flag_value(argc, argv, "--port", 7421, kMaxPort)));
     if (command == "client") {
       const int status = cmd_client(argc, argv, pos);
       if (status == 1 && pos.size() < 3) return usage();
@@ -841,11 +890,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
   }
-  if (pos.size() < 2) return usage();
+  if (pos.size() < 2 ||
+      std::none_of(std::begin(kVerbs), std::end(kVerbs),
+                   [&](const VerbHelp& verb) { return command == verb.name; }))
+    return usage();
   const bool equality = has_flag(argc, argv, "--equality");
   const bool json = has_flag(argc, argv, "--json");
-  const int n = std::atoi(pos[1]);
-  if (n < 1 && command != "window") return usage();
 
   // Graceful interruption (S25): for the long-running verbs, a dedicated
   // watcher thread owns SIGINT/SIGTERM and, on delivery, prints one final
@@ -885,6 +935,12 @@ int main(int argc, char** argv) {
     monitor = std::make_unique<obs::ProgressMonitor>(period, heartbeat);
 
   try {
+    // Positional numbers are parsed whole, like flag values; `window`
+    // reads its own.
+    const int n = command == "window"
+                      ? 0
+                      : static_cast<int>(parse_unsigned(pos[1], "<n>", INT_MAX));
+    if (n < 1 && command != "window") return usage();
     if (command == "info") return cmd_info(n, equality);
     if (command == "program") {
       std::printf("%s", build(n, equality).program.to_string().c_str());
@@ -915,31 +971,35 @@ int main(int argc, char** argv) {
       }
       return 0;
     }
+    const auto extra = [&] {
+      return static_cast<std::uint32_t>(
+          parse_unsigned(pos[2], "<extra-agents>", kMaxU32));
+    };
     if (command == "simulate" && pos.size() >= 3)
-      return cmd_simulate(argc, argv, n,
-                          static_cast<std::uint32_t>(std::atoi(pos[2])),
-                          pos.size() >= 4 ? std::strtoull(pos[3], nullptr, 10)
-                                          : 42,
-                          flag_scenario(argc, argv));
+      return cmd_simulate(
+          argc, argv, n, extra(),
+          pos.size() >= 4 ? parse_unsigned(pos[3], "[seed]") : 42,
+          flag_scenario(argc, argv));
     if (command == "ensemble" && pos.size() >= 4)
       return cmd_ensemble(
-          n, static_cast<std::uint32_t>(std::atoi(pos[2])),
-          std::strtoull(pos[3], nullptr, 10),
-          pos.size() >= 5 ? static_cast<unsigned>(std::atoi(pos[4])) : 0,
-          pos.size() >= 6 ? std::strtoull(pos[5], nullptr, 10) : 42, json,
+          n, extra(), parse_unsigned(pos[3], "<trials>"),
+          pos.size() >= 5 ? static_cast<unsigned>(parse_unsigned(
+                                pos[4], "[threads]", kMaxUnsigned))
+                          : 0,
+          pos.size() >= 6 ? parse_unsigned(pos[5], "[seed]") : 42, json,
           flag_scenario(argc, argv));
     if (command == "certify" && pos.size() >= 3)
-      return cmd_certify(argc, argv, n,
-                         static_cast<std::uint32_t>(std::atoi(pos[2])), json);
+      return cmd_certify(argc, argv, n, extra(), json);
     if (command == "verify" && pos.size() >= 3)
-      return cmd_verify(argc, argv, n, std::strtoull(pos[2], nullptr, 10),
+      return cmd_verify(argc, argv, n, parse_unsigned(pos[2], "<m_regs>"),
                         equality);
     if (command == "decide" && pos.size() >= 3)
-      return cmd_decide(n, std::strtoull(pos[2], nullptr, 10), equality);
+      return cmd_decide(n, parse_unsigned(pos[2], "<m>"), equality);
     if (command == "window" && pos.size() >= 4)
-      return cmd_window(static_cast<std::uint32_t>(std::atoi(pos[1])),
-                        static_cast<std::uint32_t>(std::atoi(pos[2])),
-                        std::strtoull(pos[3], nullptr, 10));
+      return cmd_window(
+          static_cast<std::uint32_t>(parse_unsigned(pos[1], "<lo>", kMaxU32)),
+          static_cast<std::uint32_t>(parse_unsigned(pos[2], "<hi>", kMaxU32)),
+          parse_unsigned(pos[3], "<m>"));
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
