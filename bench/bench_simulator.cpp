@@ -16,13 +16,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iterator>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
+#include "bench_host.hpp"
 #include "baselines/flock.hpp"
 #include "baselines/majority.hpp"
 #include "baselines/remainder.hpp"
@@ -173,36 +172,6 @@ ReportRow measure_fleet(const compile::ProtocolConversion& conv,
           static_cast<double>(stats.totals.meetings) / wall};
 }
 
-/// `text` as a JSON string literal.
-std::string json_string(std::string_view text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
-  }
-  return out + "\"";
-}
-
-/// The "host" object: the facts needed to read the rows.
-std::string host_json() {
-  std::string cpu_model = "unknown";
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  for (std::string line; std::getline(cpuinfo, line);)
-    if (line.rfind("model name", 0) == 0) {
-      const std::size_t colon = line.find(':');
-      if (colon != std::string::npos) {
-        cpu_model = line.substr(colon + 1);
-        cpu_model.erase(0, cpu_model.find_first_not_of(" \t"));
-      }
-      break;
-    }
-  return "{\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
-         ", \"cpu_model\": " + json_string(cpu_model) +
-         ", \"compiler\": " + json_string(PPDE_COMPILER) +
-         ", \"build_type\": " + json_string(PPDE_BUILD_TYPE) +
-         ", \"cxx_flags\": " + json_string(PPDE_CXX_FLAGS) + "}";
-}
-
 int write_json_report(const char* path, double budget_seconds) {
   const auto conv = czerner_n1();
 
@@ -243,7 +212,7 @@ int write_json_report(const char* path, double budget_seconds) {
     return 1;
   }
   std::fprintf(out, "{\n  \"bench_engine_v\": 5,\n  \"host\": %s,\n  \"rows\": [",
-               host_json().c_str());
+               bench::host_json().c_str());
   bool first = true;
   for (const ReportRow& row : rows) {
     std::fprintf(out,

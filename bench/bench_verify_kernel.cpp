@@ -6,11 +6,20 @@
 // explored nodes/edges at 1, 4 and 8 threads for a sweep of m_regs, plus
 // the largest m_regs that completes within the 8M-node budget. Feeds the
 // EXPERIMENTS.md verification-scale table.
+//
+// With --json[=path] the binary instead writes a machine-readable report
+// (default BENCH_verify.json, schema bench_verify_v 1) and exits: one row
+// per m_regs in {5, 6, 7} and thread count in {1, 2, 4}, with the
+// explored configurations and edges, wall time and the kernel's graph
+// store bytes, under the same "host" object as BENCH_engine.json.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <string>
+#include <string_view>
 
+#include "bench_host.hpp"
 #include "compile/lower.hpp"
 #include "compile/to_protocol.hpp"
 #include "czerner/construction.hpp"
@@ -117,6 +126,78 @@ BENCHMARK(BM_FrontierWithinBudget)
     ->Iterations(1)
     ->UseRealTime();
 
+int write_json_report(const char* path) {
+  const Workload& w = workload();
+  std::string rows;
+  for (const std::uint64_t m_regs : {5u, 6u, 7u}) {
+    const pp::Config initial = initial_for(w, m_regs);
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      pp::VerifierOptions options;
+      options.witness_mode = true;
+      options.max_configs = 8'000'000;
+      options.threads = threads;
+      const auto start = std::chrono::steady_clock::now();
+      const pp::VerificationResult result =
+          pp::Verifier(w.conv.protocol).verify(initial, options);
+      const double wall = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+      char row[256];
+      std::snprintf(row, sizeof row,
+                    "%s\n    {\"protocol\": \"czerner-n1-converted\", "
+                    "\"m_regs\": %llu, \"threads\": %u, \"configs\": %llu, "
+                    "\"edges\": %llu, \"wall_s\": %.3f, "
+                    "\"store_bytes\": %llu}",
+                    rows.empty() ? "" : ",",
+                    static_cast<unsigned long long>(m_regs), threads,
+                    static_cast<unsigned long long>(result.explored_configs),
+                    static_cast<unsigned long long>(result.explored_edges),
+                    wall,
+                    static_cast<unsigned long long>(result.store_bytes));
+      rows += row;
+      std::printf("m_regs=%llu threads=%u: %llu configs, %llu edges, "
+                  "%.2f s\n",
+                  static_cast<unsigned long long>(m_regs), threads,
+                  static_cast<unsigned long long>(result.explored_configs),
+                  static_cast<unsigned long long>(result.explored_edges),
+                  wall);
+    }
+  }
+  std::FILE* out = std::fopen(path, "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "bench_verify_kernel: cannot open %s for writing\n",
+                 path);
+    return 1;
+  }
+  std::fprintf(out, "{\n  \"bench_verify_v\": 1,\n  \"host\": %s,\n"
+               "  \"rows\": [%s\n  ]\n}\n",
+               bench::host_json().c_str(), rows.c_str());
+  std::fclose(out);
+  std::printf("bench_verify_kernel: wrote %s\n", path);
+  return 0;
+}
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // Strip our own flag before google-benchmark sees (and rejects) it.
+  const char* json_path = nullptr;
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--json") {
+      json_path = "BENCH_verify.json";
+    } else if (arg.rfind("--json=", 0) == 0) {
+      json_path = argv[i] + 7;
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  argc = kept;
+  if (json_path != nullptr) return write_json_report(json_path);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

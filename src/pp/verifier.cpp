@@ -13,15 +13,60 @@ namespace {
 using u32 = std::uint32_t;
 using u64 = std::uint64_t;
 
-// Sparse configuration encoding for the kernel: one word per occupied
-// state, (state << 32) | count, sorted by state. Much smaller than the
-// dense count vector for compiler-produced protocols, where only ~|F| + a
-// few register states are occupied out of hundreds.
+// Sparse configuration: one entry per occupied state, (state << 32) |
+// count, sorted by state. Much smaller than the dense count vector for
+// compiler-produced protocols, where only ~|F| + a few register states are
+// occupied out of hundreds. Expansion works on this form.
 constexpr u64 encode(State q, u32 count) {
   return (static_cast<u64>(q) << 32) | count;
 }
-constexpr State state_of(u64 word) { return static_cast<State>(word >> 32); }
-constexpr u32 count_of(u64 word) { return static_cast<u32>(word); }
+constexpr State state_of(u64 entry) { return static_cast<State>(entry >> 32); }
+constexpr u32 count_of(u64 entry) { return static_cast<u32>(entry); }
+
+/// The kernel's form of a sparse configuration. Each entry packs state and
+/// count into two `width`-bit fields; a word holds 64 / (2 * width)
+/// entries, the first in its high bits, and a short last word is padded
+/// with zero entries, which no occupied state produces (its count is at
+/// least 1). Width 16 halves the words whenever every state id and the
+/// population fit in 16 bits; width 32 is one entry per word and takes
+/// any input. Node ids follow merge order, so the width moves none.
+class Codec {
+ public:
+  Codec(std::size_t num_states, u64 population)
+      : width_(num_states <= 0x10000 && population <= 0xffff ? 16 : 32),
+        per_word_(32 / width_) {}
+
+  void pack(std::span<const u64> sparse, std::vector<u64>& words) const {
+    words.assign((sparse.size() + per_word_ - 1) / per_word_, 0);
+    for (std::size_t i = 0; i < sparse.size(); ++i) {
+      const u64 entry =
+          (static_cast<u64>(state_of(sparse[i])) << width_) |
+          count_of(sparse[i]);
+      words[i / per_word_] |= entry << shift(i % per_word_);
+    }
+  }
+
+  void unpack(std::span<const u64> words, std::vector<u64>& sparse) const {
+    sparse.clear();
+    const u64 field = (u64{1} << width_) - 1;
+    for (const u64 word : words) {
+      for (unsigned j = 0; j < per_word_; ++j) {
+        const u64 entry = word >> shift(j);
+        const u32 count = static_cast<u32>(entry & field);
+        if (count == 0) break;  // padding
+        sparse.push_back(
+            encode(static_cast<State>((entry >> width_) & field), count));
+      }
+    }
+  }
+
+ private:
+  /// Bit offset of the j-th entry of a word.
+  unsigned shift(unsigned j) const { return (per_word_ - 1 - j) * 2 * width_; }
+
+  unsigned width_;
+  unsigned per_word_;
+};
 
 std::vector<u64> to_sparse(const Config& config) {
   std::vector<u64> sparse;
@@ -32,7 +77,7 @@ std::vector<u64> to_sparse(const Config& config) {
 
 Config to_dense(std::span<const u64> sparse, std::size_t num_states) {
   Config config(num_states);
-  for (const u64 word : sparse) config.add(state_of(word), count_of(word));
+  for (const u64 entry : sparse) config.add(state_of(entry), count_of(entry));
   return config;
 }
 
@@ -40,11 +85,11 @@ Config to_dense(std::span<const u64> sparse, std::size_t num_states) {
 /// loop, the interner probe measured 5-8 % slower on the m_regs = 7
 /// frontier.
 [[gnu::noinline]] void emit_successor(verify::Emitter& emit,
-                                      std::span<const u64> sparse) {
-  emit.emit(sparse);
+                                      std::span<const u64> words) {
+  emit.emit(words);
 }
 
-/// Successor generator over sparse configurations: iterate over ordered
+/// Successor generator over packed configurations: iterate over ordered
 /// pairs of *present* states and apply each enabled transition. The pair
 /// (q, q) needs at least two agents in q. Meetings expand through the
 /// compiled pair table and opcode cells in candidate order (S26), touching
@@ -53,11 +98,12 @@ Config to_dense(std::span<const u64> sparse, std::size_t num_states) {
 /// Protocol::transitions_for at every thread count.
 class ConfigDomain {
  public:
-  explicit ConfigDomain(const Protocol& protocol)
-      : compiled_(protocol.compiled()) {}
+  ConfigDomain(const Protocol& protocol, const Codec& codec)
+      : compiled_(protocol.compiled()), codec_(codec) {}
 
-  void expand(std::span<const u64> sparse, verify::Emitter& emit) const {
-    std::vector<u64> scratch;
+  void expand(std::span<const u64> packed, verify::Emitter& emit) const {
+    std::vector<u64> sparse, scratch, words;
+    codec_.unpack(packed, sparse);
     for (const u64 word_q : sparse) {
       const State q = state_of(word_q);
       for (const u64 word_r : sparse) {
@@ -86,7 +132,8 @@ class ConfigDomain {
                   },
                   [] { /* swap leaves the counts unchanged: self-loop */ },
                   [](std::int32_t) {}));
-          emit_successor(emit, scratch);
+          codec_.pack(scratch, words);
+          emit_successor(emit, words);
         }
       }
     }
@@ -110,6 +157,7 @@ class ConfigDomain {
   }
 
   const isa::CompiledProtocol& compiled_;
+  const Codec& codec_;
 };
 
 /// Outputs of a sparse configuration, mirroring Config::output; in witness
@@ -119,8 +167,8 @@ verify::NodeOutput sparse_output(const Protocol& protocol,
                                  bool witness_mode) {
   bool any_accepting = false;
   bool any_rejecting = false;
-  for (const u64 word : sparse) {
-    (protocol.is_accepting(state_of(word)) ? any_accepting : any_rejecting) =
+  for (const u64 entry : sparse) {
+    (protocol.is_accepting(state_of(entry)) ? any_accepting : any_rejecting) =
         true;
     if (!witness_mode && any_accepting && any_rejecting)
       return verify::NodeOutput::kMixed;
@@ -137,24 +185,28 @@ VerificationResult verify_on(const Protocol& protocol, const Config& initial,
   kernel_options.max_bytes = options.max_bytes;
   kernel_options.threads = options.threads;
 
-  const ConfigDomain domain(protocol);
+  const Codec codec(protocol.num_states(), initial.total());
+  const ConfigDomain domain(protocol, codec);
   verify::Kernel<ConfigDomain> kernel(domain, kernel_options);
-  const std::vector<std::vector<u64>> roots = {to_sparse(initial)};
+  std::vector<std::vector<u64>> roots(1);
+  codec.pack(to_sparse(initial), roots[0]);
   const verify::KernelStats& stats = kernel.run(roots);
 
   VerificationResult result;
   result.explored_configs = stats.nodes;
   result.explored_edges = stats.edges;
+  result.store_bytes = stats.bytes;
   if (!stats.complete) {
     result.verdict = VerificationResult::Verdict::kResourceLimit;
     return result;
   }
 
   const verify::SccAnalysis analysis = kernel.analyse();
+  std::vector<u64> sparse;
   const verify::ConsensusReport report = verify::classify_bottom(
       analysis, kernel.num_nodes(), [&](u32 id) {
-        return sparse_output(protocol, kernel.state(id),
-                             options.witness_mode);
+        codec.unpack(kernel.state(id), sparse);
+        return sparse_output(protocol, sparse, options.witness_mode);
       });
   result.num_sccs = report.num_sccs;
   result.num_bottom_sccs = report.num_bottom_sccs;
@@ -162,8 +214,8 @@ VerificationResult verify_on(const Protocol& protocol, const Config& initial,
   using Verdict = VerificationResult::Verdict;
   if (report.aggregate_true && report.aggregate_false) {
     result.verdict = Verdict::kDoesNotStabilise;
-    result.counterexample =
-        to_dense(kernel.state(*report.offending_node), protocol.num_states());
+    codec.unpack(kernel.state(*report.offending_node), sparse);
+    result.counterexample = to_dense(sparse, protocol.num_states());
   } else if (report.aggregate_true) {
     result.verdict = Verdict::kStabilisesTrue;
   } else {

@@ -33,8 +33,9 @@ struct VerifierOptions {
   bool witness_mode = false;
   /// Abort with kResourceLimit once this many edges are recorded.
   std::uint64_t max_edges = UINT64_MAX;
-  /// Abort with kResourceLimit once the configuration store exceeds this
-  /// many bytes.
+  /// Abort with kResourceLimit once the graph store (store_bytes below)
+  /// exceeds this many bytes. It is counted from the explored counts, so
+  /// the stop point is the same at every thread count.
   std::uint64_t max_bytes = UINT64_MAX;
   /// Worker threads for frontier expansion (0 = hardware concurrency).
   /// Results are identical at every thread count.
@@ -61,6 +62,10 @@ struct VerificationResult {
   std::uint64_t explored_edges = 0;
   std::uint64_t num_sccs = 0;
   std::uint64_t num_bottom_sccs = 0;
+  /// Bytes of the explored graph store: packed configurations, node
+  /// records, interner slots and the CSR successor graph (what
+  /// VerifierOptions::max_bytes bounds).
+  std::uint64_t store_bytes = 0;
   /// For kDoesNotStabilise: a configuration inside an offending bottom SCC.
   std::optional<Config> counterexample;
 

@@ -230,7 +230,12 @@ std::uint64_t bounded_u64(const Json& json, const char* key,
   return value;
 }
 
-constexpr std::uint64_t kMaxN = std::numeric_limits<int>::max();
+/// The largest construction a daemon or worker builds. Every query and
+/// batch builds the n conversion in each process that serves it, and the
+/// daemon builds it under the lock every query takes. Measured peak RSS
+/// of building it: 2.93 GB at n = 4, 5.1 GB at n = 5 and 15.4 GB (a
+/// whole 15 GB host) at n = 8.
+constexpr std::uint64_t kMaxN = 4;
 constexpr std::uint64_t kMaxExtra = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace

@@ -4,10 +4,9 @@
 
 namespace ppde::support {
 
-SccResult tarjan_scc(
-    const std::vector<std::vector<std::uint32_t>>& successors) {
+SccResult tarjan_scc(const CsrGraph& graph) {
   using u32 = std::uint32_t;
-  const u32 n = static_cast<u32>(successors.size());
+  const u32 n = graph.num_nodes();
   constexpr u32 kUnvisited = 0xffffffffu;
 
   SccResult result;
@@ -18,29 +17,29 @@ SccResult tarjan_scc(
   std::vector<u32> stack;
 
   struct Frame {
+    const u32* next;  ///< next unvisited successor of `node`
+    const u32* end;
     u32 node;
-    u32 child;
   };
   std::vector<Frame> call_stack;
   u32 next_index = 0;
+  const auto enter = [&](u32 node) {
+    index[node] = lowlink[node] = next_index++;
+    stack.push_back(node);
+    on_stack[node] = 1;
+    const std::span<const u32> succs = graph.successors(node);
+    call_stack.push_back({succs.data(), succs.data() + succs.size(), node});
+  };
 
   for (u32 root = 0; root < n; ++root) {
     if (index[root] != kUnvisited) continue;
-    call_stack.push_back({root, 0});
-    index[root] = lowlink[root] = next_index++;
-    stack.push_back(root);
-    on_stack[root] = 1;
-
+    enter(root);
     while (!call_stack.empty()) {
       Frame& frame = call_stack.back();
-      const auto& succs = successors[frame.node];
-      if (frame.child < succs.size()) {
-        const u32 next = succs[frame.child++];
+      if (frame.next != frame.end) {
+        const u32 next = *frame.next++;
         if (index[next] == kUnvisited) {
-          index[next] = lowlink[next] = next_index++;
-          stack.push_back(next);
-          on_stack[next] = 1;
-          call_stack.push_back({next, 0});
+          enter(next);  // may reallocate call_stack: `frame` is dead now
         } else if (on_stack[next]) {
           lowlink[frame.node] = std::min(lowlink[frame.node], index[next]);
         }
@@ -67,11 +66,10 @@ SccResult tarjan_scc(
   return result;
 }
 
-std::vector<std::uint8_t> SccResult::bottom(
-    const std::vector<std::vector<std::uint32_t>>& successors) const {
+std::vector<std::uint8_t> SccResult::bottom(const CsrGraph& graph) const {
   std::vector<std::uint8_t> is_bottom(scc_count, 1);
-  for (std::uint32_t v = 0; v < successors.size(); ++v)
-    for (std::uint32_t succ : successors[v])
+  for (std::uint32_t v = 0; v < graph.num_nodes(); ++v)
+    for (const std::uint32_t succ : graph.successors(v))
       if (scc_of[succ] != scc_of[v]) is_bottom[scc_of[v]] = 0;
   return is_bottom;
 }

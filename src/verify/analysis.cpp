@@ -2,22 +2,15 @@
 
 namespace ppde::verify {
 
-SccAnalysis analyse_sccs(
-    const std::vector<std::vector<std::uint32_t>>& successors,
-    const std::vector<std::uint32_t>& terminal_tags) {
+SccAnalysis analyse_sccs(const support::CsrGraph& graph,
+                         const std::vector<std::uint32_t>& terminal_tags) {
   SccAnalysis analysis;
-  analysis.scc = support::tarjan_scc(successors);
-  analysis.is_bottom.assign(analysis.scc.scc_count, 1);
-  for (std::uint32_t v = 0; v < successors.size(); ++v) {
-    if (!terminal_tags.empty() && terminal_tags[v] != kNoTerminal) {
-      // Terminal events are not stabilisation: their SCC is never bottom.
+  analysis.scc = support::tarjan_scc(graph);
+  analysis.is_bottom = analysis.scc.bottom(graph);
+  // Terminal events are not stabilisation: their SCC is never bottom.
+  for (std::uint32_t v = 0; v < terminal_tags.size(); ++v)
+    if (terminal_tags[v] != kNoTerminal)
       analysis.is_bottom[analysis.scc.scc_of[v]] = 0;
-      continue;
-    }
-    for (const std::uint32_t succ : successors[v])
-      if (analysis.scc.scc_of[succ] != analysis.scc.scc_of[v])
-        analysis.is_bottom[analysis.scc.scc_of[v]] = 0;
-  }
   return analysis;
 }
 

@@ -35,9 +35,8 @@ struct SccAnalysis {
 
 /// Tarjan + bottom flags. `terminal_tags` may be empty (no terminals) or
 /// one tag per node.
-SccAnalysis analyse_sccs(
-    const std::vector<std::vector<std::uint32_t>>& successors,
-    const std::vector<std::uint32_t>& terminal_tags);
+SccAnalysis analyse_sccs(const support::CsrGraph& graph,
+                         const std::vector<std::uint32_t>& terminal_tags);
 
 /// True iff some bottom SCC exists — at program level this is exactly
 /// "⊥ is possible": a fair run can avoid every terminal event forever.

@@ -1,6 +1,6 @@
 #include "verify/interner.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 namespace ppde::verify {
 
@@ -9,28 +9,25 @@ constexpr std::uint32_t kInitialSlots = 64;  // per shard, power of two
 }
 
 Interner::Interner() {
-  for (Shard& shard : shards_) shard.slots.assign(kInitialSlots, 0);
+  for (Shard& shard : shards_) shard.slots.resize(kInitialSlots);
+  slots_ = kNumShards * kInitialSlots;
 }
 
-bool Interner::equals(std::uint32_t id, std::span<const std::uint64_t> words,
-                      std::uint64_t hash) const {
-  if (hashes_[id] != hash) return false;
-  const Node& node = nodes_[id];
-  if (node.length != words.size()) return false;
-  return std::memcmp(arena_.data() + node.offset, words.data(),
-                     words.size() * sizeof(std::uint64_t)) == 0;
+bool Interner::equals(const Slot& slot, std::span<const std::uint64_t> words,
+                      std::uint32_t hash_lo) const {
+  return slot.hash_lo == hash_lo &&
+         std::ranges::equal(state(slot.id_plus_one - 1), words);
 }
 
 std::uint32_t Interner::find(std::span<const std::uint64_t> words,
                              std::uint64_t hash) const {
-  const Shard& shard = shard_of(hash);
-  const std::uint32_t mask =
-      static_cast<std::uint32_t>(shard.slots.size()) - 1;
-  for (std::uint32_t slot = static_cast<std::uint32_t>(hash) & mask;;
-       slot = (slot + 1) & mask) {
-    const std::uint32_t entry = shard.slots[slot];
-    if (entry == 0) return kNotFound;
-    if (equals(entry - 1, words, hash)) return entry - 1;
+  const std::vector<Slot>& slots = shard_of(hash).slots;
+  const std::uint32_t hash_lo = static_cast<std::uint32_t>(hash);
+  const std::uint32_t mask = static_cast<std::uint32_t>(slots.size()) - 1;
+  for (std::uint32_t slot = hash_lo & mask;; slot = (slot + 1) & mask) {
+    if (slots[slot].id_plus_one == 0) return kNotFound;
+    if (equals(slots[slot], words, hash_lo))
+      return slots[slot].id_plus_one - 1;
   }
 }
 
@@ -38,45 +35,30 @@ std::pair<std::uint32_t, bool> Interner::intern(
     std::span<const std::uint64_t> words, std::uint64_t hash) {
   Shard& shard = shard_of(hash);
   if ((shard.count + 1) * 4 >= shard.slots.size() * 3) grow(shard);
-  const std::uint32_t mask =
-      static_cast<std::uint32_t>(shard.slots.size()) - 1;
-  std::uint32_t slot = static_cast<std::uint32_t>(hash) & mask;
-  for (; shard.slots[slot] != 0; slot = (slot + 1) & mask) {
-    const std::uint32_t id = shard.slots[slot] - 1;
-    if (equals(id, words, hash)) return {id, false};
-  }
-  const std::uint32_t id = static_cast<std::uint32_t>(nodes_.size());
-  Node node;
-  node.offset = arena_.size();
-  node.length = static_cast<std::uint32_t>(words.size());
-  arena_.insert(arena_.end(), words.begin(), words.end());
-  nodes_.push_back(node);
-  hashes_.push_back(hash);
-  shard.slots[slot] = id + 1;
+  const std::uint32_t hash_lo = static_cast<std::uint32_t>(hash);
+  const std::uint32_t mask = static_cast<std::uint32_t>(shard.slots.size()) - 1;
+  std::uint32_t slot = hash_lo & mask;
+  for (; shard.slots[slot].id_plus_one != 0; slot = (slot + 1) & mask)
+    if (equals(shard.slots[slot], words, hash_lo))
+      return {shard.slots[slot].id_plus_one - 1, false};
+  const std::uint32_t id = size();
+  nodes_.push_back(arena_.append(words));
+  shard.slots[slot] = {id + 1, hash_lo};
   ++shard.count;
   return {id, true};
 }
 
 void Interner::grow(Shard& shard) {
-  std::vector<std::uint32_t> old_slots(shard.slots.size() * 2, 0);
-  old_slots.swap(shard.slots);
-  const std::uint32_t mask =
-      static_cast<std::uint32_t>(shard.slots.size()) - 1;
-  for (const std::uint32_t entry : old_slots) {
-    if (entry == 0) continue;
-    std::uint32_t slot = static_cast<std::uint32_t>(hashes_[entry - 1]) & mask;
-    while (shard.slots[slot] != 0) slot = (slot + 1) & mask;
+  std::vector<Slot> old(shard.slots.size() * 2);
+  old.swap(shard.slots);
+  slots_ += old.size();
+  const std::uint32_t mask = static_cast<std::uint32_t>(shard.slots.size()) - 1;
+  for (const Slot& entry : old) {
+    if (entry.id_plus_one == 0) continue;
+    std::uint32_t slot = entry.hash_lo & mask;
+    while (shard.slots[slot].id_plus_one != 0) slot = (slot + 1) & mask;
     shard.slots[slot] = entry;
   }
-}
-
-std::uint64_t Interner::bytes() const {
-  std::uint64_t total = arena_.capacity() * sizeof(std::uint64_t) +
-                        nodes_.capacity() * sizeof(Node) +
-                        hashes_.capacity() * sizeof(std::uint64_t);
-  for (const Shard& shard : shards_)
-    total += shard.slots.capacity() * sizeof(std::uint32_t);
-  return total;
 }
 
 }  // namespace ppde::verify

@@ -1,13 +1,13 @@
-// Arena-backed sharded state interner for the verification kernel (S22).
+// Sharded state interner for the verification kernel (S22).
 //
 // Every exhaustive explorer in this library maps variable-length encoded
-// states (sparse protocol configurations, program nodes, machine nodes —
-// all sequences of u64 words) to dense u32 node ids. The previous
-// per-layer `unordered_map<vector, u32>` interners paid one heap
-// allocation plus ~48 bytes of map-node overhead per state; this interner
-// stores all state words back to back in one growing arena and keeps only
-// (offset, length, hash) per node, with open-addressing id tables sharded
-// by the high hash bits.
+// states (packed protocol configurations, program nodes, machine nodes —
+// all sequences of u64 words) to dense u32 node ids. States live back to
+// back in an append-only chunked arena (support/chunked.hpp) that never
+// moves, and each node keeps one 8-byte arena handle. Ids are found
+// through open-addressing tables sharded by the top hash bits; a slot
+// holds the id and the low 32 hash bits, so neither a probe nor a table
+// growth reads anything but the slot until a hash matches.
 //
 // Concurrency contract (what the kernel's wave discipline relies on):
 //   * intern() must only be called from one thread at a time (the kernel
@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "support/chunked.hpp"
 #include "support/hash.hpp"
 
 namespace ppde::verify {
@@ -45,11 +46,9 @@ class Interner {
     return static_cast<std::uint32_t>(nodes_.size());
   }
 
-  /// The stored words of node `id`. Spans stay valid until the next
-  /// intern() call (the arena may grow).
+  /// The stored words of node `id`; valid for the interner's lifetime.
   std::span<const std::uint64_t> state(std::uint32_t id) const {
-    const Node& node = nodes_[id];
-    return {arena_.data() + node.offset, node.length};
+    return arena_.view(nodes_[id]);
   }
 
   /// Id of `words` if already interned, else kNotFound. Read-only.
@@ -60,17 +59,20 @@ class Interner {
   std::pair<std::uint32_t, bool> intern(std::span<const std::uint64_t> words,
                                         std::uint64_t hash);
 
-  /// Approximate heap footprint in bytes (arena + node table + shards).
-  std::uint64_t bytes() const;
+  /// Bytes of the live store: arena words, node handles and shard slots.
+  /// A pure function of the interned states, never of allocation history.
+  std::uint64_t bytes() const {
+    return (arena_.size() + nodes_.size() + slots_) * sizeof(std::uint64_t);
+  }
 
  private:
-  struct Node {
-    std::uint64_t offset = 0;
-    std::uint32_t length = 0;
+  struct Slot {
+    std::uint32_t id_plus_one = 0;  ///< 0 = empty
+    std::uint32_t hash_lo = 0;
   };
   struct Shard {
-    /// Open addressing, linear probing; slot holds id + 1, 0 = empty.
-    std::vector<std::uint32_t> slots;
+    /// Open addressing, linear probing from the low hash bits.
+    std::vector<Slot> slots;
     std::uint32_t count = 0;
   };
   static constexpr unsigned kShardBits = 4;
@@ -82,14 +84,14 @@ class Interner {
   const Shard& shard_of(std::uint64_t hash) const {
     return shards_[hash >> (64 - kShardBits)];
   }
-  bool equals(std::uint32_t id, std::span<const std::uint64_t> words,
-              std::uint64_t hash) const;
+  bool equals(const Slot& slot, std::span<const std::uint64_t> words,
+              std::uint32_t hash_lo) const;
   void grow(Shard& shard);
 
-  std::vector<std::uint64_t> arena_;
-  std::vector<Node> nodes_;
-  std::vector<std::uint64_t> hashes_;  ///< per node, for probe & resize
+  support::ChunkedArray<std::uint64_t> arena_;
+  std::vector<std::uint64_t> nodes_;  ///< arena handle per id
   Shard shards_[kNumShards];
+  std::uint64_t slots_ = 0;  ///< over all shards
 };
 
 }  // namespace ppde::verify

@@ -18,18 +18,24 @@
 // Determinism scheme (the S21 seed-derivation discipline, transposed to
 // search): exploration proceeds in BFS waves. Each wave expands a chunk of
 // frontier nodes *in parallel* — expansion only reads the frozen interner
-// and writes to a per-node buffer slot, so the buffers' contents are a
-// pure function of the node, never of the executing thread. Node ids are
-// then assigned by a *sequential* merge pass that walks the wave in node
-// order and interns each buffered successor in emission order. The
-// resulting id assignment, successor lists, edge counts and budget
-// trigger points are bit-identical at every thread count — and identical
-// to the classic sequential BFS (expand node 0, intern its successors,
-// expand node 1, ...) that the three pre-kernel explorers implemented.
+// and writes to a per-node buffer slot, where a successor already interned
+// is resolved to its id and a new one is kept once however often the node
+// emits it. The buffers' contents are thus a pure function of the node,
+// never of the executing thread. Node ids are then assigned by a
+// *sequential* merge pass that walks the wave in node order and interns
+// each buffered successor in emission order. The resulting id assignment,
+// successor lists, edge counts and budget trigger points are
+// bit-identical at every thread count — and identical to the classic
+// sequential BFS (expand node 0, intern its successors, expand node 1,
+// ...) that the three pre-kernel explorers implemented.
 //
-// Budgets are explicit (nodes, edges, interner bytes); when one is hit
-// the kernel stops expanding and reports a *partial* result — the stats
-// carry what was explored and which budget tripped, instead of an empty
+// Storage: the interner's arena and the CSR graph's id store are
+// append-only chunked arrays (support/chunked.hpp), so nothing is copied
+// as the graph grows and spans into them stay valid.
+//
+// Budgets are explicit (nodes, edges, store bytes); when one is hit the
+// kernel stops expanding and reports a *partial* result — the stats carry
+// what was explored and which budget tripped, instead of an empty
 // "resource limit" verdict.
 #pragma once
 
@@ -50,7 +56,9 @@ namespace ppde::verify {
 struct KernelOptions {
   std::uint64_t max_nodes = 2'000'000;
   std::uint64_t max_edges = UINT64_MAX;
-  std::uint64_t max_bytes = UINT64_MAX;  ///< interner footprint budget
+  /// Budget on the live graph store: arena words, node records, interner
+  /// slots and the CSR graph (the `bytes` stat).
+  std::uint64_t max_bytes = UINT64_MAX;
   /// Worker threads (including the caller); 0 = hardware concurrency.
   unsigned threads = 1;
   /// Frontier nodes expanded per parallel wave.
@@ -73,29 +81,23 @@ struct KernelStats {
 class Emitter {
  public:
   /// Record a successor state. Already-interned states are resolved to
-  /// their id immediately (read-only probe of the frozen interner); new
-  /// states are buffered for the sequential merge pass.
+  /// their id immediately (read-only probe of the frozen interner); a new
+  /// state is buffered for the merge unless this node already emitted it.
   void emit(std::span<const std::uint64_t> words) {
-    Entry entry;
-    entry.hash = hash_words(words);
-    const std::uint32_t id = interner_->find(words, entry.hash);
+    const std::uint64_t hash = hash_words(words);
+    const std::uint32_t id = interner_->find(words, hash);
     if (id != Interner::kNotFound) {
-      entry.kind = id;
-    } else {
-      entry.kind = kUnresolved;
-      entry.offset = static_cast<std::uint32_t>(words_.size());
-      entry.length = static_cast<std::uint32_t>(words.size());
-      words_.insert(words_.end(), words.begin(), words.end());
+      found_.push_back(id);
+      return;
     }
-    entries_.push_back(entry);
+    if (repeats(words, hash)) return;
+    entries_.push_back({static_cast<std::uint32_t>(words_.size()),
+                        static_cast<std::uint32_t>(words.size()), hash});
+    words_.insert(words_.end(), words.begin(), words.end());
   }
 
   /// Record a self-loop on the node being expanded.
-  void emit_self() {
-    Entry entry;
-    entry.kind = kSelf;
-    entries_.push_back(entry);
-  }
+  void emit_self() { self_ = true; }
 
   /// Mark the node a terminal event (excluded from bottom SCCs).
   void set_terminal(std::uint32_t tag) { terminal_ = tag; }
@@ -105,24 +107,71 @@ class Emitter {
   friend class Kernel;
 
   struct Entry {
-    std::uint32_t kind = 0;  ///< node id, kUnresolved, or kSelf
-    std::uint32_t offset = 0;
+    std::uint32_t offset = 0;  ///< into words_
     std::uint32_t length = 0;
     std::uint64_t hash = 0;
   };
-  static constexpr std::uint32_t kUnresolved = 0xffffffffu;
-  static constexpr std::uint32_t kSelf = 0xfffffffeu;
+  /// One slot of the repeat table: an entry index, valid only while
+  /// `generation` is the current node's.
+  struct Seen {
+    std::uint32_t generation = 0;
+    std::uint32_t entry = 0;
+  };
 
   void reset(const Interner* interner) {
     interner_ = interner;
+    found_.clear();
     entries_.clear();
     words_.clear();
+    self_ = false;
     terminal_ = kNoTerminal;
+    if (++generation_ == 0) {  // wrapped: stale slots could look current
+      std::fill(seen_.begin(), seen_.end(), Seen{});
+      generation_ = 1;
+    }
+  }
+
+  std::span<const std::uint64_t> words_of(const Entry& entry) const {
+    return {words_.data() + entry.offset, entry.length};
+  }
+
+  /// True iff this node already emitted `words`; otherwise records it as
+  /// the entry about to be appended. Expected O(1): the table is keyed by
+  /// the hash and stays at most half full.
+  bool repeats(std::span<const std::uint64_t> words, std::uint64_t hash) {
+    if ((entries_.size() + 1) * 2 > seen_.size()) {
+      seen_.assign(std::max<std::size_t>(16, seen_.size() * 2), Seen{});
+      for (std::uint32_t e = 0; e < entries_.size(); ++e)
+        *free_slot(entries_[e].hash) = {generation_, e};
+    }
+    const std::size_t mask = seen_.size() - 1;
+    for (std::size_t slot = hash & mask;; slot = (slot + 1) & mask) {
+      Seen& seen = seen_[slot];
+      if (seen.generation != generation_) {
+        seen = {generation_, static_cast<std::uint32_t>(entries_.size())};
+        return false;
+      }
+      const Entry& entry = entries_[seen.entry];
+      if (entry.hash == hash && std::ranges::equal(words_of(entry), words))
+        return true;
+    }
+  }
+
+  /// First slot of `hash`'s probe sequence not used by this node.
+  Seen* free_slot(std::uint64_t hash) {
+    const std::size_t mask = seen_.size() - 1;
+    std::size_t slot = hash & mask;
+    while (seen_[slot].generation == generation_) slot = (slot + 1) & mask;
+    return &seen_[slot];
   }
 
   const Interner* interner_ = nullptr;
-  std::vector<Entry> entries_;
-  std::vector<std::uint64_t> words_;
+  std::vector<std::uint32_t> found_;  ///< ids resolved at emission
+  std::vector<Entry> entries_;        ///< new states, no two equal
+  std::vector<std::uint64_t> words_;  ///< of the entries
+  std::vector<Seen> seen_;
+  std::uint32_t generation_ = 0;
+  bool self_ = false;
   std::uint32_t terminal_ = kNoTerminal;
 };
 
@@ -138,8 +187,6 @@ class Kernel {
     obs::ObsSpan run_span("kernel_run", "verify");
     for (const std::vector<std::uint64_t>& root : roots)
       interner_.intern(root, hash_words(root));
-    successors_.resize(interner_.size());
-    terminal_tags_.resize(interner_.size(), kNoTerminal);
 
     const unsigned threads =
         options_.threads != 0
@@ -159,10 +206,10 @@ class Kernel {
     obs::Gauge& frontier_gauge = registry.gauge("verify.frontier");
     obs::Gauge& bytes_gauge = registry.gauge("verify.interner_bytes");
     obs::Histogram& wave_micros = registry.histogram("verify.wave_micros");
-    std::uint32_t next = 0;
     std::vector<std::uint32_t> succs;
-    while (next < interner_.size() && stats_.limit == LimitKind::kNone) {
-      const std::uint32_t wave_start = next;
+    while (graph_.num_nodes() < interner_.size() &&
+           stats_.limit == LimitKind::kNone) {
+      const std::uint32_t wave_start = graph_.num_nodes();
       const std::uint32_t wave = std::min<std::uint32_t>(
           interner_.size() - wave_start,
           static_cast<std::uint32_t>(buffers.size()));
@@ -181,71 +228,63 @@ class Kernel {
         });
       }
       // Sequential merge: assign ids in node order, emission order.
+      obs::ObsSpan merge_span("merge", "verify");
       for (std::uint32_t i = 0; i < wave; ++i) {
         const std::uint32_t id = wave_start + i;
         if (interner_.size() > options_.max_nodes) {
           stats_.limit = LimitKind::kNodes;
           break;
         }
-        Emitter& buffer = buffers[i];
-        terminal_tags_[id] = buffer.terminal_;
-        succs.clear();
-        for (const Emitter::Entry& entry : buffer.entries_) {
-          std::uint32_t succ;
-          if (entry.kind == Emitter::kSelf) {
-            succ = id;
-          } else if (entry.kind == Emitter::kUnresolved) {
-            succ = interner_
-                       .intern({buffer.words_.data() + entry.offset,
-                                entry.length},
-                               entry.hash)
-                       .first;
-          } else {
-            succ = entry.kind;
-          }
-          succs.push_back(succ);
-        }
+        const Emitter& buffer = buffers[i];
+        terminal_tags_.push_back(buffer.terminal_);
+        succs.assign(buffer.found_.begin(), buffer.found_.end());
+        if (buffer.self_) succs.push_back(id);
+        for (const Emitter::Entry& entry : buffer.entries_)
+          succs.push_back(
+              interner_.intern(buffer.words_of(entry), entry.hash).first);
         std::sort(succs.begin(), succs.end());
         succs.erase(std::unique(succs.begin(), succs.end()), succs.end());
-        stats_.edges += succs.size();
-        successors_[id] = succs;
-        if (stats_.edges > options_.max_edges) {
+        graph_.append(succs);
+        if (graph_.num_edges() > options_.max_edges) {
           stats_.limit = LimitKind::kEdges;
           break;
         }
-        if (interner_.bytes() > options_.max_bytes) {
+        if (bytes() > options_.max_bytes) {
           stats_.limit = LimitKind::kBytes;
           break;
         }
-        ++next;
       }
-      successors_.resize(interner_.size());
-      terminal_tags_.resize(interner_.size(), kNoTerminal);
       ++stats_.waves;
       nodes_gauge.set(static_cast<double>(interner_.size()));
-      edges_gauge.set(static_cast<double>(stats_.edges));
-      frontier_gauge.set(static_cast<double>(interner_.size() - next));
-      bytes_gauge.set(static_cast<double>(interner_.bytes()));
+      edges_gauge.set(static_cast<double>(graph_.num_edges()));
+      frontier_gauge.set(
+          static_cast<double>(interner_.size() - graph_.num_nodes()));
+      bytes_gauge.set(static_cast<double>(bytes()));
       wave_micros.record((obs::now_ns() - wave_begin_ns) / 1000);
       obs::trace_counter("verify.interner_bytes",
-                         static_cast<double>(interner_.bytes()));
+                         static_cast<double>(bytes()));
+    }
+    // Nodes left unexpanded by a budget stop have no successors.
+    while (graph_.num_nodes() < interner_.size()) {
+      graph_.append({});
+      terminal_tags_.push_back(kNoTerminal);
     }
 
     stats_.nodes = interner_.size();
-    stats_.bytes = interner_.bytes();
+    stats_.edges = graph_.num_edges();
+    stats_.bytes = bytes();
     stats_.complete = stats_.limit == LimitKind::kNone;
     return stats_;
   }
 
   std::uint32_t num_nodes() const { return interner_.size(); }
+  /// Valid for the kernel's lifetime.
   std::span<const std::uint64_t> state(std::uint32_t id) const {
     return interner_.state(id);
   }
-  const std::vector<std::vector<std::uint32_t>>& successors() const {
-    return successors_;
-  }
-  const std::vector<std::uint32_t>& terminal_tags() const {
-    return terminal_tags_;
+  /// Sorted, without repeats; valid for the kernel's lifetime.
+  std::span<const std::uint32_t> successors(std::uint32_t id) const {
+    return graph_.successors(id);
   }
   std::uint32_t terminal_tag(std::uint32_t id) const {
     return terminal_tags_[id];
@@ -253,15 +292,24 @@ class Kernel {
   const KernelStats& stats() const { return stats_; }
 
   /// Tarjan + bottom-SCC flags over the explored graph.
-  SccAnalysis analyse() const {
-    return analyse_sccs(successors_, terminal_tags_);
-  }
+  SccAnalysis analyse() const { return analyse_sccs(graph_, terminal_tags_); }
 
  private:
+  /// Bytes of the live graph store: the interner's, one CSR offset and
+  /// one terminal tag per expanded node, and one id per edge. A pure
+  /// function of the counts, so a byte budget stops at the same node at
+  /// every thread count.
+  std::uint64_t bytes() const {
+    return interner_.bytes() +
+           graph_.num_nodes() *
+               (sizeof(std::uint64_t) + sizeof(std::uint32_t)) +
+           graph_.num_edges() * sizeof(std::uint32_t);
+  }
+
   const Domain& domain_;
   KernelOptions options_;
   Interner interner_;
-  std::vector<std::vector<std::uint32_t>> successors_;
+  support::CsrGraph graph_;
   std::vector<std::uint32_t> terminal_tags_;
   KernelStats stats_;
 };

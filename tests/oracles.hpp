@@ -14,6 +14,9 @@
 //                     prefix scans, responder walk over all partners.
 //   oracle_certify    smc::certify with every trial run on the two
 //                     oracles above.
+//   tarjan_scc        Tarjan over one successor vector per node, the
+//                     store the kernel kept before its CSR graph
+//                     (support::tarjan_scc).
 //   oracle_verify     the sequential explorer the verification kernel
 //                     replaced (pp::Verifier).
 #pragma once
@@ -40,7 +43,6 @@
 #include "sched/scheduler.hpp"
 #include "smc/certify.hpp"
 #include "support/rng.hpp"
-#include "support/scc.hpp"
 
 namespace ppde::oracle {
 
@@ -508,6 +510,85 @@ inline smc::Certificate oracle_certify(const pp::Protocol& protocol,
   return cert;
 }
 
+/// SCCs of a graph given as one successor vector per node, in the same
+/// numbering as support::tarjan_scc: dense indices in reverse topological
+/// order of the condensation.
+struct SccResult {
+  std::vector<std::uint32_t> scc_of;
+  std::uint32_t scc_count = 0;
+  /// Per SCC: no edge leaves it.
+  std::vector<std::uint8_t> is_bottom;
+};
+
+/// Iterative Tarjan over `successors` (nodes 0..successors.size()-1).
+inline SccResult tarjan_scc(
+    const std::vector<std::vector<std::uint32_t>>& successors) {
+  using u32 = std::uint32_t;
+  const u32 n = static_cast<u32>(successors.size());
+  constexpr u32 kUnvisited = 0xffffffffu;
+
+  SccResult result;
+  result.scc_of.assign(n, kUnvisited);
+  std::vector<u32> index(n, kUnvisited);
+  std::vector<u32> lowlink(n, 0);
+  std::vector<std::uint8_t> on_stack(n, 0);
+  std::vector<u32> stack;
+
+  struct Frame {
+    u32 node;
+    u32 child;
+  };
+  std::vector<Frame> call_stack;
+  u32 next_index = 0;
+
+  for (u32 root = 0; root < n; ++root) {
+    if (index[root] != kUnvisited) continue;
+    call_stack.push_back({root, 0});
+    index[root] = lowlink[root] = next_index++;
+    stack.push_back(root);
+    on_stack[root] = 1;
+
+    while (!call_stack.empty()) {
+      Frame& frame = call_stack.back();
+      const auto& succs = successors[frame.node];
+      if (frame.child < succs.size()) {
+        const u32 next = succs[frame.child++];
+        if (index[next] == kUnvisited) {
+          index[next] = lowlink[next] = next_index++;
+          stack.push_back(next);
+          on_stack[next] = 1;
+          call_stack.push_back({next, 0});
+        } else if (on_stack[next]) {
+          lowlink[frame.node] = std::min(lowlink[frame.node], index[next]);
+        }
+      } else {
+        const u32 node = frame.node;
+        call_stack.pop_back();
+        if (!call_stack.empty()) {
+          const u32 parent = call_stack.back().node;
+          lowlink[parent] = std::min(lowlink[parent], lowlink[node]);
+        }
+        if (lowlink[node] == index[node]) {
+          while (true) {
+            const u32 member = stack.back();
+            stack.pop_back();
+            on_stack[member] = 0;
+            result.scc_of[member] = result.scc_count;
+            if (member == node) break;
+          }
+          ++result.scc_count;
+        }
+      }
+    }
+  }
+  result.is_bottom.assign(result.scc_count, 1);
+  for (u32 v = 0; v < n; ++v)
+    for (const u32 succ : successors[v])
+      if (result.scc_of[succ] != result.scc_of[v])
+        result.is_bottom[result.scc_of[v]] = 0;
+  return result;
+}
+
 struct VerifyResult {
   pp::VerificationResult::Verdict verdict =
       pp::VerificationResult::Verdict::kResourceLimit;
@@ -580,8 +661,8 @@ inline VerifyResult oracle_verify(const pp::Protocol& protocol,
   }
   result.nodes = nodes.size();
 
-  const support::SccResult scc = support::tarjan_scc(successors);
-  const std::vector<std::uint8_t> is_bottom = scc.bottom(successors);
+  const SccResult scc = tarjan_scc(successors);
+  const std::vector<std::uint8_t>& is_bottom = scc.is_bottom;
   result.num_sccs = scc.scc_count;
   bool aggregate_true = false, aggregate_false = false;
   std::optional<u32> offending;

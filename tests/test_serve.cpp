@@ -419,8 +419,9 @@ TEST(Proto, QueryRejectsRemovedDispatchAndIgnoresBatch) {
 }
 
 TEST(Proto, DecodersRefuseOutOfRangeNAndExtra) {
-  // n is an int and extra a u32: a larger value is refused, never
-  // narrowed (n = 2^32 + 1 used to be admitted as the n = 1 construction).
+  // n is at most 4 (the largest construction a process builds in a few
+  // GB) and extra a u32: a larger value is refused, never narrowed (n =
+  // 2^32 + 1 used to be admitted as the n = 1 construction).
   const auto refused = [](const auto& decode, const char* frame,
                           const char* field) {
     try {
@@ -440,21 +441,24 @@ TEST(Proto, DecodersRefuseOutOfRangeNAndExtra) {
   refused(query, R"({"req":"certify","n":1,"extra":4294967296})", "extra = ");
   refused(batch, R"({"op":"batch","n":4294967297,"extra":2})", "n = ");
   refused(batch, R"({"op":"batch","n":1,"extra":4294967296})", "extra = ");
-  // The largest representable values still decode.
+  // n = 5 would build a 5 GB conversion in every process that serves it.
+  refused(query, R"({"req":"certify","n":5,"extra":2})", "n = ");
+  refused(batch, R"({"op":"batch","n":5,"extra":2})", "n = ");
+  // The largest admitted values still decode.
   const QueryParams largest = parse_query(
-      Json::parse(R"({"req":"certify","n":2147483647,"extra":4294967295})"));
-  EXPECT_EQ(largest.n, 2147483647);
+      Json::parse(R"({"req":"certify","n":4,"extra":4294967295})"));
+  EXPECT_EQ(largest.n, 4);
   EXPECT_EQ(largest.extra, 4294967295u);
   const BatchRequest request = parse_batch_request(
-      Json::parse(R"({"op":"batch","n":2147483647,"extra":4294967295})"));
-  EXPECT_EQ(request.n, 2147483647);
+      Json::parse(R"({"op":"batch","n":4,"extra":4294967295})"));
+  EXPECT_EQ(request.n, 4);
   EXPECT_EQ(request.extra, 4294967295u);
 }
 
 TEST(Dispatch, ParseRejectsUnknown) {
   // One execution core remains: "bytecode" is accepted (older clients
   // send it), every other value — the removed "interp" included — is
-  // refused, by the wire decoder and the CLI alike.
+  // refused by the wire decoder. The CLI has no --dispatch flag at all.
   EXPECT_NO_THROW(check_dispatch("bytecode"));
   for (const char* text : {"interp", "fast", "", "Bytecode"})
     EXPECT_THROW(check_dispatch(text), std::runtime_error) << text;

@@ -109,15 +109,23 @@ TEST(Hash, RangeNoEasyCollisions) {
 
 // -- SCC -------------------------------------------------------------------------
 
+CsrGraph csr(const std::vector<std::vector<std::uint32_t>>& successors) {
+  CsrGraph graph;
+  for (const std::vector<std::uint32_t>& succs : successors)
+    graph.append(succs);
+  return graph;
+}
+
 TEST(Scc, SingleNodeNoEdge) {
-  const SccResult result = tarjan_scc({{}});
+  const CsrGraph g = csr({{}});
+  const SccResult result = tarjan_scc(g);
   EXPECT_EQ(result.scc_count, 1u);
-  EXPECT_EQ(result.bottom({{}}), std::vector<std::uint8_t>{1});
+  EXPECT_EQ(result.bottom(g), std::vector<std::uint8_t>{1});
 }
 
 TEST(Scc, ChainHasOneBottom) {
   // 0 -> 1 -> 2
-  const std::vector<std::vector<std::uint32_t>> g = {{1}, {2}, {}};
+  const CsrGraph g = csr({{1}, {2}, {}});
   const SccResult result = tarjan_scc(g);
   EXPECT_EQ(result.scc_count, 3u);
   const auto bottom = result.bottom(g);
@@ -130,8 +138,7 @@ TEST(Scc, ChainHasOneBottom) {
 
 TEST(Scc, CycleIsOneComponent) {
   // 0 -> 1 -> 2 -> 0
-  const std::vector<std::vector<std::uint32_t>> g = {{1}, {2}, {0}};
-  const SccResult result = tarjan_scc(g);
+  const SccResult result = tarjan_scc(csr({{1}, {2}, {0}}));
   EXPECT_EQ(result.scc_count, 1u);
   EXPECT_EQ(result.scc_of[0], result.scc_of[1]);
   EXPECT_EQ(result.scc_of[1], result.scc_of[2]);
@@ -139,8 +146,7 @@ TEST(Scc, CycleIsOneComponent) {
 
 TEST(Scc, TwoCyclesWithBridge) {
   // {0,1} -> {2,3}: only the second cycle is bottom.
-  const std::vector<std::vector<std::uint32_t>> g = {
-      {1}, {0, 2}, {3}, {2}};
+  const CsrGraph g = csr({{1}, {0, 2}, {3}, {2}});
   const SccResult result = tarjan_scc(g);
   EXPECT_EQ(result.scc_count, 2u);
   const auto bottom = result.bottom(g);
@@ -149,7 +155,7 @@ TEST(Scc, TwoCyclesWithBridge) {
 }
 
 TEST(Scc, SelfLoopIsItsOwnComponent) {
-  const std::vector<std::vector<std::uint32_t>> g = {{0}, {0}};
+  const CsrGraph g = csr({{0}, {0}});
   const SccResult result = tarjan_scc(g);
   EXPECT_EQ(result.scc_count, 2u);
   const auto bottom = result.bottom(g);
@@ -160,8 +166,12 @@ TEST(Scc, SelfLoopIsItsOwnComponent) {
 TEST(Scc, DeepChainNoStackOverflow) {
   // The iterative Tarjan must survive graphs far deeper than the C stack.
   constexpr std::uint32_t kDepth = 400'000;
-  std::vector<std::vector<std::uint32_t>> g(kDepth);
-  for (std::uint32_t i = 0; i + 1 < kDepth; ++i) g[i] = {i + 1};
+  CsrGraph g;
+  for (std::uint32_t i = 0; i + 1 < kDepth; ++i) {
+    const std::uint32_t next = i + 1;
+    g.append({&next, 1});
+  }
+  g.append({});
   const SccResult result = tarjan_scc(g);
   EXPECT_EQ(result.scc_count, kDepth);
 }

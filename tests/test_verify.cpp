@@ -9,8 +9,10 @@
 // SCC counts, same counterexample configuration — at every thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -24,6 +26,8 @@
 #include "progmodel/explore.hpp"
 #include "progmodel/flat.hpp"
 #include "progmodel/sample_programs.hpp"
+#include "support/rng.hpp"
+#include "support/scc.hpp"
 #include "verify/interner.hpp"
 #include "verify/kernel.hpp"
 #include "oracles.hpp"
@@ -109,6 +113,21 @@ TEST(Interner, SurvivesGrowthWithManyKeys) {
   EXPECT_GT(interner.bytes(), kKeys * 3 * sizeof(u64));
 }
 
+TEST(Interner, StateSpansSurviveLaterInterns) {
+  // The arena grows by new chunks, never by moving old words, so a span
+  // taken early still points at the same words after many more interns.
+  verify::Interner interner;
+  const std::vector<u64> first = {7, 8, 9};
+  interner.intern(first, verify::hash_words(first));
+  const std::span<const u64> early = interner.state(0);
+  for (u32 i = 0; i < 200'000; ++i) {
+    const std::vector<u64> key = {i, i + 1, i + 2, i + 3};
+    interner.intern(key, verify::hash_words(key));
+  }
+  EXPECT_EQ(interner.state(0).data(), early.data());
+  EXPECT_EQ(std::vector<u64>(early.begin(), early.end()), first);
+}
+
 TEST(Interner, DistinguishesLengths) {
   verify::Interner interner;
   const std::vector<u64> shorter = {5};
@@ -140,6 +159,18 @@ struct ToyDomain {
   }
 };
 
+/// The kernel's CSR as one successor vector per node.
+template <typename Domain>
+std::vector<std::vector<u32>> successor_lists(
+    const verify::Kernel<Domain>& kernel) {
+  std::vector<std::vector<u32>> lists;
+  for (u32 id = 0; id < kernel.num_nodes(); ++id) {
+    const std::span<const u32> succs = kernel.successors(id);
+    lists.emplace_back(succs.begin(), succs.end());
+  }
+  return lists;
+}
+
 TEST(Kernel, ExploresTheFullToyGraphIdenticallyAtEveryThreadCount) {
   std::vector<std::vector<std::vector<u32>>> all_successors;
   for (const unsigned threads : {1u, 3u, 8u}) {
@@ -153,10 +184,93 @@ TEST(Kernel, ExploresTheFullToyGraphIdenticallyAtEveryThreadCount) {
     EXPECT_TRUE(stats.complete);
     EXPECT_EQ(stats.limit, verify::LimitKind::kNone);
     EXPECT_EQ(stats.nodes, kernel.num_nodes());
-    all_successors.push_back(kernel.successors());
+    all_successors.push_back(successor_lists(kernel));
   }
   EXPECT_EQ(all_successors[0], all_successors[1]);
   EXPECT_EQ(all_successors[0], all_successors[2]);
+}
+
+/// Toy graph on {0..modulus-1} whose nodes emit repeats and self-loops:
+/// x -> x+1, 2x, x+1, x, 3x, 2x (mod modulus), except that a node with
+/// 13 | x reports its self-loop through emit_self() instead of emitting
+/// x. Nodes with x % 7 == 3 carry terminal tag x % 5 and still emit.
+struct RepeatDomain {
+  u64 modulus;
+
+  static std::vector<u64> targets(u64 x, u64 modulus) {
+    std::vector<u64> out = {(x + 1) % modulus, (2 * x) % modulus,
+                            (x + 1) % modulus, x,
+                            (3 * x) % modulus, (2 * x) % modulus};
+    if (x % 13 == 0) out.erase(out.begin() + 3);
+    return out;
+  }
+
+  void expand(std::span<const u64> state, verify::Emitter& emit) const {
+    const u64 x = state[0];
+    if (x % 7 == 3) emit.set_terminal(static_cast<u32>(x % 5));
+    for (const u64 y : targets(x, modulus)) {
+      const std::vector<u64> words = {y};
+      emit.emit(words);
+    }
+    if (x % 13 == 0) emit.emit_self();
+  }
+};
+
+/// What the kernel must reproduce: plain sequential BFS that interns each
+/// node's successors in emission order, then sorts and dedupes them.
+struct BfsReference {
+  std::vector<u64> states;
+  std::vector<std::vector<u32>> successors;
+  std::vector<u32> terminal_tags;
+};
+
+BfsReference bfs_reference(u64 modulus, u64 root) {
+  BfsReference ref;
+  std::map<u64, u32> ids;
+  const auto intern = [&](u64 x) {
+    const auto [it, inserted] =
+        ids.try_emplace(x, static_cast<u32>(ref.states.size()));
+    if (inserted) ref.states.push_back(x);
+    return it->second;
+  };
+  intern(root);
+  for (u32 id = 0; id < ref.states.size(); ++id) {
+    const u64 x = ref.states[id];
+    std::vector<u32> succs;
+    for (const u64 y : RepeatDomain::targets(x, modulus))
+      succs.push_back(intern(y));
+    if (x % 13 == 0) succs.push_back(id);
+    std::sort(succs.begin(), succs.end());
+    succs.erase(std::unique(succs.begin(), succs.end()), succs.end());
+    ref.successors.push_back(std::move(succs));
+    ref.terminal_tags.push_back(x % 7 == 3 ? static_cast<u32>(x % 5)
+                                           : verify::kNoTerminal);
+  }
+  return ref;
+}
+
+TEST(Kernel, RepeatsAndManyWavesMatchSequentialBfs) {
+  constexpr u64 kModulus = 5003;
+  const BfsReference ref = bfs_reference(kModulus, 1);
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    const RepeatDomain domain{kModulus};
+    verify::KernelOptions options;
+    options.threads = threads;
+    options.wave_chunk = 16;
+    verify::Kernel<RepeatDomain> kernel(domain, options);
+    const std::vector<std::vector<u64>> roots = {{1}};
+    const verify::KernelStats& stats = kernel.run(roots);
+    ASSERT_TRUE(stats.complete) << threads;
+    ASSERT_EQ(kernel.num_nodes(), ref.states.size()) << threads;
+    u64 edges = 0;
+    for (u32 id = 0; id < kernel.num_nodes(); ++id) {
+      ASSERT_EQ(kernel.state(id)[0], ref.states[id]) << threads;
+      EXPECT_EQ(kernel.terminal_tag(id), ref.terminal_tags[id]) << threads;
+      edges += ref.successors[id].size();
+    }
+    EXPECT_EQ(successor_lists(kernel), ref.successors) << threads;
+    EXPECT_EQ(stats.edges, edges) << threads;
+  }
 }
 
 TEST(Kernel, NodeBudgetReportsPartialStats) {
@@ -196,18 +310,44 @@ TEST(Kernel, ByteBudgetReportsPartialStats) {
 }
 
 TEST(Kernel, BudgetTripPointIsThreadCountIndependent) {
-  std::vector<u64> node_counts;
-  for (const unsigned threads : {1u, 4u}) {
-    const ToyDomain domain{100'000};
+  // Each budget stops at the same node, with the same stats and the same
+  // graph, at every thread count: the stop node is computed from counts
+  // alone, before any new state is stored.
+  struct Case {
+    verify::LimitKind limit;
     verify::KernelOptions options;
-    options.max_nodes = 700;
-    options.threads = threads;
-    options.wave_chunk = 32;
-    verify::Kernel<ToyDomain> kernel(domain, options);
-    const std::vector<std::vector<u64>> roots = {{1}};
-    node_counts.push_back(kernel.run(roots).nodes);
+  };
+  std::vector<Case> cases(3);
+  cases[0] = {verify::LimitKind::kNodes, {}};
+  cases[0].options.max_nodes = 700;
+  cases[1] = {verify::LimitKind::kEdges, {}};
+  cases[1].options.max_edges = 900;
+  cases[2] = {verify::LimitKind::kBytes, {}};
+  cases[2].options.max_bytes = 40'000;
+  for (Case& c : cases) {
+    std::vector<verify::KernelStats> stats;
+    std::vector<std::vector<std::vector<u32>>> graphs;
+    for (const unsigned threads : {1u, 4u}) {
+      const RepeatDomain domain{100'003};
+      c.options.threads = threads;
+      c.options.wave_chunk = 32;
+      verify::Kernel<RepeatDomain> kernel(domain, c.options);
+      const std::vector<std::vector<u64>> roots = {{1}};
+      stats.push_back(kernel.run(roots));
+      graphs.push_back(successor_lists(kernel));
+    }
+    const int kind = static_cast<int>(c.limit);
+    EXPECT_EQ(stats[0].limit, c.limit) << kind;
+    EXPECT_FALSE(stats[0].complete) << kind;
+    for (const verify::KernelStats& other : stats) {
+      EXPECT_EQ(other.limit, stats[0].limit) << kind;
+      EXPECT_EQ(other.nodes, stats[0].nodes) << kind;
+      EXPECT_EQ(other.edges, stats[0].edges) << kind;
+      EXPECT_EQ(other.bytes, stats[0].bytes) << kind;
+      EXPECT_EQ(other.waves, stats[0].waves) << kind;
+    }
+    EXPECT_EQ(graphs[0], graphs[1]) << kind;
   }
-  EXPECT_EQ(node_counts[0], node_counts[1]);
 }
 
 TEST(Kernel, TerminalNodesAreExcludedFromBottomSccs) {
@@ -222,6 +362,46 @@ TEST(Kernel, TerminalNodesAreExcludedFromBottomSccs) {
       EXPECT_FALSE(analysis.is_bottom[analysis.scc.scc_of[id]]);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Tarjan over the CSR graph vs the oracle's vector-of-vectors Tarjan
+
+void expect_same_sccs(const std::vector<std::vector<u32>>& lists) {
+  support::CsrGraph graph;
+  for (const std::vector<u32>& succs : lists) graph.append(succs);
+  const support::SccResult actual = support::tarjan_scc(graph);
+  const oracle::SccResult expected = oracle::tarjan_scc(lists);
+  EXPECT_EQ(actual.scc_count, expected.scc_count);
+  EXPECT_EQ(actual.scc_of, expected.scc_of);
+  EXPECT_EQ(actual.bottom(graph), expected.is_bottom);
+}
+
+TEST(SccCsr, MatchesOracleOnSeededRandomGraphs) {
+  support::Rng rng(20231017);
+  for (int round = 0; round < 40; ++round) {
+    const u32 n = 1 + static_cast<u32>(rng() % 400);
+    // Sparse to dense; every third graph gets self-loops, and some nodes
+    // stay isolated (no edges in or out).
+    const u32 degree = static_cast<u32>(rng() % 5);
+    std::vector<std::vector<u32>> lists(n);
+    for (u32 v = 0; v < n; ++v) {
+      if (rng() % 8 == 0) continue;
+      for (u32 k = 0; k < degree; ++k)
+        lists[v].push_back(static_cast<u32>(rng() % n));
+      if (round % 3 == 0 && rng() % 2 == 0) lists[v].push_back(v);
+    }
+    expect_same_sccs(lists);
+  }
+}
+
+TEST(SccCsr, MatchesOracleOnALongPathWithABackEdge) {
+  constexpr u32 kLength = 200'000;
+  std::vector<std::vector<u32>> lists(kLength);
+  for (u32 v = 0; v + 1 < kLength; ++v) lists[v] = {v + 1};
+  expect_same_sccs(lists);
+  lists[kLength - 1] = {kLength / 2};  // the tail half becomes one SCC
+  expect_same_sccs(lists);
 }
 
 // ---------------------------------------------------------------------------
@@ -305,6 +485,28 @@ TEST(VerifierOracle, ConvertedProtocolMatchesUnderWitnessSemantics) {
         conv.pi(machine::initial_state(lowered.machine, {0, 0, m}), false);
     expect_matches_oracle(conv.protocol, initial, true, 4);
   }
+}
+
+TEST(VerifierOracle, PopulationBeyond16BitsMatches) {
+  // 70,000 agents do not fit a 16-bit count, so configurations are stored
+  // one entry per word; the epidemic I + S -> I + I walks all 70,000.
+  pp::Protocol epidemic;
+  const pp::State i = epidemic.add_state("I");
+  const pp::State s = epidemic.add_state("S");
+  epidemic.mark_input(i);
+  epidemic.mark_input(s);
+  epidemic.mark_accepting(i);
+  epidemic.add_transition(i, s, i, i);
+  epidemic.finalize();
+  pp::Config initial(epidemic.num_states());
+  initial.add(i, 1);
+  initial.add(s, 69'999);
+  for (const unsigned threads : {1u, 4u})
+    expect_matches_oracle(epidemic, initial, false, threads);
+  const pp::VerificationResult result =
+      pp::Verifier(epidemic).verify(initial, {});
+  EXPECT_EQ(result.verdict, pp::VerificationResult::Verdict::kStabilisesTrue);
+  EXPECT_EQ(result.explored_configs, 70'000u);
 }
 
 TEST(Verifier, ResourceLimitCarriesPartialCounts) {

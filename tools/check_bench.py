@@ -2,8 +2,8 @@
 """Validate every BENCH_*.json report against its versioned schema.
 
 One pass over all machine-readable benchmark reports, dispatched on the
-schema tag each report leads with (bench_engine_v / bench_serve_v /
-bench_sched_v). CI smoke jobs call this instead of re-growing per-job
+schema tag each report leads with (bench_engine_v / bench_verify_v /
+bench_serve_v / bench_sched_v / bench_obs_v). CI smoke jobs call this instead of re-growing per-job
 grep pipelines; EXPERIMENTS.md numbers are copied from the same files.
 
 Usage:
@@ -41,12 +41,9 @@ def require(path, condition, message):
         fail(path, message)
 
 
-def check_engine(path, doc):
-    """bench_engine_v == 5: a host object and per-(mode, harness, m) rows."""
-    require(path, doc.get("bench_engine_v") == 5,
-            f"bench_engine_v != 5 (got {doc.get('bench_engine_v')})")
-    # The rows are only readable next to the machine and build that
-    # produced them.
+def check_host(path, doc):
+    """The rows are only readable next to the machine and build that
+    produced them."""
     host = doc.get("host")
     require(path, isinstance(host, dict), "host missing")
     require(path, isinstance(host.get("nproc"), int) and host["nproc"] > 0,
@@ -54,6 +51,13 @@ def check_engine(path, doc):
     for key in ("cpu_model", "compiler", "build_type"):
         require(path, isinstance(host.get(key), str) and host[key],
                 f"host.{key} missing or empty")
+
+
+def check_engine(path, doc):
+    """bench_engine_v == 5: a host object and per-(mode, harness, m) rows."""
+    require(path, doc.get("bench_engine_v") == 5,
+            f"bench_engine_v != 5 (got {doc.get('bench_engine_v')})")
+    check_host(path, doc)
     rows = doc.get("rows")
     require(path, isinstance(rows, list) and rows, "rows missing or empty")
     for i, row in enumerate(rows):
@@ -79,6 +83,47 @@ def check_engine(path, doc):
     for mode, harness, m in pinned:
         require(path, (mode, harness, m) in present,
                 f"missing {mode} {harness} row at m={m}")
+
+
+# The exhaustive frontier of `ppde verify 1 <m_regs>`: (configurations,
+# edges) per m_regs. The kernel must explore exactly these graphs at every
+# thread count.
+VERIFY_GRAPHS = {
+    5: (806312, 849152),
+    6: (1455408, 1538280),
+    7: (2431108, 2576804),
+}
+
+
+def check_verify(path, doc):
+    """bench_verify_v == 1: a host object and per-(m_regs, threads) rows
+    of the S22 kernel on `ppde verify 1 <m_regs>`."""
+    require(path, doc.get("bench_verify_v") == 1,
+            f"bench_verify_v != 1 (got {doc.get('bench_verify_v')})")
+    check_host(path, doc)
+    rows = doc.get("rows")
+    require(path, isinstance(rows, list) and rows, "rows missing or empty")
+    seen = set()
+    for i, row in enumerate(rows):
+        for key in ("protocol", "m_regs", "threads", "configs", "edges",
+                    "wall_s", "store_bytes"):
+            require(path, key in row, f"rows[{i}] missing {key}")
+        require(path, row["wall_s"] > 0, f"rows[{i}] nonpositive wall_s")
+        require(path, row["store_bytes"] > 0,
+                f"rows[{i}] nonpositive store_bytes")
+        expected = VERIFY_GRAPHS.get(row["m_regs"])
+        require(path, expected is not None,
+                f"rows[{i}] unexpected m_regs {row['m_regs']}")
+        require(path, (row["configs"], row["edges"]) == expected,
+                f"rows[{i}] m_regs={row['m_regs']} threads={row['threads']} "
+                f"explored {row['configs']} configs, {row['edges']} edges; "
+                f"expected {expected[0]}, {expected[1]} at every thread "
+                f"count")
+        seen.add((row["m_regs"], row["threads"]))
+    for m_regs in VERIFY_GRAPHS:
+        for threads in (1, 2, 4):
+            require(path, (m_regs, threads) in seen,
+                    f"missing row m_regs={m_regs} threads={threads}")
 
 
 def row_key(row):
@@ -234,6 +279,7 @@ def check_obs(path, doc):
 
 CHECKERS = {
     "bench_engine_v": check_engine,
+    "bench_verify_v": check_verify,
     "bench_serve_v": check_serve,
     "bench_sched_v": check_sched,
     "bench_obs_v": check_obs,

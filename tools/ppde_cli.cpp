@@ -26,6 +26,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #if defined(_WIN32)
@@ -694,10 +695,11 @@ constexpr VerbHelp kVerbs[] = {
     {"machine", "<n> [--equality]",
      "  Print the lowered population machine.\n"
      "    --equality   the x = k(n) variant\n"},
-    {"protocol", "<n> [--dot]",
+    {"protocol", "<n> [--dot] [--equality]",
      "  Converted protocol statistics (full transition relation is only\n"
      "  materialised for n <= 2).\n"
-     "    --dot        emit the protocol as a Graphviz digraph\n"},
+     "    --dot        emit the protocol as a Graphviz digraph\n"
+     "    --equality   the x = k(n) variant\n"},
     {"simulate", "<n> <extra-agents> [seed] [flags]",
      "  Run the full protocol with m = |F| + extra agents until consensus\n"
      "  (per-agent reference simulator).\n"
@@ -753,7 +755,11 @@ constexpr VerbHelp kVerbs[] = {
      "    --threads=T        worker threads; 0 = all hardware (default)\n"
      "    --max-configs=N    configuration budget (default 8000000)\n"
      "    --max-edges=E      edge budget (default unlimited)\n"
-     "    --max-bytes=B      interner byte budget (default unlimited)\n"
+     "    --max-bytes=B      graph store budget: packed configurations,\n"
+     "                       node records, interner slots and successor\n"
+     "                       lists, counted from the explored counts so it\n"
+     "                       stops at the same configuration at every\n"
+     "                       thread count (default unlimited)\n"
      "    --prune            drop states no run can occupy before\n"
      "                       exploring (verdict unchanged)\n"},
     {"decide", "<n> <m> [--equality]",
@@ -812,22 +818,59 @@ constexpr VerbHelp kVerbs[] = {
      "  Without a verb: the synopsis list. With one: its flag reference.\n"},
 };
 
+constexpr const char* kGlobalFlags =
+    "global flags (every verb):\n"
+    "  --trace=FILE       record a Chrome trace-event file (S24);\n"
+    "                     open in Perfetto or about:tracing\n"
+    "  --trace-max-mb=N   cap the trace file at N MiB (S29); events past\n"
+    "                     the cap are dropped and counted in the\n"
+    "                     obs.trace_truncated metric, and the file stays\n"
+    "                     a valid JSON array\n"
+    "  --progress[=SECS]  heartbeat to stderr every SECS seconds\n"
+    "                     (bare flag: 5s; =0 disables; auto-on at 10s\n"
+    "                     when stderr is a TTY)\n";
+
 void print_global_flags(std::FILE* out) {
   std::fprintf(
       out,
-      "global flags (every verb):\n"
-      "  --trace=FILE       record a Chrome trace-event file (S24);\n"
-      "                     open in Perfetto or about:tracing\n"
-      "  --trace-max-mb=N   cap the trace file at N MiB (S29); events past\n"
-      "                     the cap are dropped and counted in the\n"
-      "                     obs.trace_truncated metric, and the file stays\n"
-      "                     a valid JSON array\n"
-      "  --progress[=SECS]  heartbeat to stderr every SECS seconds\n"
-      "                     (bare flag: 5s; =0 disables; auto-on at 10s\n"
-      "                     when stderr is a TTY)\n"
+      "%s"
       "numbers are read whole: integer arguments and flags take plain\n"
       "decimal digits (--budget=400000000000, not 4e11); anything else is\n"
-      "an error naming the argument.\n");
+      "an error naming the argument; a flag the verb does not list is an\n"
+      "error too.\n",
+      kGlobalFlags);
+}
+
+/// True iff `text` mentions the flag `--name` (a `--` token whose name
+/// ends where a flag name cannot go on).
+bool mentions_flag(std::string_view text, std::string_view name) {
+  const auto is_name_char = [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '-';
+  };
+  for (std::size_t at = text.find("--"); at != std::string_view::npos;
+       at = text.find("--", at + 2)) {
+    std::size_t end = at + 2;
+    while (end < text.size() && is_name_char(text[end])) ++end;
+    if (text.substr(at + 2, end - at - 2) == name) return true;
+  }
+  return false;
+}
+
+/// Throws std::invalid_argument naming the first flag on the command line
+/// that neither `verb`'s help entry nor the global flags list. The help
+/// table is the parser's only flag list, so the two cannot drift apart.
+void check_flags(int argc, char** argv, const VerbHelp& verb) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.rfind("--", 0) != 0) continue;
+    const std::string_view name = arg.substr(2, arg.find('=') - 2);
+    if (mentions_flag(verb.synopsis, name) ||
+        mentions_flag(verb.detail, name) || mentions_flag(kGlobalFlags, name))
+      continue;
+    throw std::invalid_argument("--" + std::string(name) +
+                                ": not a flag of 'ppde " + verb.name +
+                                "' (see 'ppde help " + verb.name + "')");
+  }
 }
 
 int usage() {
@@ -870,12 +913,12 @@ int main(int argc, char** argv) {
   // serve-family verbs likewise take flags / a host:port, not <n>.
   if (command == "help")
     return cmd_help(pos.size() >= 2 ? pos[1] : nullptr);
+  const VerbHelp* verb = std::find_if(
+      std::begin(kVerbs), std::end(kVerbs),
+      [&](const VerbHelp& entry) { return command == entry.name; });
+  if (verb == std::end(kVerbs)) return usage();
   try {
-    // The flag is gone, but the CLI ignores unknown flags: without this
-    // check `--dispatch=interp` would silently run bytecode and let a
-    // user believe they ran the interpreter oracle.
-    if (const char* dispatch = flag_cstr(argc, argv, "--dispatch"))
-      serve::check_dispatch(dispatch);
+    check_flags(argc, argv, *verb);
     if (command == "serve") return cmd_serve(argc, argv);
     if (command == "worker")
       return serve::worker_listen(
@@ -890,10 +933,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
   }
-  if (pos.size() < 2 ||
-      std::none_of(std::begin(kVerbs), std::end(kVerbs),
-                   [&](const VerbHelp& verb) { return command == verb.name; }))
-    return usage();
+  if (pos.size() < 2) return usage();
   const bool equality = has_flag(argc, argv, "--equality");
   const bool json = has_flag(argc, argv, "--json");
 
