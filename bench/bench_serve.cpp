@@ -9,18 +9,19 @@
 // gate as well as a scaling probe.
 //
 // The certify rows pin the invariant, not throughput — the SPRT stops
-// after a handful of trials, so their wall time is fork + speculative
-// drain overhead and *rises* with workers. Scaling is measured on a
-// second set of rows: a fixed-size ensemble query (no early stopping,
-// every trial runs its full budget), which is the embarrassingly parallel
-// workload the worker fleet exists for.
+// after a handful of trials, so their wall time is fork setup plus the
+// speculative trials the daemon starts before the decision and cancels
+// after it; each row records how many trials its workers executed.
+// Scaling is measured on a second set of rows: a fixed-size ensemble
+// query (no early stopping, every trial runs its full budget), which is
+// the embarrassingly parallel workload the worker fleet exists for.
 //
 // Not a google-benchmark binary: each measurement forks worker processes,
 // which must happen from a single-threaded parent, and the unit of
 // interest is one whole query, not a tight loop. Writes a machine-
 // readable report (default BENCH_serve.json, override with --json=PATH):
 //
-//   {"bench_serve_v": 1, "query": {...}, "runs": [...],
+//   {"bench_serve_v": 2, "host": {...}, "query": {...}, "runs": [...],
 //    "ensemble_query": {...}, "ensemble_runs": [...]}
 //
 // EXPERIMENTS.md records the numbers.
@@ -32,9 +33,11 @@
 #include <thread>
 #include <vector>
 
+#include "bench_host.hpp"
 #include "serve/client.hpp"
 #include "serve/proto.hpp"
 #include "serve/server.hpp"
+#include "serve/wire.hpp"
 
 namespace {
 
@@ -84,6 +87,7 @@ struct Run {
   double wall_seconds = 0.0;
   std::string digest;
   std::string verdict;
+  std::uint64_t trials_executed = 0;  ///< certify: trials the workers ran
 };
 
 Run run_at(unsigned workers, const serve::QueryParams& query) {
@@ -101,11 +105,17 @@ Run run_at(unsigned workers, const serve::QueryParams& query) {
   const bool ok =
       serve::rpc(hostport, serve::encode_query(query), &response, &error);
   const auto stop = std::chrono::steady_clock::now();
+  // The query's flight record: how many trials its workers shipped.
+  serve::QueryParams recent{"stats"};
+  recent.recent = 1;
+  std::string flight;
+  const bool have_flight =
+      ok && serve::rpc(hostport, serve::encode_query(recent), &flight, &error);
 
   server.request_stop();
   runner.join();
 
-  if (!ok) throw std::runtime_error("rpc failed: " + error);
+  if (!ok || !have_flight) throw std::runtime_error("rpc failed: " + error);
   if (response.find("\"ok\":true") == std::string::npos)
     throw std::runtime_error("query failed: " + response);
 
@@ -117,6 +127,11 @@ Run run_at(unsigned workers, const serve::QueryParams& query) {
     run.verdict = extract(response, "verdict");
     if (run.digest.empty() || run.verdict.empty())
       throw std::runtime_error("malformed certificate: " + response);
+    const serve::Json stats = serve::Json::parse(flight);
+    const serve::Json* records = stats.find("recent");
+    if (records == nullptr || records->items().empty())
+      throw std::runtime_error("no flight record: " + flight);
+    run.trials_executed = records->items()[0].u64("trials_executed", 0);
   }
   return run;
 }
@@ -137,9 +152,10 @@ int main(int argc, char** argv) {
       runs.push_back(run_at(workers, query));
       const Run& run = runs.back();
       std::printf("certify   workers=%u  wall=%.3fs  verdict=%s  "
-                  "digest=%s\n",
+                  "digest=%s  trials executed=%llu\n",
                   run.workers, run.wall_seconds, run.verdict.c_str(),
-                  run.digest.c_str());
+                  run.digest.c_str(),
+                  static_cast<unsigned long long>(run.trials_executed));
     }
     for (unsigned workers : {1u, 2u, 4u, 8u}) {
       ensemble_runs.push_back(run_at(workers, ensemble));
@@ -171,11 +187,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(out,
-               "{\"bench_serve_v\": 1, \"query\": {\"n\": %d, \"extra\": "
-               "%u, \"trials\": %llu, \"seed\": %llu, \"delta\": %g, "
-               "\"indifference\": %g, \"window\": %llu, \"budget\": %llu, "
-               "\"shard\": %llu}, \"runs\": [",
-               query.n, query.extra,
+               "{\"bench_serve_v\": 2, \"host\": %s, \"query\": {\"n\": %d, "
+               "\"extra\": %u, \"trials\": %llu, \"seed\": %llu, "
+               "\"delta\": %g, \"indifference\": %g, \"window\": %llu, "
+               "\"budget\": %llu, \"shard\": %llu}, \"runs\": [",
+               bench::host_json().c_str(), query.n, query.extra,
                static_cast<unsigned long long>(query.trials),
                static_cast<unsigned long long>(query.seed), query.delta,
                query.indifference,
@@ -186,9 +202,11 @@ int main(int argc, char** argv) {
     const Run& run = runs[i];
     std::fprintf(out,
                  "%s{\"workers\": %u, \"wall_seconds\": %.6f, "
-                 "\"verdict\": \"%s\", \"digest\": \"%s\"}",
+                 "\"verdict\": \"%s\", \"digest\": \"%s\", "
+                 "\"trials_executed\": %llu}",
                  i == 0 ? "" : ", ", run.workers, run.wall_seconds,
-                 run.verdict.c_str(), run.digest.c_str());
+                 run.verdict.c_str(), run.digest.c_str(),
+                 static_cast<unsigned long long>(run.trials_executed));
   }
   std::fprintf(out,
                "], \"digest_identical\": true, \"ensemble_query\": "

@@ -113,14 +113,15 @@ smc::Certificate sweep_certified(const pp::Protocol& protocol,
                                  const std::vector<pp::State>* noise_pool) {
   engine::TrialExecutor executor(
       protocol, kind, sched::Scenario{},
-      engine::fleet_workers(options.batch, options.threads));
+      engine::fleet_workers(options.max_trials, options.threads));
 
   // Unlike sweep_simulated the trial count is not known up front (the SPRT
   // decides it), so noise cannot be drawn from one sequential stream.
   // Instead trial i expands its own noise from its derived seed — still a
   // pure function of (options.seed, i), hence reproducible at any thread
   // count and under any budget escalation.
-  const auto body = [&](unsigned worker, std::uint64_t, std::uint64_t seed) {
+  const auto body = [&](unsigned worker, std::uint64_t, std::uint64_t seed,
+                        const std::atomic<bool>& stop) {
     support::Rng rng(seed);
     const auto agents =
         static_cast<std::uint32_t>(rng.below(max_noise + 1));
@@ -129,8 +130,9 @@ smc::Certificate sweep_certified(const pp::Protocol& protocol,
 
     // The scheduler continues on the same per-trial stream the noise came
     // from; distinct trials stay decorrelated by seed derivation.
-    return smc::outcome_of(executor.run(worker, config, rng(), options.sim),
-                           predicate(config.total()), config.total());
+    return smc::outcome_of(
+        executor.run(worker, config, rng(), options.sim, &stop),
+        predicate(config.total()), config.total());
   };
 
   smc::Certificate cert = smc::certify_trials(body, options);

@@ -414,7 +414,7 @@ bool CountSimulator::step() {
 }
 
 pp::SimulationResult CountSimulator::run_until_stable(
-    const pp::SimulationOptions& options) {
+    const pp::SimulationOptions& options, const std::atomic<bool>* stop) {
   // One span per run (S24); the meeting loop itself carries zero
   // instrumentation — the hot path stays untouched.
   obs::ObsSpan span("run_until_stable", "sim");
@@ -472,6 +472,9 @@ pp::SimulationResult CountSimulator::run_until_stable(
       stabilise();
       break;
     }
+    if (stop != nullptr && (metrics_.firings & pp::kStopPollMask) == 0 &&
+        stop->load(std::memory_order_relaxed))
+      break;
   }
   result.interactions = interactions_;
   result.parallel_time =

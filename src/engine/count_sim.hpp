@@ -43,6 +43,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -144,8 +145,12 @@ class CountSimulator {
   /// options.max_interactions (options.seed is ignored; seeding happens at
   /// construction). Null runs are truncated exactly at the window/budget
   /// boundary, so the reported interaction indices agree with the
-  /// per-agent semantics.
-  pp::SimulationResult run_until_stable(const pp::SimulationOptions& options);
+  /// per-agent semantics. A non-null `stop` is polled with a relaxed load
+  /// every 2^16 firings; once it reads true the run ends unstabilised
+  /// where it is.
+  pp::SimulationResult run_until_stable(
+      const pp::SimulationOptions& options,
+      const std::atomic<bool>* stop = nullptr);
 
   std::uint64_t accepting_agents() const { return accepting_; }
   std::uint64_t population() const { return counts_.total(); }

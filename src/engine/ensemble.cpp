@@ -18,36 +18,6 @@
 
 namespace ppde::engine {
 
-namespace {
-
-/// Fleet-level observability (S24): per-trial spans in the trace, live
-/// counters/gauges in the registry for the progress heartbeat. Registry
-/// updates are one relaxed atomic add per *trial* (a whole simulation
-/// run) — never per meeting.
-struct FleetMetrics {
-  obs::Counter& trials_done =
-      obs::Registry::global().counter("engine.trials_done");
-  obs::Counter& meetings = obs::Registry::global().counter("engine.meetings");
-  obs::Counter& firings = obs::Registry::global().counter("engine.firings");
-  obs::Histogram& trial_micros =
-      obs::Registry::global().histogram("engine.trial_micros");
-
-  static FleetMetrics& get() {
-    static FleetMetrics instance;
-    return instance;
-  }
-
-  void publish(const RunMetrics& metrics) {
-    trials_done.add(1);
-    meetings.add(metrics.meetings);
-    firings.add(metrics.firings);
-    trial_micros.record(
-        static_cast<std::uint64_t>(metrics.wall_seconds * 1e6));
-  }
-};
-
-}  // namespace
-
 std::uint64_t derive_trial_seed(std::uint64_t master_seed,
                                 std::uint64_t trial) {
   // Hoisted to support::derive_trial_seed (S27) so the sched streams use
@@ -87,7 +57,6 @@ std::vector<TrialResult> run_trial_range(
   // ("which (trial, seed) reproduces this?") rather than a bare what()
   // from whichever worker lost the race.
   WorkerPool pool(fleet_workers(trials, threads));
-  FleetMetrics& fleet_metrics = FleetMetrics::get();
   std::mutex failure_mutex;
   bool failed = false;
   std::uint64_t failed_trial = 0;
@@ -115,7 +84,6 @@ std::vector<TrialResult> run_trial_range(
         note_failure(trial, "unknown exception");
         throw;
       }
-      fleet_metrics.publish(results[i].metrics);
     });
   } catch (...) {
     if (failed)

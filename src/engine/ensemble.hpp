@@ -44,8 +44,8 @@ enum class EngineKind {
 const char* to_string(EngineKind kind);
 
 /// One trial's result: the one per-trial record, from TrialExecutor::run
-/// through run_trial_range and the serve wire to the daemon's fold
-/// (smc::outcome_of) and aggregation.
+/// through run_trial_range (or a serve worker's batch loop and the wire)
+/// to the certification fold (smc::outcome_of) and aggregation.
 struct TrialResult {
   pp::SimulationResult sim;
   RunMetrics metrics;

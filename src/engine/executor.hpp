@@ -10,6 +10,7 @@
 // agent identity) falls back to the per-agent pp::Simulator.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -30,8 +31,13 @@ class TrialExecutor {
   /// Run one trial from `initial` with `seed`. Safe to call concurrently
   /// from different workers; the result is a pure function of
   /// (initial, seed) — the worker index only selects per-worker scratch.
+  /// A non-null `stop` cuts the run short once it reads true (the
+  /// simulators poll it every 2^16 firings or meetings); such a result is
+  /// for a caller that no longer needs it. Every run, cut short or not,
+  /// adds its work to the `engine.*` registry counters.
   TrialResult run(unsigned worker, const pp::Config& initial,
-                  std::uint64_t seed, const pp::SimulationOptions& options);
+                  std::uint64_t seed, const pp::SimulationOptions& options,
+                  const std::atomic<bool>* stop = nullptr);
 
   /// True when trials execute on the per-agent simulator — either because
   /// the per-agent engine was requested or because a non-default scenario

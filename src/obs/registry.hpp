@@ -3,7 +3,7 @@
 // The per-run RunMetrics record (engine/metrics.hpp) answers "what did
 // *this* run do" after the fact; it cannot answer "what is the process
 // doing right now" across a fleet of concurrent trials, an exploration
-// wave, or an SPRT round. This registry holds the process-wide view:
+// wave, or an SPRT fold. This registry holds the process-wide view:
 //
 //   * Counter   — monotone u64, add() from any thread. Writes land in one
 //                 of 16 cache-line-sized cells chosen per thread, so

@@ -147,7 +147,8 @@ std::optional<bool> Simulator::consensus() const {
   return std::nullopt;
 }
 
-SimulationResult Simulator::run_until_stable(const SimulationOptions& options) {
+SimulationResult Simulator::run_until_stable(const SimulationOptions& options,
+                                             const std::atomic<bool>* stop) {
   // One span per run (S24); the meeting loop itself carries zero
   // instrumentation — the hot path stays untouched.
   obs::ObsSpan span("run_until_stable", "sim");
@@ -174,6 +175,9 @@ SimulationResult Simulator::run_until_stable(const SimulationOptions& options) {
       result.consensus_since = consensus_start;
       break;
     }
+    if (stop != nullptr && (interactions_ & kStopPollMask) == 0 &&
+        stop->load(std::memory_order_relaxed))
+      break;
   }
   result.interactions = interactions_;
   result.parallel_time =

@@ -12,6 +12,7 @@
 // exact verifier (pp/verifier.hpp) provides ground truth for small systems.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -27,6 +28,11 @@
 #include "support/rng.hpp"
 
 namespace ppde::pp {
+
+/// run_until_stable's cancel flag is polled when the run's firing (count
+/// engine) or meeting (per-agent engine) counter has these bits clear:
+/// one relaxed load every 2^16 steps.
+constexpr std::uint64_t kStopPollMask = (std::uint64_t{1} << 16) - 1;
 
 struct SimulationOptions {
   std::uint64_t max_interactions = 100'000'000;
@@ -73,8 +79,11 @@ class Simulator {
   bool step();
 
   /// Run until consensus holds for options.stable_window interactions or
-  /// options.max_interactions elapse.
-  SimulationResult run_until_stable(const SimulationOptions& options);
+  /// options.max_interactions elapse. A non-null `stop` is polled with a
+  /// relaxed load every 2^16 meetings; once it reads true the run ends
+  /// unstabilised where it is.
+  SimulationResult run_until_stable(const SimulationOptions& options,
+                                    const std::atomic<bool>* stop = nullptr);
 
   /// Number of agents currently in accepting states.
   std::uint64_t accepting_agents() const { return accepting_agents_; }

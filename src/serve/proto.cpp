@@ -356,6 +356,10 @@ std::string encode_exit() { return R"({"op":"exit"})"; }
 
 bool is_exit(const Json& json) { return json.str("op", "") == "exit"; }
 
+std::string encode_cancel() { return R"({"op":"cancel"})"; }
+
+bool is_cancel(const Json& json) { return json.str("op", "") == "cancel"; }
+
 std::string encode_batch_result(const BatchResult& result) {
   std::string out = R"({"op":"result","first":)";
   append_u64(out, result.first);

@@ -8,6 +8,7 @@
 //   daemon <-> worker      {"op":"batch", n, extra, seed, first, count,
 //                           window, budget[, scenario][, trace_id]}
 //                          -> {"op":"result","first",...,"records":[...]}
+//                          {"op":"cancel"}   (only while a batch is out)
 //                          {"op":"exit"}
 //
 // A batch names a workload (construction n, extra agents, stopping rule,
@@ -15,7 +16,13 @@
 // worker runs every batch the same way and ships one record per trial —
 // its engine::TrialResult — from which the daemon either folds a
 // certificate (smc::outcome_of, then the canonical fold of
-// smc/partial.hpp) or aggregates ensemble statistics. Records travel as
+// smc/partial.hpp) or aggregates ensemble statistics. Once the query is
+// decided or out of wall time, the daemon sends a cancel to every worker
+// with a batch in flight: the worker, which looks for one between trials
+// (never during a trial), stops and replies with the records it finished
+// — a prefix of the range, possibly empty — and the daemon reads exactly
+// that one reply. A cancel that crosses the worker's full reply is read
+// and dropped before the worker's next batch. Records travel as
 // compact JSON arrays, with every 64-bit integer as a decimal number
 // (exact — the wire parser re-reads the raw token via strtoull) and every
 // double as the hex string of its IEEE-754 bit pattern, so a record
@@ -87,9 +94,9 @@ QueryParams parse_query(const Json& json);
 /// served by bytecode. The CLI applies the same check to --dispatch.
 void check_dispatch(std::string_view dispatch);
 
-/// The CertifyOptions a query denotes (threads/batch are irrelevant
-/// server-side — sharding replaces them — and left at defaults; neither
-/// is part of the certificate payload).
+/// The CertifyOptions a query denotes (threads are irrelevant server-side
+/// — sharding replaces them — and left at the default; they are not part
+/// of the certificate payload).
 smc::CertifyOptions certify_options_of(const QueryParams& query);
 
 std::string encode_error(const std::string& message, bool busy = false);
@@ -122,6 +129,9 @@ BatchRequest parse_batch_request(const Json& json);
 
 std::string encode_exit();
 bool is_exit(const Json& json);
+
+std::string encode_cancel();
+bool is_cancel(const Json& json);
 
 /// A worker's reply to one batch. records[i] is trial first + i; on the
 /// wire each record is the array

@@ -113,19 +113,18 @@ struct Range {
 /// workers, collect responses, retire dead workers (their ranges go back
 /// on the retry queue — outcomes are pure functions of (trial, seed), so
 /// a re-run elsewhere is bit-identical). Shared by certify and ensemble
-/// queries; the caller parameterises the stop condition, the dispatch
-/// window, and the result sink.
+/// queries; the caller parameterises the stop condition, the look-ahead
+/// horizon, and the result sink.
 struct Pump {
   Supervisor& supervisor;
   BatchRequest prototype;  ///< first/count overwritten per batch
   std::uint64_t total_trials = 0;
   std::uint64_t shard = 1;
-  /// 0 = dispatch everything up front (ensemble: the fleet size is
-  /// exact); otherwise cap speculative dispatch at
-  /// next_needed() + alive * speculate_factor * shard (certify: the SPRT
-  /// usually stops far before max_trials).
-  std::uint64_t speculate_factor = 0;
-  std::function<std::uint64_t()> next_needed;  ///< used iff speculating
+  /// Fresh ranges start only below horizon(in_flight), where in_flight =
+  /// live workers × shard trials (certify: StreamingMerger::horizon, the
+  /// same look-ahead rule as the in-process scheduler; ensemble: the fleet
+  /// size, since every trial is needed).
+  std::function<std::uint64_t(std::uint64_t in_flight)> horizon;
   std::function<bool()> done;
   std::function<void(BatchResult&&)> deliver;
   /// Fired after every successful batch dispatch (the server counts
@@ -175,7 +174,7 @@ struct Pump {
 
     while (!done()) {
       if (wall_budget > 0.0 && seconds_since(started) > wall_budget) {
-        drain(inflight);
+        cancel(inflight);
         return "query wall budget exceeded";
       }
       // Everything the fold can still consume has been folded and nothing
@@ -184,26 +183,20 @@ struct Pump {
         break;
 
       // Dispatch: retries first (they block the fold frontier), then
-      // fresh ranges up to the speculation window.
+      // fresh ranges below the look-ahead horizon.
       while (true) {
-        std::uint64_t window_end = total_trials;
-        if (speculate_factor != 0) {
-          const std::uint64_t alive =
-              std::max<std::uint64_t>(1, supervisor.alive());
-          const std::uint64_t base = next_needed();
-          window_end =
-              std::min(total_trials,
-                       base + alive * speculate_factor * shard);
-        }
         const bool from_retry = !retry.empty();
         Range range;
         if (from_retry) {
           range = retry.front();
-        } else if (frontier < window_end) {
+        } else {
+          const std::uint64_t alive =
+              std::max<std::uint64_t>(1, supervisor.alive());
+          const std::uint64_t in_flight =
+              shard > UINT64_MAX / alive ? UINT64_MAX : alive * shard;
+          if (frontier >= std::min(total_trials, horizon(in_flight))) break;
           range.first = frontier;
           range.count = std::min(shard, total_trials - frontier);
-        } else {
-          break;
         }
         const int worker = supervisor.try_acquire();
         if (worker < 0) break;
@@ -252,27 +245,31 @@ struct Pump {
         const int worker = workers[i];
         const Inflight entry = inflight.at(worker);
         inflight.erase(worker);
-        if (!collect(worker, entry))
+        if (!collect(worker, entry, /*cancelled=*/false))
           retire(worker, entry.range, /*reassign=*/true);
       }
     }
 
-    drain(inflight);
+    cancel(inflight);
     return "";
   }
 
   /// Read one worker's reply to `entry` and deliver it. A reply is taken
   /// only if it covers exactly the dispatched range (parse_batch_result
-  /// checks each record's trial index against `first`); an IO failure, a
-  /// malformed frame or any other range is refused with false, and the
-  /// caller retires the worker — its records were never delivered.
-  bool collect(int worker, const Inflight& entry) {
+  /// checks each record's trial index against `first`) or, from a worker
+  /// this query cancelled, a prefix of it starting at `first`; an IO
+  /// failure, a malformed frame or any other range is refused with false,
+  /// and the caller retires the worker — its records were never
+  /// delivered.
+  bool collect(int worker, const Inflight& entry, bool cancelled) {
     try {
       std::string payload;
       if (!read_frame(supervisor.fd(worker), payload)) return false;
       BatchResult result = parse_batch_result(Json::parse(payload));
+      const std::uint64_t shipped = result.records.size();
       if (result.first != entry.range.first ||
-          result.records.size() != entry.range.count)
+          shipped > entry.range.count ||
+          (!cancelled && shipped != entry.range.count))
         return false;
       ++batches_collected;
       if (observe) observe(worker, result, micros_since(entry.sent));
@@ -284,13 +281,26 @@ struct Pump {
     return true;
   }
 
-  /// Collect every outstanding response so worker sockets hold no stale
-  /// frames for the next query. Late results of ranges that were also
-  /// re-run elsewhere are exact duplicates; the sinks drop them.
-  void drain(std::map<int, Inflight>& inflight) {
+  /// Stop every batch still in flight: each such worker gets a cancel op,
+  /// stops before its next trial and replies with the records it finished
+  /// (a worker that already replied sends the whole range and drops the
+  /// cancel as stale). Reading that one reply per worker leaves no frame
+  /// on its socket for the next query. The sinks drop records the fold no
+  /// longer needs.
+  void cancel(std::map<int, Inflight>& inflight) {
     Metrics& metrics = Metrics::get();
+    for (auto it = inflight.begin(); it != inflight.end();) {
+      try {
+        write_frame(supervisor.fd(it->first), encode_cancel());
+        ++it;
+      } catch (...) {
+        supervisor.report_dead(it->first);
+        metrics.worker_deaths.add();
+        it = inflight.erase(it);
+      }
+    }
     for (const auto& [worker, entry] : inflight) {
-      if (collect(worker, entry)) continue;
+      if (collect(worker, entry, /*cancelled=*/true)) continue;
       supervisor.report_dead(worker);
       metrics.worker_deaths.add();
     }
@@ -437,8 +447,10 @@ struct Server::Impl {
         .total_trials = certify_options.max_trials,
         .shard = std::max<std::uint64_t>(1, query.shard ? query.shard
                                                         : options.shard),
-        .speculate_factor = 2,
-        .next_needed = [&] { return merger.next_needed(); },
+        .horizon =
+            [&](std::uint64_t in_flight) {
+              return merger.horizon(in_flight);
+            },
         .done = [&] { return merger.decided(); },
         .deliver =
             [&](BatchResult&& result) {
@@ -507,8 +519,7 @@ struct Server::Impl {
         .total_trials = total,
         .shard = std::max<std::uint64_t>(1, query.shard ? query.shard
                                                         : options.shard),
-        .speculate_factor = 0,
-        .next_needed = nullptr,  // dispatches everything up front
+        .horizon = [total](std::uint64_t) { return total; },
         .done = [&] { return remaining == 0; },
         .deliver =
             [&](BatchResult&& result) {

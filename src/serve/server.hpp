@@ -11,7 +11,9 @@
 // certificate digest is byte-identical to in-process smc::certify under
 // any worker count, shard size, arrival order, or mid-query worker death
 // (ranges of a dead or misreplying worker are re-run on survivors —
-// results are pure functions of (trial, seed)).
+// results are pure functions of (trial, seed)). Once the fold decides,
+// or the query's wall budget runs out, every batch still in flight is
+// cancelled (serve/proto.hpp) instead of awaited.
 //
 // Threading: the Supervisor forks its workers in the Server constructor,
 // strictly before run() spawns the accept loop and runner threads, because
@@ -39,8 +41,8 @@ struct ServerOptions {
   unsigned queue_limit = 16;  ///< admission bound (beyond active)
   /// Admission control: a query asking for more trials is rejected.
   std::uint64_t max_trials_cap = 1u << 20;
-  /// Per-query wall budget; an exceeded query returns an error (workers
-  /// finish their in-flight batch, no partial certificate is emitted).
+  /// Per-query wall budget; an exceeded query returns an error (its
+  /// in-flight batches are cancelled, no partial certificate is emitted).
   double max_query_seconds = 600.0;
   /// Default trials per dispatched batch (a query's `shard` overrides).
   std::uint64_t shard = 8;

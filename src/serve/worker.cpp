@@ -4,10 +4,12 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -45,14 +47,29 @@ CachedProtocol& cached_protocol(int n) {
   return *slot;
 }
 
+/// True once the daemon has sent a cancel for the batch in progress —
+/// polled without blocking between trials. EOF (the daemon went away)
+/// also stops the batch; the reply then fails to send. Any other frame
+/// during a batch is a protocol error.
+bool cancel_pending(int fd) {
+  pollfd ready{fd, POLLIN, 0};
+  if (::poll(&ready, 1, 0) <= 0) return false;
+  std::string payload;
+  if (!read_frame(fd, payload)) return true;
+  if (!is_cancel(Json::parse(payload)))
+    throw std::runtime_error("serve worker: unexpected frame during a batch");
+  return true;
+}
+
 /// The one batch body, for certify and ensemble queries alike: trials
 /// [first, first + count) on the shared trial body (S27) — the S21
 /// default engine (count + null-skip) for the default scenario, the
-/// per-agent fallback inside the executor otherwise. threads = 1: a
-/// worker process is single-threaded by design — the daemon's
-/// parallelism is processes, and a forked child must not spawn threads
-/// anyway.
-BatchResult run_batch(const BatchRequest& request) {
+/// per-agent fallback inside the executor otherwise — each with its
+/// global derived seed, until the range ends or a cancel arrives. A
+/// worker process is single-threaded by design (the daemon's parallelism
+/// is processes, and a forked child must not spawn threads anyway), so
+/// it looks for a cancel between trials only.
+BatchResult run_batch(int fd, const BatchRequest& request) {
   CachedProtocol& cached = cached_protocol(request.n);
   const std::uint64_t m = cached.conversion.num_pointers + request.extra;
   const pp::Config initial = cached.conversion.initial_config(m);
@@ -67,11 +84,14 @@ BatchResult run_batch(const BatchRequest& request) {
                                  /*workers=*/1);
   BatchResult result;
   result.first = request.first;
-  result.records = engine::run_trial_range(
-      request.first, request.count, /*threads=*/1, request.seed,
-      [&](unsigned worker, std::uint64_t, std::uint64_t seed) {
-        return executor.run(worker, initial, seed, sim_stop);
-      });
+  for (std::uint64_t i = 0; i < request.count && !cancel_pending(fd); ++i) {
+    const std::uint64_t trial = request.first + i;
+    obs::ObsSpan span("trial", "engine");
+    span.set_value(static_cast<double>(trial));
+    result.records.push_back(executor.run(
+        0, initial, engine::derive_trial_seed(request.seed, trial),
+        sim_stop));
+  }
   return result;
 }
 
@@ -92,6 +112,9 @@ bool worker_main(int fd) {
   while (read_frame(fd, payload)) {
     const Json message = Json::parse(payload);
     if (is_exit(message)) return true;
+    // A cancel that crossed this worker's full reply: the batch it meant
+    // is already answered.
+    if (is_cancel(message)) continue;
     const BatchRequest request = parse_batch_request(message);
 
     // A traced query lazily installs this process's capture tracer; it
@@ -105,9 +128,9 @@ bool worker_main(int fd) {
     {
       obs::ObsSpan span("worker_batch", "serve");
       span.set_value(static_cast<double>(request.trace_id));
-      result = run_batch(request);
+      result = run_batch(fd, request);
     }
-    trials_executed.add(request.count);
+    trials_executed.add(result.records.size());
     batch_micros.record((obs::now_ns() - start_ns) / 1000);
 
     result.worker_pid = static_cast<std::uint64_t>(::getpid());

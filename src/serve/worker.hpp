@@ -4,7 +4,9 @@
 // socket: build (and cache) the Czerner protocol conversion for the
 // requested n, run trials [first, first + count) with globally derived
 // seeds (engine::derive_trial_seed against the query's master seed), and
-// reply with ordered per-trial records. Workers hold *no* statistical
+// reply with ordered per-trial records — or, when a `cancel` op arrives
+// mid-batch, with the prefix finished so far (the worker checks for one
+// between trials). Workers hold *no* statistical
 // state — the coordinator folds (smc/partial.hpp) — so a worker can die
 // at any point and its ranges are simply re-run elsewhere: outcomes are
 // pure functions of (trial, seed), so the replacement results are
@@ -20,7 +22,9 @@
 namespace ppde::serve {
 
 /// Serve batch requests on `fd` until an exit op or EOF. Returns true if
-/// terminated by an explicit exit op (false: the peer just closed).
+/// terminated by an explicit exit op (false: the peer just closed). A
+/// cancel outside a batch is stale and dropped; any frame other than a
+/// cancel during a batch throws.
 /// Errors propagate as exceptions — a forked worker turns them into a
 /// nonzero _exit, which the supervisor observes as a death.
 bool worker_main(int fd);

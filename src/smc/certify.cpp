@@ -1,11 +1,10 @@
 #include "smc/certify.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
-#include <stdexcept>
-#include <vector>
+#include <mutex>
 
 #include "engine/executor.hpp"
 #include "engine/pool.hpp"
@@ -36,68 +35,97 @@ SprtOptions CertifyOptions::sprt() const {
 
 Certificate certify_trials(const TrialFn& body,
                            const CertifyOptions& options) {
-  if (options.batch == 0)
-    throw std::invalid_argument("certify_trials: batch must be positive");
   obs::ObsSpan span("certify_trials", "smc");
   const auto start_time = std::chrono::steady_clock::now();
 
-  // The entire statistical state lives in the same FoldState the serve
-  // daemon's StreamingMerger replays (smc/partial.hpp), so the two paths
-  // cannot drift apart: one fold implementation, one digest.
-  FoldState fold(options);
+  // The one fold the serve daemon also absorbs into (smc/partial.hpp):
+  // one fold implementation, one digest.
+  StreamingMerger merger(options);
 
-  const unsigned workers = engine::fleet_workers(options.batch, options.threads);
+  const unsigned workers =
+      engine::fleet_workers(options.max_trials, options.threads);
   engine::WorkerPool pool(workers);
 
-  // The one outcome buffer the whole certification reuses: per-trial data
-  // never outlives its batch, so memory stays O(batch) no matter how many
-  // trials the SPRT ends up needing.
-  std::vector<TrialOutcome> outcomes(options.batch);
-
-  // Certification observability (S24): one span per SPRT round, live
-  // gauges for the heartbeat. Everything here observes the fold — the
-  // verdict, the fold order and hence the digest are untouched (test_obs
-  // and the obs-smoke CI job assert digest equality with tracing on/off).
+  // Certification observability (S24): one sprt_round span per fold
+  // advance, live gauges for the heartbeat. Everything here observes the
+  // fold — the verdict, the fold order and hence the digest are untouched
+  // (test_obs and the obs-smoke CI job assert digest equality with
+  // tracing on/off).
   obs::Registry& registry = obs::Registry::global();
   obs::Counter& rounds_counter = registry.counter("smc.rounds");
   obs::Gauge& trials_gauge = registry.gauge("smc.trials");
   obs::Gauge& successes_gauge = registry.gauge("smc.successes");
   obs::Gauge& llr_gauge = registry.gauge("smc.llr");
-  obs::Gauge& llr_lower_gauge = registry.gauge("smc.llr_lower");
-  obs::Gauge& llr_upper_gauge = registry.gauge("smc.llr_upper");
-  obs::Gauge& max_trials_gauge = registry.gauge("smc.max_trials");
-  llr_lower_gauge.set(fold.sprt().lower_bound());
-  llr_upper_gauge.set(fold.sprt().upper_bound());
-  max_trials_gauge.set(static_cast<double>(options.max_trials));
+  registry.gauge("smc.llr_lower").set(merger.sprt().lower_bound());
+  registry.gauge("smc.llr_upper").set(merger.sprt().upper_bound());
+  registry.gauge("smc.max_trials")
+      .set(static_cast<double>(options.max_trials));
 
-  std::uint64_t next_trial = 0;
-  while (!fold.decided() && next_trial < options.max_trials) {
-    const std::uint64_t batch =
-        std::min(options.batch, options.max_trials - next_trial);
-    const std::uint64_t base = next_trial;
+  // The scheduler state, guarded by `mutex`: the next unclaimed trial, the
+  // fold, and `stop`, raised once the SPRT decides or a trial throws (the
+  // running bodies read it without the lock).
+  std::mutex mutex;
+  std::condition_variable frontier_moved;
+  std::uint64_t next_claim = 0;
+  std::atomic<bool> stop{false};
+
+  // Fold one finished trial. Only an outcome at the frontier advances the
+  // fold; anything else waits in the merger's reorder buffer.
+  const auto absorb = [&](std::uint64_t trial, TrialOutcome&& outcome) {
+    if (trial != merger.next_needed()) {
+      merger.absorb(trial, {std::move(outcome)});
+      return;
+    }
     obs::ObsSpan round_span("sprt_round", "smc");
-    round_span.set_value(static_cast<double>(batch));
-    pool.parallel_for_workers(batch, [&](unsigned worker, std::uint64_t i) {
-      const std::uint64_t trial = base + i;
-      obs::ObsSpan trial_span("trial", "smc");
-      trial_span.set_value(static_cast<double>(trial));
-      outcomes[i] =
-          body(worker, trial, engine::derive_trial_seed(options.seed, trial));
-    });
-    // Fold in trial order; stop at the SPRT's decision point so that every
-    // statistic covers exactly the trials the sequential test consumed —
-    // the tail of the last batch ran but is not part of the certificate.
-    for (std::uint64_t i = 0; i < batch && !fold.decided(); ++i)
-      fold.fold(outcomes[i]);
-    next_trial = base + batch;
+    merger.absorb(trial, {std::move(outcome)});
+    round_span.set_value(static_cast<double>(merger.next_needed() - trial));
     rounds_counter.add(1);
-    trials_gauge.set(static_cast<double>(fold.sprt().trials()));
-    successes_gauge.set(static_cast<double>(fold.sprt().successes()));
-    llr_gauge.set(fold.sprt().llr());
-    obs::trace_counter("smc.llr", fold.sprt().llr());
-  }
+    trials_gauge.set(static_cast<double>(merger.sprt().trials()));
+    successes_gauge.set(static_cast<double>(merger.sprt().successes()));
+    llr_gauge.set(merger.sprt().llr());
+    obs::trace_counter("smc.llr", merger.sprt().llr());
+    if (merger.decided()) stop.store(true, std::memory_order_relaxed);
+  };
 
-  Certificate cert = fold.finish(options);
+  // Every worker runs the same loop: claim the next trial below the
+  // look-ahead horizon (or wait for the frontier to move), run it, fold
+  // it. No rounds, no barrier: the fold advances as soon as the lowest
+  // unfolded trial lands.
+  pool.parallel_for_workers(workers, [&](unsigned worker, std::uint64_t) {
+    std::unique_lock<std::mutex> lock(mutex);
+    while (true) {
+      const auto finished = [&] {
+        return stop.load(std::memory_order_relaxed) ||
+               next_claim >= options.max_trials;
+      };
+      frontier_moved.wait(lock, [&] {
+        return finished() || next_claim < merger.horizon(workers);
+      });
+      if (finished()) return;
+      const std::uint64_t trial = next_claim++;
+      lock.unlock();
+      TrialOutcome outcome;
+      try {
+        obs::ObsSpan trial_span("trial", "smc");
+        trial_span.set_value(static_cast<double>(trial));
+        outcome = body(worker, trial,
+                       engine::derive_trial_seed(options.seed, trial), stop);
+      } catch (...) {
+        lock.lock();
+        stop.store(true, std::memory_order_relaxed);
+        frontier_moved.notify_all();
+        throw;  // the pool rethrows it once every worker has returned
+      }
+      lock.lock();
+      // An outcome that lands after `stop` is dropped unfolded, and a body
+      // cut short by `stop` only ever lands after it.
+      if (!stop.load(std::memory_order_relaxed))
+        absorb(trial, std::move(outcome));
+      frontier_moved.notify_all();
+    }
+  });
+
+  Certificate cert = merger.finish();
   cert.threads_used = workers;
   cert.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -128,11 +156,13 @@ Certificate certify(const pp::Protocol& protocol, const pp::Config& initial,
   // engine::TrialExecutor (S27), the body every layer runs.
   engine::TrialExecutor executor(
       protocol, options.engine, options.scenario,
-      engine::fleet_workers(options.batch, options.threads));
+      engine::fleet_workers(options.max_trials, options.threads));
   Certificate cert = certify_trials(
-      [&](unsigned worker, std::uint64_t, std::uint64_t seed) {
-        return outcome_of(executor.run(worker, initial, seed, options.sim),
-                          expected_output, initial.total());
+      [&](unsigned worker, std::uint64_t, std::uint64_t seed,
+          const std::atomic<bool>& stop) {
+        return outcome_of(
+            executor.run(worker, initial, seed, options.sim, &stop),
+            expected_output, initial.total());
       },
       options);
   cert.protocol_fingerprint = protocol.fingerprint();

@@ -23,6 +23,7 @@
 // sampled.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -57,13 +58,12 @@ struct CertifyOptions {
   double ci_confidence = 0.99;
   /// Hard trial cap; hitting it yields kInconclusive with partial stats.
   std::uint64_t max_trials = 4096;
-  /// Trials dispatched per fleet batch. Outcomes are folded into the SPRT
-  /// in trial order after each batch drains, so the batch size affects
-  /// wall time only — never the verdict or the digest. Keep it small when
-  /// individual trials are expensive: the whole batch runs even if the
-  /// SPRT decides on its first outcome.
+  /// Read by nothing: trials stream through the fold one at a time. Still
+  /// declared only because the repository benchmark (perfbench/) assigns
+  /// it.
   std::uint64_t batch = 8;
-  unsigned threads = 0;  ///< 0 = hardware concurrency
+  /// Worker threads, capped at max_trials; 0 = hardware concurrency.
+  unsigned threads = 0;
   std::uint64_t seed = 1;
   engine::EngineKind engine = engine::EngineKind::kCountNullSkip;
   /// Stress scenario (S27): scheduler strategy + fault plan each trial
@@ -147,19 +147,27 @@ struct Certificate {
   }
 };
 
-/// A trial body: given (executing worker, trial index, derived seed), run
-/// one independent experiment. Must be safe to call concurrently from
-/// different threads, and the outcome must be a pure function of (trial,
-/// seed) alone — the worker index only identifies per-worker scratch
-/// (e.g. a reusable CountSimulator) that is fully reset between trials,
-/// so it can never influence a result (or the certificate digest).
+/// A trial body: given (executing worker, trial index, derived seed,
+/// cancel flag), run one independent experiment. Must be safe to call
+/// concurrently from different threads, and the outcome must be a pure
+/// function of (trial, seed) alone — the worker index only identifies
+/// per-worker state (e.g. a reusable CountSimulator) that is fully reset
+/// between trials, so it can never influence a result (or the certificate
+/// digest). `stop` is set once the verdict is known (or a trial threw);
+/// a body may then return early with any outcome, because it is dropped
+/// unfolded.
 using TrialFn = std::function<TrialOutcome(
-    unsigned worker, std::uint64_t trial, std::uint64_t seed)>;
+    unsigned worker, std::uint64_t trial, std::uint64_t seed,
+    const std::atomic<bool>& stop)>;
 
-/// Core driver: batches of `body` trials on the shared engine::WorkerPool,
-/// folded into the SPRT/interval/quantile state in trial order until the
-/// test decides or options.max_trials is exhausted. Statement fields that
-/// depend on the system under test (fingerprint, population,
+/// The trial scheduler: a pool of engine::fleet_workers(max_trials, threads)
+/// workers, each claiming the next trial index below the fold's look-ahead
+/// horizon (StreamingMerger::horizon), running `body` on it and absorbing
+/// the outcome into the one StreamingMerger, which folds in trial order
+/// until the SPRT decides or options.max_trials is exhausted. On the
+/// decision `stop` is raised for the trials still running. A throwing
+/// body stops every worker and its exception is rethrown here. Statement
+/// fields that depend on the system under test (fingerprint, population,
 /// expected_output) are left zero — certify() fills them.
 Certificate certify_trials(const TrialFn& body, const CertifyOptions& options);
 

@@ -1,34 +1,27 @@
-// Shard-mergeable certification state for the serve daemon (S25).
+// The one certification fold, for in-process and distributed runs alike
+// (S23, S25).
 //
-// The serve layer (src/serve/) splits one SPRT certification across worker
-// processes. The naive approach — each shard keeps its own SPRT counters
-// and P² sketches, the coordinator unions them — cannot reproduce the
-// single-process certificate digest: Wald's SPRT is a *sequential stopping
-// rule* (which trial the test stops on depends on the entire outcome
-// prefix, so shard-local stopping points are meaningless), and P² marker
-// updates are order-dependent (each adjustment depends on every earlier
-// observation). No commutative sketch union is bit-exact.
+// Wald's SPRT is a *sequential stopping rule* — which trial the test
+// stops on depends on the entire outcome prefix — and P² marker updates
+// are order-dependent, so no commutative union of per-shard sketches
+// reproduces a single-process certificate bit for bit. What *is* exact:
+// every statistical field of a certificate is a pure function of the
+// trial-outcome sequence folded in trial order up to and including the
+// SPRT decision point, and outcome i is a pure function of
+// (trial i, derive_trial_seed(seed, i)) alone.
 //
-// What *is* exact: every statistical field of a certificate is a pure
-// function of the trial-outcome sequence folded in trial order up to and
-// including the SPRT decision point (smc/certify.cpp's fold loop), and
-// outcome i is a pure function of (trial i, derive_trial_seed(seed, i))
-// alone. So shards do not fold — workers ship their engine::TrialResult
-// records in trial order (serve/proto.hpp), the daemon maps each to a
-// TrialOutcome with smc::outcome_of, and replays the one canonical fold:
+// StreamingMerger is that fold behind a reorder buffer. Both schedulers
+// feed it: smc::certify_trials absorbs each finished trial as a one-trial
+// range, and the serve daemon absorbs each worker's reply (records mapped
+// through smc::outcome_of). Ranges may arrive in any order and more than
+// once; the merger folds strictly in trial order and stops folding at the
+// SPRT decision point or the trial budget. Hence the certificate is
+// byte-identical under any thread count, shard layout, arrival order or
+// reassignment — tests/test_smc.cpp and tests/test_serve.cpp check it
+// against a plain sequential fold (tests/oracles.hpp, oracle_fold).
 //
-//   * FoldState is that fold as a state machine — exactly the Sprt /
-//     QuantileTails / counter updates of smc::certify_trials.
-//   * StreamingMerger wraps a FoldState in a reorder buffer: contiguous
-//     outcome ranges absorbed in ANY arrival order, duplicates and
-//     already-folded prefixes dropped, outcomes folded strictly in trial
-//     order, folding stopped at the SPRT decision point.
-//
-// Hence the merged certificate is byte-identical to in-process
-// smc::certify under any shard layout — same outcomes, same order, same
-// fold — which tests/test_serve.cpp and the serve-smoke CI job assert
-// differentially against smc::certify at several worker counts and shard
-// splits (including after a killed-worker trial reassignment).
+// The merger also owns the one look-ahead rule (horizon): how far past the
+// fold frontier either scheduler may start trials.
 #pragma once
 
 #include <cstdint>
@@ -41,64 +34,49 @@
 
 namespace ppde::smc {
 
-/// Statement fields of a certificate that depend only on the options (the
-/// system-under-test fields — fingerprint, population, expected_output —
-/// stay zero for the caller to fill). Shared by certify_trials and
-/// StreamingMerger::finish so both paths produce identical payloads.
-Certificate certificate_statement(const CertifyOptions& options);
-
-/// The canonical certification fold (certify_trials' inner loop) as a
-/// state machine.
-class FoldState {
- public:
-  explicit FoldState(const CertifyOptions& options);
-
-  /// Fold one outcome — exactly one iteration of certify_trials' loop.
-  /// No-op once the SPRT has decided (the stopped test's statistics are
-  /// final; trailing outcomes of the last batch are discarded there too).
-  void fold(const TrialOutcome& outcome);
-
-  bool decided() const { return sprt_.decided(); }
-  const Sprt& sprt() const { return sprt_; }
-  std::uint64_t stabilised() const { return stabilised_; }
-
-  /// Evidence + verdict + statement fields of the certificate (the
-  /// system-under-test fields stay zero; wall_seconds / threads_used are
-  /// execution record, not statistics, and are the caller's).
-  Certificate finish(const CertifyOptions& options) const;
-
- private:
-  Sprt sprt_;
-  QuantileTails tails_;
-  std::uint64_t stabilised_ = 0;
-  std::uint64_t meetings_ = 0;
-  std::uint64_t firings_ = 0;
-};
-
-/// Reorder buffer around a FoldState: absorbs contiguous outcome ranges
-/// in any arrival order and folds them strictly in trial order.
-/// Duplicate deliveries (e.g. a range reassigned after a worker death
-/// whose original response later arrived anyway) and outcomes past the
-/// SPRT decision point or the trial budget are dropped — the fold consumes
-/// exactly the prefix the single-process fold would.
 class StreamingMerger {
  public:
+  /// How many trials may be started past the fold frontier per trial in
+  /// flight (see horizon).
+  static constexpr std::uint64_t kLookAhead = 2;
+
   explicit StreamingMerger(const CertifyOptions& options);
 
   /// Absorb `outcomes` of trials [first, first + outcomes.size()). The
   /// caller vouches for the range: the serve daemon checks every worker
   /// reply against the range it dispatched before it gets here.
+  /// Duplicates, already-folded prefixes and everything after the
+  /// decision are dropped unfolded.
   void absorb(std::uint64_t first, std::vector<TrialOutcome> outcomes);
 
-  bool decided() const { return fold_.decided(); }
-  /// Lowest trial index not yet folded (the dispatch frontier).
+  bool decided() const { return sprt_.decided(); }
+  const Sprt& sprt() const { return sprt_; }
+  /// Lowest trial index not yet folded (the fold frontier).
   std::uint64_t next_needed() const { return next_; }
 
-  Certificate finish() const { return fold_.finish(options_); }
+  /// The look-ahead rule: a scheduler with `in_flight` trials running at
+  /// once may start any trial below
+  ///   min(max_trials, next_needed() + kLookAhead * in_flight),
+  /// computed without overflow. The bound keeps the reorder buffer and
+  /// the work the verdict may not use proportional to the fleet.
+  std::uint64_t horizon(std::uint64_t in_flight) const;
+
+  /// The certificate of everything folded so far: statement, evidence and
+  /// verdict (kInconclusive until the SPRT decides). The system-under-test
+  /// fields (fingerprint, population, expected_output) and the execution
+  /// record (wall_seconds, threads_used) stay zero for the caller to fill.
+  Certificate finish() const;
 
  private:
+  /// One step of the canonical fold.
+  void fold(const TrialOutcome& outcome);
+
   CertifyOptions options_;
-  FoldState fold_;
+  Sprt sprt_;
+  QuantileTails tails_;
+  std::uint64_t stabilised_ = 0;
+  std::uint64_t meetings_ = 0;
+  std::uint64_t firings_ = 0;
   std::uint64_t next_ = 0;
   /// Out-of-order ranges keyed by first trial index, trimmed so that no
   /// stored range starts below next_.

@@ -12,8 +12,11 @@
 //   LinearScanOracle  the seed count engine with geometric null-skip
 //                     (engine::CountSimulator): full weight rescan, linear
 //                     prefix scans, responder walk over all partners.
+//   oracle_fold       the certification fold (smc::StreamingMerger) as
+//                     a plain in-order loop over Sprt, QuantileTails and
+//                     the evidence counters.
 //   oracle_certify    smc::certify with every trial run on the two
-//                     oracles above.
+//                     oracles above, folded by oracle_fold.
 //   tarjan_scc        Tarjan over one successor vector per node, the
 //                     store the kernel kept before its CSR graph
 //                     (support::tarjan_scc).
@@ -42,6 +45,8 @@
 #include "sched/scenario.hpp"
 #include "sched/scheduler.hpp"
 #include "smc/certify.hpp"
+#include "smc/sprt.hpp"
+#include "smc/stats.hpp"
 #include "support/rng.hpp"
 
 namespace ppde::oracle {
@@ -469,19 +474,70 @@ class LinearScanOracle {
   support::Rng rng_;
 };
 
+/// The certificate of options.max_trials trials (at most) folded one by
+/// one in trial order until the SPRT decides: outcome(trial, seed) with
+/// seed = derive_trial_seed(options.seed, trial). The statement, evidence
+/// and verdict fields are all filled here, independently, so a payload match
+/// against smc::certify checks StreamingMerger's reorder buffer and
+/// certify_trials' scheduler at once. The system-under-test fields and
+/// the execution record stay zero.
+inline smc::Certificate oracle_fold(
+    const smc::CertifyOptions& options,
+    const std::function<smc::TrialOutcome(std::uint64_t trial,
+                                          std::uint64_t seed)>& outcome) {
+  smc::Sprt sprt(options.sprt());
+  smc::QuantileTails tails;
+  smc::Certificate cert;
+  for (std::uint64_t trial = 0;
+       trial < options.max_trials && !sprt.decided(); ++trial) {
+    const smc::TrialOutcome next =
+        outcome(trial, engine::derive_trial_seed(options.seed, trial));
+    sprt.update(next.success);
+    if (next.stabilised) {
+      ++cert.stabilised;
+      if (next.success) tails.add(next.convergence_parallel_time);
+    }
+    cert.total_meetings += next.metrics.meetings;
+    cert.total_firings += next.metrics.firings;
+  }
+  cert.verdict = sprt.decision() == smc::Sprt::Decision::kAcceptH1
+                     ? smc::Verdict::kCertified
+                 : sprt.decision() == smc::Sprt::Decision::kAcceptH0
+                     ? smc::Verdict::kRefuted
+                     : smc::Verdict::kInconclusive;
+  cert.delta = options.delta;
+  cert.indifference = options.indifference;
+  cert.alpha = options.alpha;
+  cert.beta = options.beta;
+  cert.ci_confidence = options.ci_confidence;
+  cert.seed = options.seed;
+  cert.max_trials = options.max_trials;
+  cert.interaction_budget = options.sim.max_interactions;
+  if (!options.scenario.is_default())
+    cert.scenario = options.scenario.to_string();
+  cert.trials = sprt.trials();
+  cert.successes = sprt.successes();
+  cert.llr = sprt.llr();
+  cert.interval = smc::clopper_pearson(cert.successes, cert.trials,
+                                       options.ci_confidence);
+  cert.time_p50 = tails.p50();
+  cert.time_p90 = tails.p90();
+  cert.time_p99 = tails.p99();
+  return cert;
+}
+
 /// smc::certify's certificate with every trial run on a fresh oracle —
 /// LinearScanOracle for the count engine under the default scenario,
 /// MapStepper otherwise — mapped to outcomes exactly as certify maps its
-/// trials, and folded by smc::certify_trials on one thread.
+/// trials, and folded by oracle_fold.
 inline smc::Certificate oracle_certify(const pp::Protocol& protocol,
                                        const pp::Config& initial,
                                        bool expected_output,
-                                       smc::CertifyOptions options) {
-  options.threads = 1;
+                                       const smc::CertifyOptions& options) {
   const bool count = options.engine == engine::EngineKind::kCountNullSkip &&
                      options.scenario.is_default();
-  smc::Certificate cert = smc::certify_trials(
-      [&](unsigned, std::uint64_t, std::uint64_t seed) {
+  smc::Certificate cert = oracle_fold(
+      options, [&](std::uint64_t, std::uint64_t seed) {
         pp::SimulationResult sim;
         smc::TrialOutcome outcome;
         if (count) {
@@ -502,8 +558,7 @@ inline smc::Certificate oracle_certify(const pp::Protocol& protocol,
               static_cast<double>(sim.consensus_since) /
               static_cast<double>(initial.total());
         return outcome;
-      },
-      options);
+      });
   cert.protocol_fingerprint = protocol.fingerprint();
   cert.population = initial.total();
   cert.expected_output = expected_output;

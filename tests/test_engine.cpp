@@ -625,6 +625,38 @@ TEST(CountSimulator, ResetMatchesFreshConstruction) {
   EXPECT_EQ(fresh.metrics().weight_updates, reused.metrics().weight_updates);
 }
 
+TEST(TrialExecutor, RaisedStopFlagEndsTheRunAtThePollPoint) {
+  // The carousel never holds a consensus and every meeting fires, so only
+  // the budget or the stop flag ends a run. A raised flag is seen at the
+  // first poll: 2^16 firings on the count engine, 2^16 meetings on the
+  // per-agent one. An unraised flag changes nothing.
+  const pp::Protocol carousel = make_carousel_protocol(40);
+  pp::Config initial(carousel.num_states());
+  for (pp::State q = 0; q < 40; ++q) initial.add(q, 3);
+  pp::SimulationOptions options;
+  options.stable_window = 1'000'000'000'000;
+  options.max_interactions = 1'000'000'000'000;
+  for (const EngineKind kind :
+       {EngineKind::kCountNullSkip, EngineKind::kPerAgent}) {
+    SCOPED_TRACE(to_string(kind));
+    TrialExecutor executor(carousel, kind, sched::Scenario{}, 1);
+    const std::atomic<bool> raised{true};
+    const TrialResult cut = executor.run(0, initial, 7, options, &raised);
+    EXPECT_FALSE(cut.sim.stabilised);
+    EXPECT_EQ(kind == EngineKind::kPerAgent ? cut.metrics.meetings
+                                            : cut.metrics.firings,
+              pp::kStopPollMask + 1);
+
+    pp::SimulationOptions budgeted = options;
+    budgeted.max_interactions = 200'000;
+    const std::atomic<bool> lowered{false};
+    const TrialResult full = executor.run(0, initial, 7, budgeted, &lowered);
+    EXPECT_EQ(full.sim.interactions, budgeted.max_interactions);
+    const TrialResult unset = executor.run(0, initial, 7, budgeted);
+    EXPECT_EQ(unset.metrics.firings, full.metrics.firings);
+  }
+}
+
 TEST(CountSimulator, MetricsObserveTheIncrementalPath) {
   // The incremental machinery is observable: each fired transition
   // updates at least the slots it touched.

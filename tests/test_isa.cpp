@@ -374,14 +374,13 @@ TEST(Differential, CertificateDigestIdenticalAcrossDispatchAndThreads) {
   const pp::Config initial = czerner_initial(2);
   smc::CertifyOptions options;
   options.max_trials = 12;
-  options.batch = 4;
   options.seed = 3;
   options.sim.stable_window = 2'000'000;
   options.sim.max_interactions = 40'000'000;
   const smc::Certificate reference = oracle::oracle_certify(
       protocol, initial, /*expected_output=*/false, options);
   EXPECT_EQ(reference.trials, 12u);
-  for (const unsigned threads : {1u, 4u}) {
+  for (const unsigned threads : {1u, 3u, 4u}) {
     options.threads = threads;
     const smc::Certificate cert =
         smc::certify(protocol, initial, /*expected_output=*/false, options);

@@ -319,7 +319,6 @@ TEST(Observability, CertifyDigestUnchangedByTracingAndThreads) {
   options.indifference = 0.8;
   options.alpha = options.beta = 0.01;
   options.max_trials = 64;
-  options.batch = 8;
   options.threads = 1;
   options.seed = 11;
   options.sim.stable_window = 20'000;
@@ -333,18 +332,21 @@ TEST(Observability, CertifyDigestUnchangedByTracingAndThreads) {
   FileGuard guard{path};
   ASSERT_TRUE(Tracer::start(path));
   const smc::Certificate traced_1 = smc::certify(flock, initial, true, options);
+  options.threads = 3;
+  const smc::Certificate traced_3 = smc::certify(flock, initial, true, options);
   options.threads = 4;
   const smc::Certificate traced_4 = smc::certify(flock, initial, true, options);
   Tracer::stop();
 
   EXPECT_EQ(smc::certificate_digest(traced_1), baseline);
+  EXPECT_EQ(smc::certificate_digest(traced_3), baseline);
   EXPECT_EQ(smc::certificate_digest(traced_4), baseline);
   EXPECT_EQ(smc::to_jsonl(traced_1).substr(0, smc::to_jsonl(traced_1).find(
                                                    "\"digest\"")),
             smc::to_jsonl(plain).substr(0, smc::to_jsonl(plain).find(
                                               "\"digest\"")));
 
-  // The traced runs actually traced: per-round spans are in the file.
+  // The traced runs actually traced: fold-advance spans are in the file.
   const std::string text = slurp(path);
   EXPECT_NE(text.find("\"name\":\"certify_trials\""), std::string::npos);
   EXPECT_NE(text.find("\"name\":\"sprt_round\""), std::string::npos);

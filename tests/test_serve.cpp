@@ -1,11 +1,13 @@
 // Tests for the serve subsystem (DESIGN.md S25): wire framing and the
 // recursive-descent JSON parser, the certification fold's reorder buffer
-// (StreamingMerger) differentially against certify_trials under many
+// (StreamingMerger) differentially against a sequential fold under many
 // shard layouts, the one trial record's codec, the worker batch protocol
-// over a real socketpair, the end-to-end daemon against in-process
-// smc::certify (byte-identical certificate digest, including after a
-// killed-worker trial reassignment and after a worker that replies with
-// the wrong range or record shape), and the SIGINT/SIGTERM watcher.
+// (cancel included) over a real socketpair, the end-to-end daemon against
+// in-process smc::certify (byte-identical certificate digest, including
+// after a killed-worker trial reassignment and after a worker that
+// replies with the wrong range or record shape), cancellation of
+// speculative batches on the decision and on the wall budget, and the
+// SIGINT/SIGTERM watcher.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -45,6 +48,7 @@
 #include "smc/certify.hpp"
 #include "smc/json.hpp"
 #include "smc/partial.hpp"
+#include "oracles.hpp"
 
 namespace ppde::serve {
 namespace {
@@ -190,16 +194,11 @@ std::vector<smc::TrialOutcome> fake_outcomes(
 }
 
 // The tentpole differential: the streaming merge reproduces the
-// certify_trials certificate *byte-identically* under any shard layout.
+// sequential fold's certificate *byte-identically* under any shard layout.
 TEST(PartialState, MergerMatchesCertifyTrialsUnderAnyShardLayout) {
-  smc::CertifyOptions options = fold_options();
-  options.threads = 1;
-  options.batch = 8;
-  const smc::Certificate reference = smc::certify_trials(
-      [](unsigned, std::uint64_t trial, std::uint64_t seed) {
-        return fake_outcome(trial, seed);
-      },
-      options);
+  const smc::CertifyOptions options = fold_options();
+  const smc::Certificate reference =
+      oracle::oracle_fold(options, fake_outcome);
   const std::string reference_payload = smc::certificate_payload(reference);
   ASSERT_GT(reference.trials, 0u);
 
@@ -467,22 +466,42 @@ TEST(Dispatch, ParseRejectsUnknown) {
 // ---------------------------------------------------------------------------
 // Worker process over a real socketpair.
 
-TEST(Worker, BatchRecordsMatchInProcessOutcomes) {
-  int pair[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::close(pair[0]);
-    int status = 0;
-    try {
-      worker_main(pair[1]);
-    } catch (...) {
-      status = 1;
+/// A forked worker_main on one end of a socketpair; `fd` is the daemon's
+/// end. exit_status() closes it and reaps the child: 0 after an exit op,
+/// 1 if worker_main threw.
+struct ForkedWorker {
+  int fd = -1;
+  pid_t pid = -1;
+
+  ForkedWorker() {
+    int pair[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, pair) != 0)
+      throw std::runtime_error("socketpair");
+    pid = ::fork();
+    if (pid == 0) {
+      ::close(pair[0]);
+      int status = 0;
+      try {
+        worker_main(pair[1]);
+      } catch (...) {
+        status = 1;
+      }
+      ::_exit(status);
     }
-    ::_exit(status);
+    ::close(pair[1]);
+    fd = pair[0];
   }
-  ::close(pair[1]);
+
+  int exit_status() {
+    ::close(fd);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+};
+
+TEST(Worker, BatchRecordsMatchInProcessOutcomes) {
+  ForkedWorker worker;
 
   BatchRequest request;
   request.n = 1;
@@ -504,16 +523,13 @@ TEST(Worker, BatchRecordsMatchInProcessOutcomes) {
       R"({"kind":"certify","expected":true,)" + current.substr(1);
   std::vector<BatchResult> results;
   for (const std::string& frame : {current, legacy, certify_kind}) {
-    write_frame(pair[0], frame);
+    write_frame(worker.fd, frame);
     std::string payload;
-    ASSERT_TRUE(read_frame(pair[0], payload));
+    ASSERT_TRUE(read_frame(worker.fd, payload));
     results.push_back(parse_batch_result(Json::parse(payload)));
   }
-  write_frame(pair[0], encode_exit());
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-  ::close(pair[0]);
+  write_frame(worker.fd, encode_exit());
+  EXPECT_EQ(worker.exit_status(), 0);
 
   // Differential: the worker's records are exactly what the in-process
   // range runner computes for the same trials, and map to exactly the
@@ -560,6 +576,69 @@ TEST(Worker, BatchRecordsMatchInProcessOutcomes) {
           << i;
     }
   }
+}
+
+TEST(Worker, CancelYieldsAPrefixAndAStaleCancelIsIgnored) {
+  ForkedWorker worker;
+  BatchRequest request;
+  request.n = 1;
+  request.extra = 2;
+  request.seed = 7;
+  request.first = 10;
+  request.count = 1000;  // seconds of work unless cancelled
+  request.window = 1'000'000'000;
+  request.budget = 5'000'000;
+  const auto reply = [&] {
+    std::string payload;
+    EXPECT_TRUE(read_frame(worker.fd, payload));
+    return parse_batch_result(Json::parse(payload));
+  };
+
+  // A cancel right behind the batch: the worker stops before its next
+  // trial and ships the prefix it finished, from the range's first trial.
+  write_frame(worker.fd, encode_batch_request(request));
+  write_frame(worker.fd, encode_cancel());
+  const BatchResult prefix = reply();
+  EXPECT_EQ(prefix.first, request.first);
+  EXPECT_LT(prefix.records.size(), request.count);
+
+  const auto lowered =
+      compile::lower_program(czerner::build_construction(1).program);
+  const auto conv = compile::machine_to_protocol(lowered.machine);
+  const pp::Config initial = conv.initial_config(conv.num_pointers + 2);
+  pp::SimulationOptions sim;
+  sim.stable_window = request.window;
+  sim.max_interactions = request.budget;
+  engine::TrialExecutor executor(conv.protocol,
+                                 engine::EngineKind::kCountNullSkip,
+                                 sched::Scenario{}, 1);
+  for (std::size_t i = 0; i < prefix.records.size(); ++i) {
+    const engine::TrialResult expected = executor.run(
+        0, initial, engine::derive_trial_seed(request.seed, 10 + i), sim);
+    EXPECT_EQ(prefix.records[i].sim.interactions, expected.sim.interactions);
+    EXPECT_EQ(prefix.records[i].metrics.firings, expected.metrics.firings);
+  }
+
+  // A cancel that arrives after the whole reply is stale: the worker drops
+  // it and answers the next batch in full.
+  request.count = 2;
+  write_frame(worker.fd, encode_batch_request(request));
+  EXPECT_EQ(reply().records.size(), 2u);
+  write_frame(worker.fd, encode_cancel());
+  request.first = 0;
+  request.count = 1;
+  write_frame(worker.fd, encode_batch_request(request));
+  const BatchResult after = reply();
+  EXPECT_EQ(after.first, 0u);
+  EXPECT_EQ(after.records.size(), 1u);
+
+  // Any other frame during a batch is a protocol error.
+  request.count = 1000;
+  write_frame(worker.fd, encode_batch_request(request));
+  write_frame(worker.fd, encode_batch_request(request));
+  std::string payload;
+  EXPECT_FALSE(read_frame(worker.fd, payload));
+  EXPECT_EQ(worker.exit_status(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -715,22 +794,32 @@ TEST(Server, KilledWorkerRangeIsReassignedWithSameDigest) {
   EXPECT_EQ(digest_of(response), digest_of(reference)) << response;
 }
 
-/// How FakeRemoteWorker answers: every reply is one the daemon must
-/// refuse. kShort drops the range's last record; kShifted is a
+/// How FakeRemoteWorker answers. The first four are replies the daemon
+/// must refuse: kShort drops the range's last record; kShifted is a
 /// well-formed reply for the range 1000 trials further on; the parent
 /// shapes are the 6-field certify and 12-field ensemble records an older
-/// build's worker ships.
-enum class BadReply { kShort, kShifted, kParentCertify, kParentEnsemble };
+/// build's worker ships. kHoldUntilCancel answers nothing until a cancel
+/// arrives and then ships an empty prefix — or, after kHoldSeconds
+/// without one, the whole range.
+enum class FakeReply {
+  kShort,
+  kShifted,
+  kParentCertify,
+  kParentEnsemble,
+  kHoldUntilCancel
+};
 
 /// A remote `ppde worker` stand-in on 127.0.0.1 that answers every batch
-/// with a BadReply until the daemon hangs up. The constructor only
-/// listens, so a Server built next can fork its local workers and then
-/// connect (the kernel queues the connection); start() must follow the
-/// Server, because a thread alive across fork() can leave a lock held
+/// as its FakeReply mode says until the daemon hangs up. The constructor
+/// only listens, so a Server built next can fork its local workers and
+/// then connect (the kernel queues the connection); start() must follow
+/// the Server, because a thread alive across fork() can leave a lock held
 /// forever in the child.
 class FakeRemoteWorker {
  public:
-  explicit FakeRemoteWorker(BadReply mode) : mode_(mode) {
+  static constexpr int kHoldSeconds = 10;
+
+  explicit FakeRemoteWorker(FakeReply mode) : mode_(mode) {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -761,6 +850,7 @@ class FakeRemoteWorker {
     thread_ = std::thread([this] { serve(); });
   }
   std::uint64_t batches() const { return batches_.load(); }
+  std::uint64_t cancels() const { return cancels_.load(); }
 
  private:
   void serve() {
@@ -771,8 +861,15 @@ class FakeRemoteWorker {
       while (read_frame(fd, payload)) {
         const Json message = Json::parse(payload);
         if (is_exit(message)) break;
+        if (is_cancel(message)) {
+          ++cancels_;
+          continue;
+        }
         ++batches_;
-        write_frame(fd, reply_to(parse_batch_request(message)));
+        const BatchRequest request = parse_batch_request(message);
+        const bool cancelled = mode_ == FakeReply::kHoldUntilCancel &&
+                               cancelled_within_hold(fd);
+        write_frame(fd, reply_to(request, cancelled));
       }
     } catch (const std::exception&) {
       // The daemon hung up mid-frame; nothing left to answer.
@@ -780,26 +877,41 @@ class FakeRemoteWorker {
     ::close(fd);
   }
 
-  std::string reply_to(const BatchRequest& request) const {
+  /// Wait up to kHoldSeconds for the daemon's next frame; true if it is a
+  /// cancel.
+  bool cancelled_within_hold(int fd) {
+    pollfd ready{fd, POLLIN, 0};
+    std::string payload;
+    if (::poll(&ready, 1, kHoldSeconds * 1000) <= 0 ||
+        !read_frame(fd, payload) || !is_cancel(Json::parse(payload)))
+      return false;
+    ++cancels_;
+    return true;
+  }
+
+  /// The reply to `request`; an empty prefix if it was cancelled.
+  std::string reply_to(const BatchRequest& request, bool cancelled) const {
     BatchResult result;
     result.first = request.first;
-    result.records.resize(request.count);
+    result.records.resize(cancelled ? 0 : request.count);
     switch (mode_) {
-      case BadReply::kShort:
+      case FakeReply::kShort:
         result.records.pop_back();
         return encode_batch_result(result);
-      case BadReply::kShifted:
+      case FakeReply::kShifted:
         result.first += 1000;
         return encode_batch_result(result);
-      case BadReply::kParentCertify:
-      case BadReply::kParentEnsemble:
+      case FakeReply::kHoldUntilCancel:
+        return encode_batch_result(result);
+      case FakeReply::kParentCertify:
+      case FakeReply::kParentEnsemble:
         break;
     }
     // The older build's records after the trial index:
     // [success, stabilised, time-bits, meetings, firings] for certify,
     // [stabilised, output, interactions, parallel-time-bits, meetings,
     // firings, and five more run counters] for ensemble.
-    const char* rest = mode_ == BadReply::kParentCertify
+    const char* rest = mode_ == FakeReply::kParentCertify
                            ? R"(,1,1,"3ff0000000000000",9,5])"
                            : R"(,1,1,9,"3ff0000000000000",9,5,1,0,0,0,0])";
     std::string frame = R"({"op":"result","first":)" +
@@ -810,10 +922,11 @@ class FakeRemoteWorker {
     return frame + "]}";
   }
 
-  BadReply mode_;
+  FakeReply mode_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<std::uint64_t> batches_{0};
+  std::atomic<std::uint64_t> cancels_{0};
   std::thread thread_;
 };
 
@@ -886,9 +999,9 @@ TEST(Server, MisrangedAndOldShapeRepliesAreRefusedAndReassigned) {
       obs::Registry::global().counter("serve.worker_deaths");
   obs::Counter& reassigned =
       obs::Registry::global().counter("serve.trials_reassigned");
-  for (const BadReply mode :
-       {BadReply::kShort, BadReply::kShifted, BadReply::kParentCertify,
-        BadReply::kParentEnsemble}) {
+  for (const FakeReply mode :
+       {FakeReply::kShort, FakeReply::kShifted, FakeReply::kParentCertify,
+        FakeReply::kParentEnsemble}) {
     for (const bool is_certify : {true, false}) {
       SCOPED_TRACE(testing::Message()
                    << "mode " << static_cast<int>(mode) << ", "
@@ -931,6 +1044,102 @@ TEST(Server, MisrangedAndOldShapeRepliesAreRefusedAndReassigned) {
       EXPECT_EQ(reassigned.value() - reassigned_before, options.shard);
     }
   }
+}
+
+TEST(Server, DecidedQueryDoesNotWaitForSpeculativeBatches) {
+  // The local worker's first shard holds the three trials that decide the
+  // smoke query; the remote one's speculative shard is never needed. Once
+  // the fold decides, the daemon cancels it and answers at once instead
+  // of waiting for the whole batch (the fake holds it for kHoldSeconds).
+  const QueryParams query = smoke_query();
+  const smc::Certificate reference = reference_certificate(query);
+  ASSERT_LE(reference.trials, 4u);
+  FakeRemoteWorker fake(FakeReply::kHoldUntilCancel);
+  ServerOptions options;
+  options.port = 0;
+  options.workers = 1;
+  options.remote_workers = {fake.endpoint()};
+  options.shard = 4;
+  RunningServer running(options);
+  fake.start();
+  obs::Counter& deaths =
+      obs::Registry::global().counter("serve.worker_deaths");
+  const std::uint64_t deaths_before = deaths.value();
+
+  const auto started = std::chrono::steady_clock::now();
+  std::string response;
+  std::string error;
+  ASSERT_TRUE(rpc(running.endpoint(), encode_query(query), &response, &error))
+      << error;
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - started)
+                            .count();
+  ASSERT_TRUE(Json::parse(response).boolean("ok", false)) << response;
+  EXPECT_EQ(digest_of(response), digest_of(smc::to_jsonl(reference)));
+  EXPECT_EQ(fake.batches(), 1u);
+  EXPECT_EQ(fake.cancels(), 1u);
+  EXPECT_LT(waited, FakeRemoteWorker::kHoldSeconds / 2.0);
+  // An empty prefix from a cancelled worker is a reply, not a death.
+  EXPECT_EQ(deaths.value() - deaths_before, 0u);
+}
+
+TEST(Server, WallBudgetCancelsInFlightBatches) {
+  // One batch of 32 budget-bound trials (~0.2 s each) against a 1 s wall
+  // budget: the daemon cancels the batch when the budget runs out, and the
+  // worker stops after the trial it is running, not after all 32.
+  QueryParams query = smoke_query();
+  query.trials = 32;
+  query.window = 1'000'000'000;
+  query.budget = 120'000'000;
+  query.shard = 32;
+  ServerOptions options;
+  options.port = 0;
+  options.workers = 1;
+  options.max_query_seconds = 1.0;
+  RunningServer running(options);
+
+  const auto started = std::chrono::steady_clock::now();
+  std::string response;
+  std::string error;
+  ASSERT_TRUE(rpc(running.endpoint(), encode_query(query), &response, &error))
+      << error;
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - started)
+                            .count();
+  const Json reply = Json::parse(response);
+  EXPECT_FALSE(reply.boolean("ok", true)) << response;
+  EXPECT_NE(reply.str("error", "").find("wall budget"), std::string::npos)
+      << response;
+  EXPECT_LT(waited, 4.0);
+
+  // The cancelled worker's socket holds no stale frame: the next query
+  // certifies to the in-process digest.
+  const QueryParams smoke = smoke_query();
+  ASSERT_TRUE(rpc(running.endpoint(), encode_query(smoke), &response, &error))
+      << error;
+  EXPECT_TRUE(Json::parse(response).boolean("ok", false)) << response;
+  EXPECT_EQ(digest_of(response),
+            digest_of(smc::to_jsonl(reference_certificate(smoke))));
+}
+
+TEST(Server, HugeShardCertifiesToTheInProcessDigest) {
+  // A shard near 2^64 / workers must not wrap the look-ahead horizon
+  // (live workers × shard × 2) around to zero: the whole trial budget
+  // goes out as one batch.
+  QueryParams query = smoke_query();
+  query.shard = std::uint64_t{1} << 62;
+  ServerOptions options;
+  options.port = 0;
+  options.workers = 2;
+  options.max_query_seconds = 5.0;
+  RunningServer running(options);
+  std::string response;
+  std::string error;
+  ASSERT_TRUE(rpc(running.endpoint(), encode_query(query), &response, &error))
+      << error;
+  ASSERT_TRUE(Json::parse(response).boolean("ok", false)) << response;
+  EXPECT_EQ(digest_of(response),
+            digest_of(smc::to_jsonl(reference_certificate(query))));
 }
 
 TEST(Server, EnsembleSummaryMatchesInProcessStats) {
@@ -1020,21 +1229,7 @@ TEST(Server, ConcurrentQueriesShareTheWorkerPool) {
 // invariant that none of it moves a certificate digest.
 
 TEST(Worker, ShipsMetricDeltasAndTraceSidecar) {
-  int pair[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::close(pair[0]);
-    int status = 0;
-    try {
-      worker_main(pair[1]);
-    } catch (...) {
-      status = 1;
-    }
-    ::_exit(status);
-  }
-  ::close(pair[1]);
+  ForkedWorker worker;
 
   BatchRequest request;
   request.n = 1;
@@ -1047,9 +1242,9 @@ TEST(Worker, ShipsMetricDeltasAndTraceSidecar) {
 
   const auto round_trip = [&](std::uint64_t trace_id) {
     request.trace_id = trace_id;
-    write_frame(pair[0], encode_batch_request(request));
+    write_frame(worker.fd, encode_batch_request(request));
     std::string payload;
-    EXPECT_TRUE(read_frame(pair[0], payload));
+    EXPECT_TRUE(read_frame(worker.fd, payload));
     return parse_batch_result(Json::parse(payload));
   };
 
@@ -1062,7 +1257,7 @@ TEST(Worker, ShipsMetricDeltasAndTraceSidecar) {
 
   // Untraced batch: metrics still ship (they are free), spans do not.
   const BatchResult untraced = round_trip(0);
-  EXPECT_EQ(untraced.worker_pid, static_cast<std::uint64_t>(pid));
+  EXPECT_EQ(untraced.worker_pid, static_cast<std::uint64_t>(worker.pid));
   EXPECT_TRUE(untraced.trace.empty());
   EXPECT_EQ(delta_of(untraced, "serve.trials_executed"), 4.0);
 
@@ -1070,7 +1265,7 @@ TEST(Worker, ShipsMetricDeltasAndTraceSidecar) {
   // and the query's trace_id as the worker_batch span argument...
   request.first = 4;
   const BatchResult traced = round_trip(99);
-  EXPECT_EQ(traced.worker_pid, static_cast<std::uint64_t>(pid));
+  EXPECT_EQ(traced.worker_pid, static_cast<std::uint64_t>(worker.pid));
   ASSERT_FALSE(traced.trace.empty());
   bool saw_batch_span = false;
   for (const obs::CapturedEvent& event : traced.trace)
@@ -1083,11 +1278,8 @@ TEST(Worker, ShipsMetricDeltasAndTraceSidecar) {
   // ...and the metric delta covers only this batch, not the running total.
   EXPECT_EQ(delta_of(traced, "serve.trials_executed"), 4.0);
 
-  write_frame(pair[0], encode_exit());
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-  ::close(pair[0]);
+  write_frame(worker.fd, encode_exit());
+  EXPECT_EQ(worker.exit_status(), 0);
 }
 
 TEST(Server, StatsRollUpFlightRecorderAndPrometheusSurfaces) {
@@ -1216,9 +1408,9 @@ TEST(Server, StatsRollUpFlightRecorderAndPrometheusSurfaces) {
 }
 
 TEST(Server, CertifyTrialsCountInTheWorkerRollUp) {
-  // Certify batches run through the engine's range runner like ensemble
-  // batches, so every trial a worker executes also shows as a finished
-  // engine trial in the fleet roll-up.
+  // Certify batches run the one trial body like ensemble batches, so
+  // every trial a worker ships also shows as a finished engine trial in
+  // the fleet roll-up.
   ServerOptions options;
   options.port = 0;
   options.workers = 2;

@@ -2,26 +2,35 @@
 // SPRT decision boundaries against Wald's expected-sample-size bounds,
 // Clopper–Pearson edge cases and exact binomial-tail inversion, the P²
 // streaming quantile estimator against exact order statistics, certificate
-// determinism across thread counts, the JSONL schema, the adaptive
-// threshold sweep, and a differential check pinning SMC verdicts against
-// exact pp::Verifier verdicts at tiny populations.
+// determinism across thread counts, the streaming trial scheduler against
+// a sequential fold (out-of-order landings, exceptions, cancellation), the
+// JSONL schema, the adaptive threshold sweep, and a differential check
+// pinning SMC verdicts against exact pp::Verifier verdicts at tiny
+// populations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/robustness.hpp"
 #include "baselines/flock.hpp"
+#include "obs/registry.hpp"
 #include "pp/verifier.hpp"
 #include "smc/certify.hpp"
 #include "smc/json.hpp"
+#include "smc/partial.hpp"
 #include "smc/sprt.hpp"
 #include "smc/stats.hpp"
 #include "smc/sweep.hpp"
 #include "support/rng.hpp"
+#include "oracles.hpp"
 
 namespace ppde::smc {
 namespace {
@@ -200,7 +209,6 @@ CertifyOptions fast_options() {
   options.indifference = 0.8;  // H0: correct w.p. <= 0.1
   options.alpha = options.beta = 0.01;
   options.max_trials = 64;
-  options.batch = 8;
   options.threads = 2;
   options.seed = 11;
   options.sim.stable_window = 20'000;
@@ -229,21 +237,184 @@ TEST(Certify, DifferentialAgainstExactVerifierOnTinyPopulations) {
   }
 }
 
-TEST(Certify, DigestIsIndependentOfThreadCountAndBatch) {
+TEST(Certify, DigestIsIndependentOfThreadCount) {
   const pp::Protocol flock = baselines::make_flock_of_birds(4);
   const pp::Config initial = baselines::flock_initial(flock, 6);
   CertifyOptions options = fast_options();
   options.threads = 1;
   const Certificate one = certify(flock, initial, true, options);
-  options.threads = 8;
-  const Certificate eight = certify(flock, initial, true, options);
-  options.batch = 3;  // different batching must not change the outcome
-  const Certificate odd_batch = certify(flock, initial, true, options);
-  EXPECT_EQ(certificate_payload(one), certificate_payload(eight));
-  EXPECT_EQ(certificate_payload(one), certificate_payload(odd_batch));
-  EXPECT_EQ(certificate_digest(one), certificate_digest(eight));
   EXPECT_EQ(one.verdict, Verdict::kCertified);
   EXPECT_GT(one.trials, 0u);
+  for (const unsigned threads : {2u, 3u, 8u}) {
+    options.threads = threads;
+    const Certificate cert = certify(flock, initial, true, options);
+    EXPECT_EQ(certificate_payload(cert), certificate_payload(one))
+        << "threads " << threads;
+    EXPECT_EQ(certificate_digest(cert), certificate_digest(one))
+        << "threads " << threads;
+  }
+}
+
+TEST(Certify, PublishesEngineCounters) {
+  // The engine's registry counters count in-process certification trials
+  // too (they are published by the one trial body). On one thread nothing
+  // runs past the decision, so they equal the certificate's own totals.
+  const pp::Protocol flock = baselines::make_flock_of_birds(4);
+  const pp::Config initial = baselines::flock_initial(flock, 6);
+  CertifyOptions options = fast_options();
+  options.threads = 1;
+  obs::Registry& registry = obs::Registry::global();
+  const std::uint64_t trials_before =
+      registry.counter("engine.trials_done").value();
+  const std::uint64_t firings_before =
+      registry.counter("engine.firings").value();
+  const Certificate cert = certify(flock, initial, true, options);
+  ASSERT_GT(cert.trials, 0u);
+  EXPECT_EQ(registry.counter("engine.trials_done").value() - trials_before,
+            cert.trials);
+  EXPECT_EQ(registry.counter("engine.firings").value() - firings_before,
+            cert.total_firings);
+}
+
+// -- the streaming scheduler against a sequential fold ---------------------
+
+/// A pure function of the seed with a mixed success/failure pattern, so
+/// the SPRT walks around before it decides.
+TrialOutcome mixed_outcome(std::uint64_t seed) {
+  TrialOutcome outcome;
+  outcome.stabilised = (seed % 17) != 0;
+  outcome.success = outcome.stabilised && (seed % 8) != 0;
+  outcome.convergence_parallel_time = static_cast<double>(seed % 1009) / 7.0;
+  outcome.metrics.meetings = seed % 101;
+  outcome.metrics.firings = seed % 53;
+  return outcome;
+}
+
+CertifyOptions mixed_options() {
+  CertifyOptions options;
+  options.delta = 0.1;
+  options.indifference = 0.3;
+  options.alpha = 0.05;
+  options.beta = 0.05;
+  options.max_trials = 200;
+  options.seed = 9;
+  return options;
+}
+
+TEST(Certify, StreamingMatchesSequentialFold) {
+  const CertifyOptions base = mixed_options();
+  const Certificate reference = oracle::oracle_fold(
+      base, [](std::uint64_t, std::uint64_t seed) {
+        return mixed_outcome(seed);
+      });
+  ASSERT_NE(reference.verdict, Verdict::kInconclusive);
+  const std::string reference_payload = certificate_payload(reference);
+
+  for (const unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    CertifyOptions options = base;
+    options.threads = threads;
+    std::vector<std::atomic<int>> runs(options.max_trials);
+    // Heavy-tailed durations by trial index, so trials land far out of
+    // order. A body that sees `stop` returns a poisoned outcome: were it
+    // folded, the payload would differ from the sequential fold's.
+    const Certificate cert = certify_trials(
+        [&](unsigned, std::uint64_t trial, std::uint64_t seed,
+            const std::atomic<bool>& stop) {
+          runs[trial].fetch_add(1);
+          const int micros = trial % 7 == 3 ? 8000 : trial % 3 == 0 ? 700 : 50;
+          std::this_thread::sleep_for(std::chrono::microseconds(micros));
+          TrialOutcome outcome = mixed_outcome(seed);
+          if (stop.load()) {
+            outcome.success = !outcome.success;
+            outcome.metrics.meetings = 1u << 30;
+          }
+          return outcome;
+        },
+        options);
+    EXPECT_EQ(certificate_payload(cert), reference_payload);
+    EXPECT_EQ(cert.threads_used, threads);
+    // Each index ran at most once, every folded one exactly once, and none
+    // past the look-ahead horizon of the decision point.
+    const std::uint64_t horizon =
+        reference.trials + StreamingMerger::kLookAhead * threads;
+    for (std::uint64_t trial = 0; trial < runs.size(); ++trial) {
+      const int count = runs[trial].load();
+      if (trial < reference.trials)
+        EXPECT_EQ(count, 1) << "trial " << trial;
+      else if (trial >= horizon)
+        EXPECT_EQ(count, 0) << "trial " << trial;
+      else
+        EXPECT_LE(count, 1) << "trial " << trial;
+    }
+  }
+}
+
+TEST(Certify, ThrowingTrialDoesNotHang) {
+  // Trial 0 throws after the other workers have run ahead to the
+  // look-ahead horizon and wait there for a frontier that will never
+  // move: the failure must wake them, and the exception must surface.
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    CertifyOptions options = mixed_options();
+    options.threads = threads;
+    std::vector<std::atomic<int>> runs(options.max_trials);
+    EXPECT_THROW(
+        certify_trials(
+            [&](unsigned, std::uint64_t trial, std::uint64_t seed,
+                const std::atomic<bool>&) {
+              runs[trial].fetch_add(1);
+              if (trial == 0) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                throw std::runtime_error("trial 0 failed");
+              }
+              return mixed_outcome(seed);
+            },
+            options),
+        std::runtime_error);
+    for (std::uint64_t trial = StreamingMerger::kLookAhead * threads;
+         trial < runs.size(); ++trial)
+      EXPECT_EQ(runs[trial].load(), 0) << "trial " << trial;
+  }
+}
+
+TEST(Certify, CancelStopsRunningTrials) {
+  // Trials 0-2 succeed at once and decide the test (H1 needs three
+  // successes here); every later trial spins until `stop` is raised. The
+  // certificate must come back without waiting for them.
+  CertifyOptions options = fast_options();
+  options.max_trials = 64;
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    options.threads = threads;
+    std::atomic<int> timed_out{0};
+    const auto started = std::chrono::steady_clock::now();
+    const Certificate cert = certify_trials(
+        [&](unsigned, std::uint64_t trial, std::uint64_t,
+            const std::atomic<bool>& stop) {
+          TrialOutcome outcome;
+          outcome.success = outcome.stabilised = true;
+          if (trial < 3) return outcome;
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(20);
+          while (!stop.load(std::memory_order_relaxed)) {
+            if (std::chrono::steady_clock::now() > deadline) {
+              timed_out.fetch_add(1);
+              break;
+            }
+            std::this_thread::yield();
+          }
+          return outcome;
+        },
+        options);
+    const double waited = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - started)
+                              .count();
+    EXPECT_EQ(cert.verdict, Verdict::kCertified);
+    EXPECT_EQ(cert.trials, 3u);
+    EXPECT_EQ(timed_out.load(), 0);
+    EXPECT_LT(waited, 10.0);
+  }
 }
 
 TEST(Certify, BudgetCapDowngradesToInconclusive) {

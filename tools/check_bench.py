@@ -185,15 +185,21 @@ def compare_fresh(baseline_path, fresh_path, factor, warn_only):
 
 
 def check_serve(path, doc):
-    """bench_serve_v == 1: certify digests by worker count + scaling."""
-    require(path, doc.get("bench_serve_v") == 1,
-            f"bench_serve_v != 1 (got {doc.get('bench_serve_v')})")
+    """bench_serve_v == 2: a host object, certify digests and executed
+    trials by worker count, and ensemble scaling."""
+    require(path, doc.get("bench_serve_v") == 2,
+            f"bench_serve_v != 2 (got {doc.get('bench_serve_v')})")
+    check_host(path, doc)
     runs = doc.get("runs")
     require(path, isinstance(runs, list) and runs, "runs missing or empty")
     digests = set()
     for i, run in enumerate(runs):
-        for key in ("workers", "wall_seconds", "verdict", "digest"):
+        for key in ("workers", "wall_seconds", "verdict", "digest",
+                    "trials_executed"):
             require(path, key in run, f"runs[{i}] missing {key}")
+        require(path, isinstance(run["trials_executed"], int)
+                and run["trials_executed"] > 0,
+                f"runs[{i}] trials_executed missing or nonpositive")
         digests.add(run["digest"])
     # The whole point of the daemon: sharding is invisible to the digest.
     require(path, len(digests) == 1,

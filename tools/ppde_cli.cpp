@@ -257,7 +257,7 @@ std::string format_eta(double seconds) {
 
 /// Heartbeat line for `ensemble`: trials done / total, trial rate, ETA,
 /// cumulative meetings. Reads only registry metrics published by
-/// engine::run_trial_range, so it observes without perturbing.
+/// engine::TrialExecutor::run, so it observes without perturbing.
 std::function<std::string()> ensemble_heartbeat() {
   return [meter = RateMeter()]() mutable -> std::string {
     obs::Registry& registry = obs::Registry::global();
@@ -435,7 +435,6 @@ int cmd_certify(int argc, char** argv, int n, std::uint32_t extra,
   options.alpha = flag_double(argc, argv, "--alpha", 0.01);
   options.beta = flag_double(argc, argv, "--beta", 0.01);
   options.max_trials = flag_value(argc, argv, "--trials", 4096);
-  options.batch = flag_value(argc, argv, "--round", 8);
   options.threads =
       static_cast<unsigned>(flag_value(argc, argv, "--threads", 0, kMaxUnsigned));
   options.seed = flag_value(argc, argv, "--seed", 42);
@@ -727,7 +726,6 @@ constexpr VerbHelp kVerbs[] = {
      "  >= 1-delta at m = |F| + extra agents. The certificate digest is\n"
      "  identical at every thread count for fixed (seed, errors, budget).\n"
      "    --trials=N         trial budget (default 4096)\n"
-     "    --round=K          trials per SPRT round (default 8)\n"
      "    --threads=T        worker threads; 0 = all hardware (default)\n"
      "    --seed=S           master seed (default 42)\n"
      "    --delta=D          certified failure probability (default 0.01)\n"
