@@ -19,11 +19,12 @@
 // per-event capture drain (the wire serialisation a worker pays per
 // traced batch), daemon-side emit_foreign stitching, DeltaTracker
 // collect, and the Prometheus render — and writes a machine-readable
-// report (schema tag `bench_obs_v` = 1, default path BENCH_obs.json)
-// that tools/check_bench.py validates. EXPERIMENTS.md records the
-// numbers next to the end-to-end check: bench_simulator's
-// count+null-skip throughput with the instrumented library is within
-// noise (<1%) of the committed BENCH_engine.json baseline.
+// report (schema tag `bench_obs_v` = 2, default path BENCH_obs.json,
+// with the shared "host" object) that tools/check_bench.py validates.
+// EXPERIMENTS.md records the numbers next to the end-to-end check:
+// bench_simulator's count+null-skip throughput with the instrumented
+// library is within noise (<1%) of the committed BENCH_engine.json
+// baseline.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -32,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_host.hpp"
 #include "obs/registry.hpp"
 #include "obs/rollup.hpp"
 #include "obs/trace.hpp"
@@ -235,7 +237,8 @@ int write_report(const std::string& path) {
     std::fprintf(stderr, "bench_obs: cannot open %s\n", path.c_str());
     return 1;
   }
-  std::fprintf(out, "{\"bench_obs_v\": 1, \"rows\": [");
+  std::fprintf(out, "{\"bench_obs_v\": 2, \"host\": %s, \"rows\": [",
+               bench::host_json().c_str());
   for (std::size_t i = 0; i < rows.size(); ++i)
     std::fprintf(out,
                  "%s\n  {\"name\": \"%s\", \"ns_per_op\": %.3f, "

@@ -13,14 +13,14 @@
 // under one scenario, and the output is a machine-readable report
 // (default BENCH_sched.json, override with --json=PATH):
 //
-//   {"bench_sched_v": 1, "trials": T, "rows": [
+//   {"bench_sched_v": 2, "host": {...}, "trials": T, "rows": [
 //     {"construction": "...", "scenario": "...", "population": m,
 //      "window": W, "budget": B, "stabilised": k, "accepted": k,
 //      "interactions_p50": ..., "parallel_time_p50": ...,
 //      "total_firings": ..., "wall_seconds": ...}, ...]}
 //
-// tools/check_bench.py validates the schema; EXPERIMENTS.md records the
-// numbers.
+// "host" is the shared bench_host.hpp object. tools/check_bench.py
+// validates the schema; EXPERIMENTS.md records the numbers.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -28,6 +28,7 @@
 
 #include "baselines/flock.hpp"
 #include "baselines/majority.hpp"
+#include "bench_host.hpp"
 #include "compile/lower.hpp"
 #include "compile/to_protocol.hpp"
 #include "czerner/construction.hpp"
@@ -131,7 +132,8 @@ int main(int argc, char** argv) {
                        baselines::majority_initial(majority, 12, 8),
                        /*window=*/50'000, /*budget=*/2'000'000});
 
-  std::string out = "{\"bench_sched_v\": 1, \"trials\": ";
+  std::string out = "{\"bench_sched_v\": 2, \"host\": " +
+                    bench::host_json() + ", \"trials\": ";
   out += std::to_string(trials);
   out += ", \"rows\": [";
   bool first = true;

@@ -8,10 +8,11 @@
 // EXPERIMENTS.md verification-scale table.
 //
 // With --json[=path] the binary instead writes a machine-readable report
-// (default BENCH_verify.json, schema bench_verify_v 1) and exits: one row
+// (default BENCH_verify.json, schema bench_verify_v 2) and exits: one row
 // per m_regs in {5, 6, 7} and thread count in {1, 2, 4}, with the
-// explored configurations and edges, wall time and the kernel's graph
-// store bytes, under the same "host" object as BENCH_engine.json.
+// explored configurations and edges, the successors the expansion emitted
+// (the `verify.successors_emitted` counter), wall time and the kernel's
+// graph store bytes, under the same "host" object as BENCH_engine.json.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -24,6 +25,7 @@
 #include "compile/to_protocol.hpp"
 #include "czerner/construction.hpp"
 #include "machine/interp.hpp"
+#include "obs/registry.hpp"
 #include "pp/verifier.hpp"
 
 namespace {
@@ -36,20 +38,17 @@ struct Workload {
   compile::ProtocolConversion conv;
 };
 
-/// Built in place: the conversion keeps a pointer to `lowered.machine`, so
-/// the workload must never be moved after conversion.
 const Workload& workload() {
-  static Workload* w = [] {
-    auto* workload = new Workload;
-    workload->c = czerner::build_construction(1);
-    workload->lowered = compile::lower_program(workload->c.program);
+  static const Workload w = [] {
+    Workload workload;
+    workload.c = czerner::build_construction(1);
+    workload.lowered = compile::lower_program(workload.c.program);
     compile::ConversionOptions nb;
     nb.with_broadcast = false;
-    workload->conv =
-        compile::machine_to_protocol(workload->lowered.machine, nb);
+    workload.conv = compile::machine_to_protocol(workload.lowered.machine, nb);
     return workload;
   }();
-  return *w;
+  return w;
 }
 
 pp::Config initial_for(const Workload& w, std::uint64_t m_regs) {
@@ -128,6 +127,8 @@ BENCHMARK(BM_FrontierWithinBudget)
 
 int write_json_report(const char* path) {
   const Workload& w = workload();
+  const obs::Counter& emitted =
+      obs::Registry::global().counter("verify.successors_emitted");
   std::string rows;
   for (const std::uint64_t m_regs : {5u, 6u, 7u}) {
     const pp::Config initial = initial_for(w, m_regs);
@@ -136,22 +137,25 @@ int write_json_report(const char* path) {
       options.witness_mode = true;
       options.max_configs = 8'000'000;
       options.threads = threads;
+      const std::uint64_t emitted_before = emitted.value();
       const auto start = std::chrono::steady_clock::now();
       const pp::VerificationResult result =
           pp::Verifier(w.conv.protocol).verify(initial, options);
       const double wall = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
                               .count();
-      char row[256];
+      char row[320];
       std::snprintf(row, sizeof row,
                     "%s\n    {\"protocol\": \"czerner-n1-converted\", "
                     "\"m_regs\": %llu, \"threads\": %u, \"configs\": %llu, "
-                    "\"edges\": %llu, \"wall_s\": %.3f, "
-                    "\"store_bytes\": %llu}",
+                    "\"edges\": %llu, \"successors_emitted\": %llu, "
+                    "\"wall_s\": %.3f, \"store_bytes\": %llu}",
                     rows.empty() ? "" : ",",
                     static_cast<unsigned long long>(m_regs), threads,
                     static_cast<unsigned long long>(result.explored_configs),
                     static_cast<unsigned long long>(result.explored_edges),
+                    static_cast<unsigned long long>(emitted.value() -
+                                                    emitted_before),
                     wall,
                     static_cast<unsigned long long>(result.store_bytes));
       rows += row;
@@ -169,7 +173,7 @@ int write_json_report(const char* path) {
                  path);
     return 1;
   }
-  std::fprintf(out, "{\n  \"bench_verify_v\": 1,\n  \"host\": %s,\n"
+  std::fprintf(out, "{\n  \"bench_verify_v\": 2,\n  \"host\": %s,\n"
                "  \"rows\": [%s\n  ]\n}\n",
                bench::host_json().c_str(), rows.c_str());
   std::fclose(out);

@@ -50,7 +50,8 @@ class Converter {
     out_.protocol.finalize();
     out_.num_pointers = static_cast<std::uint32_t>(m_.num_pointers());
     out_.with_broadcast = broadcast_;
-    out_.machine = &m_;
+    for (const machine::Pointer& pointer : m_.pointers)
+      out_.ptr_domain.push_back(pointer.domain);
     return std::move(out_);
   }
 
@@ -389,7 +390,7 @@ pp::State ProtocolConversion::reg_state(machine::RegId reg,
 pp::State ProtocolConversion::pointer_state(machine::PtrId pointer,
                                             std::uint32_t raw_value,
                                             Stage stage, bool opinion) const {
-  const auto& domain = machine->pointers[pointer].domain;
+  const std::vector<std::uint32_t>& domain = ptr_domain[pointer];
   std::uint32_t index = 0;
   while (index < domain.size() && domain[index] != raw_value) ++index;
   if (index == domain.size())

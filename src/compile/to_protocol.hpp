@@ -82,13 +82,13 @@ struct ProtocolConversion {
   std::vector<std::uint32_t> ptr_offset;       ///< base index per pointer
   std::vector<std::uint32_t> ptr_stage_count;  ///< stages per pointer
   std::vector<std::uint32_t> map_base;         ///< per instr (or kNoMap)
-  const machine::Machine* machine = nullptr;   ///< not owned
+  /// Per pointer, its domain's raw values in domain order (for π).
+  std::vector<std::vector<std::uint32_t>> ptr_domain;
 
   static constexpr std::uint32_t kNoMap = 0xffffffffu;
 };
 
-/// Convert a validated machine. The `machine` reference must outlive the
-/// returned conversion (it is retained for the π helper).
+/// Convert a validated machine. The conversion keeps no reference to it.
 ProtocolConversion machine_to_protocol(const machine::Machine& machine,
                                        const ConversionOptions& options = {});
 

@@ -2,11 +2,11 @@
 //
 // Both concurrent components of the library sit on this pool: the ensemble
 // trial fleets (S21) dispatch one task per trial, and the verification
-// kernel (S22) dispatches one task per frontier node of each exploration
-// wave. Work items are claimed from a shared atomic counter, so the pool
-// imposes no assignment of items to threads — callers that need
-// determinism (both of the above) must make every item's *result* a pure
-// function of its index, never of the executing thread.
+// kernel (S22) dispatches one task per block of frontier nodes of each
+// exploration wave. Work items are claimed from a shared atomic counter,
+// so the pool imposes no assignment of items to threads — callers that
+// need determinism (both of the above) must make every item's *result* a
+// pure function of its index, never of the executing thread.
 //
 // The calling thread participates in the loop, so a pool of size 1 spawns
 // no threads at all and parallel_for degenerates to a plain loop.

@@ -1,5 +1,6 @@
 #include "pp/verifier.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 #include "analysis/reachability.hpp"
@@ -89,57 +90,96 @@ Config to_dense(std::span<const u64> sparse, std::size_t num_states) {
   emit.emit(words);
 }
 
-/// Successor generator over packed configurations: iterate over ordered
-/// pairs of *present* states and apply each enabled transition. The pair
-/// (q, q) needs at least two agents in q. Meetings expand through the
-/// compiled pair table and opcode cells in candidate order (S26), touching
-/// only the rewritten side of each pair; successor emission order — and
-/// with it every node ID, SCC and counterexample — equals a walk over
+/// Successor generator over packed configurations. Only active pairs of
+/// occupied states are visited: once per verification every state q gets
+/// a word-aligned activity row (bit r set iff (q, r) has a non-silent
+/// candidate), and a node ANDs each occupied state's row with its own
+/// occupied-state mask, walking the set bits in ascending state order.
+/// The pair (q, q) needs at least two agents in q. Meetings expand through
+/// the compiled pair table and opcode cells in candidate order (S26),
+/// touching only the rewritten side of each pair; successor emission order
+/// — and with it every node ID, SCC and counterexample — equals a walk
+/// over every ordered pair of present states through
 /// Protocol::transitions_for at every thread count.
 class ConfigDomain {
  public:
-  ConfigDomain(const Protocol& protocol, const Codec& codec)
-      : compiled_(protocol.compiled()), codec_(codec) {}
+  /// Buffers of one worker, reused across the nodes it expands.
+  struct Scratch {
+    std::vector<u64> sparse;  ///< the node being expanded
+    std::vector<u64> next;    ///< one successor, sparse
+    std::vector<u64> words;   ///< one successor, packed
+    /// Bit q set iff q is occupied; all zero between nodes.
+    std::vector<u64> occupied;
+    /// Indices of the nonzero words of `occupied`, ascending.
+    std::vector<u32> occupied_words;
+  };
 
-  void expand(std::span<const u64> packed, verify::Emitter& emit) const {
-    std::vector<u64> sparse, scratch, words;
+  ConfigDomain(const Protocol& protocol, const Codec& codec)
+      : compiled_(protocol.compiled()),
+        codec_(codec),
+        row_words_((protocol.num_states() + 63) / 64),
+        rows_(protocol.num_states() * row_words_, 0) {
+    for (State q = 0; q < protocol.num_states(); ++q)
+      for (const State r : compiled_.partners_of(q))
+        rows_[q * row_words_ + r / 64] |= u64{1} << (r % 64);
+  }
+
+  void expand(std::span<const u64> packed, verify::Emitter& emit,
+              Scratch& scratch) const {
+    std::vector<u64>& sparse = scratch.sparse;
+    std::vector<u64>& occupied = scratch.occupied;
+    std::vector<u32>& occupied_words = scratch.occupied_words;
     codec_.unpack(packed, sparse);
-    for (const u64 word_q : sparse) {
-      const State q = state_of(word_q);
-      for (const u64 word_r : sparse) {
-        const State r = state_of(word_r);
-        if (q == r && count_of(word_q) < 2) continue;
-        const u32 entry = compiled_.entry_of(q, r);
-        if (entry >= isa::CompiledProtocol::kSilentOnly) continue;
-        for (const isa::Cell& cell : compiled_.cells(entry)) {
-          scratch.assign(sparse.begin(), sparse.end());
-          isa::execute_cell(
-              cell,
-              isa::make_policy(
-                  [&](u32 q2) {
-                    adjust(scratch, q, -1);
-                    adjust(scratch, q2, +1);
-                  },
-                  [&](u32 r2) {
-                    adjust(scratch, r, -1);
-                    adjust(scratch, r2, +1);
-                  },
-                  [&](u32 q2, u32 r2) {
-                    adjust(scratch, q, -1);
-                    adjust(scratch, r, -1);
-                    adjust(scratch, q2, +1);
-                    adjust(scratch, r2, +1);
-                  },
-                  [] { /* swap leaves the counts unchanged: self-loop */ },
-                  [](std::int32_t) {}));
-          codec_.pack(scratch, words);
-          emit_successor(emit, words);
+    occupied.resize(row_words_);
+    occupied_words.clear();
+    for (const u64 entry : sparse) {
+      const State q = state_of(entry);
+      if (occupied[q / 64] == 0) occupied_words.push_back(q / 64);
+      occupied[q / 64] |= u64{1} << (q % 64);
+    }
+    for (const u64 entry_q : sparse) {
+      const State q = state_of(entry_q);
+      const u64* row = rows_.data() + q * row_words_;
+      for (const u32 w : occupied_words) {
+        for (u64 bits = row[w] & occupied[w]; bits != 0; bits &= bits - 1) {
+          const State r = w * 64 + static_cast<State>(std::countr_zero(bits));
+          if (r == q && count_of(entry_q) < 2) continue;
+          fire(q, r, scratch, emit);
         }
       }
     }
+    for (const u32 w : occupied_words) occupied[w] = 0;
   }
 
  private:
+  /// Emits one successor per candidate of the active pair (q, r).
+  void fire(State q, State r, Scratch& scratch, verify::Emitter& emit) const {
+    std::vector<u64>& next = scratch.next;
+    for (const isa::Cell& cell : compiled_.cells(compiled_.entry_of(q, r))) {
+      next.assign(scratch.sparse.begin(), scratch.sparse.end());
+      isa::execute_cell(
+          cell, isa::make_policy(
+                    [&](u32 q2) {
+                      adjust(next, q, -1);
+                      adjust(next, q2, +1);
+                    },
+                    [&](u32 r2) {
+                      adjust(next, r, -1);
+                      adjust(next, r2, +1);
+                    },
+                    [&](u32 q2, u32 r2) {
+                      adjust(next, q, -1);
+                      adjust(next, r, -1);
+                      adjust(next, q2, +1);
+                      adjust(next, r2, +1);
+                    },
+                    [] { /* swap leaves the counts unchanged: self-loop */ },
+                    [](std::int32_t) {}));
+      codec_.pack(next, scratch.words);
+      emit_successor(emit, scratch.words);
+    }
+  }
+
   static void adjust(std::vector<u64>& sparse, State q, std::int32_t delta) {
     const auto it = std::lower_bound(
         sparse.begin(), sparse.end(), q,
@@ -158,6 +198,9 @@ class ConfigDomain {
 
   const isa::CompiledProtocol& compiled_;
   const Codec& codec_;
+  std::size_t row_words_;
+  /// Activity rows: bit r of row q, at rows_[q * row_words_ + r / 64].
+  std::vector<u64> rows_;
 };
 
 /// Outputs of a sparse configuration, mirroring Config::output; in witness

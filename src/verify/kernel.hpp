@@ -14,10 +14,16 @@
 // States are arbitrary sequences of u64 words; `expand` reports each
 // successor via `emit.emit(words)` (or `emit.emit_self()` for a self-loop)
 // and may mark the node as a terminal event with `emit.set_terminal(tag)`.
+// A domain that needs buffers while expanding declares a default-
+// constructible `struct Scratch`; the kernel then keeps one per worker
+// thread and calls `expand(state, emit, scratch)`, so buffers are reused
+// across nodes instead of allocated per node. What a node emits must not
+// depend on what the scratch held before.
 //
 // Determinism scheme (the S21 seed-derivation discipline, transposed to
 // search): exploration proceeds in BFS waves. Each wave expands a chunk of
-// frontier nodes *in parallel* — expansion only reads the frozen interner
+// frontier nodes *in parallel*, each worker claiming a contiguous block of
+// kClaimBlock nodes at a time — expansion only reads the frozen interner
 // and writes to a per-node buffer slot, where a successor already interned
 // is resolved to its id and a new one is kept once however often the node
 // emits it. The buffers' contents are thus a pure function of the node,
@@ -72,6 +78,9 @@ struct KernelStats {
   std::uint64_t edges = 0;
   std::uint64_t bytes = 0;
   std::uint64_t waves = 0;
+  /// emit() calls of the expanded nodes in the graph, repeats included:
+  /// the expansion's work, published as `verify.successors_emitted`.
+  std::uint64_t emitted = 0;
   bool complete = false;
   LimitKind limit = LimitKind::kNone;
 };
@@ -84,6 +93,7 @@ class Emitter {
   /// their id immediately (read-only probe of the frozen interner); a new
   /// state is buffered for the merge unless this node already emitted it.
   void emit(std::span<const std::uint64_t> words) {
+    ++emitted_;
     const std::uint64_t hash = hash_words(words);
     const std::uint32_t id = interner_->find(words, hash);
     if (id != Interner::kNotFound) {
@@ -123,6 +133,7 @@ class Emitter {
     found_.clear();
     entries_.clear();
     words_.clear();
+    emitted_ = 0;
     self_ = false;
     terminal_ = kNoTerminal;
     if (++generation_ == 0) {  // wrapped: stale slots could look current
@@ -170,9 +181,27 @@ class Emitter {
   std::vector<Entry> entries_;        ///< new states, no two equal
   std::vector<std::uint64_t> words_;  ///< of the entries
   std::vector<Seen> seen_;
+  std::uint64_t emitted_ = 0;  ///< emit() calls for this node
   std::uint32_t generation_ = 0;
   bool self_ = false;
   std::uint32_t terminal_ = kNoTerminal;
+};
+
+/// Frontier nodes a worker claims at a time: one claim per block instead
+/// of per node, and neighbouring Emitter slots written by one thread.
+inline constexpr std::uint32_t kClaimBlock = 32;
+
+/// A domain that keeps per-worker buffers (see the header comment).
+template <typename Domain>
+concept DeclaresScratch = requires { typename Domain::Scratch; };
+
+/// One worker's scratch, if its domain has one, on cache lines of its
+/// own: no worker writes to a line another one uses.
+template <typename Domain>
+struct alignas(64) WorkerScratch {};
+template <DeclaresScratch Domain>
+struct alignas(64) WorkerScratch<Domain> {
+  typename Domain::Scratch scratch;
 };
 
 template <typename Domain>
@@ -195,6 +224,7 @@ class Kernel {
     engine::WorkerPool pool(threads);
     std::vector<Emitter> buffers(
         std::max<std::uint32_t>(options_.wave_chunk, 1));
+    std::vector<WorkerScratch<Domain>> scratch(pool.workers());
 
     stats_ = KernelStats{};
     // Exploration observability (S24): per-wave spans + live gauges for
@@ -216,16 +246,31 @@ class Kernel {
       obs::ObsSpan wave_span("wave", "verify");
       wave_span.set_value(static_cast<double>(wave));
       const std::uint64_t wave_begin_ns = obs::now_ns();
-      // Parallel phase: expand the wave into per-node buffers. The
-      // interner is frozen, so concurrent find()/state() are safe.
+      // Parallel phase: expand the wave into per-node buffers, a block of
+      // nodes per claim. The interner is frozen, so concurrent
+      // find()/state() are safe. A wave of one block runs on the caller:
+      // waking every worker per wave would dominate chain-shaped graphs.
       {
         obs::ObsSpan expand_span("expand", "verify");
-        pool.parallel_for(wave, [&](std::uint64_t i) {
-          buffers[i].reset(&interner_);
-          domain_.expand(
-              interner_.state(wave_start + static_cast<std::uint32_t>(i)),
-              buffers[i]);
-        });
+        const auto expand_block = [&](unsigned worker, std::uint64_t block) {
+          const std::uint32_t begin =
+              static_cast<std::uint32_t>(block) * kClaimBlock;
+          const std::uint32_t end = std::min(wave, begin + kClaimBlock);
+          for (std::uint32_t i = begin; i < end; ++i) {
+            buffers[i].reset(&interner_);
+            const std::span<const std::uint64_t> state =
+                interner_.state(wave_start + i);
+            if constexpr (DeclaresScratch<Domain>)
+              domain_.expand(state, buffers[i], scratch[worker].scratch);
+            else
+              domain_.expand(state, buffers[i]);
+          }
+        };
+        const std::uint32_t blocks = (wave + kClaimBlock - 1) / kClaimBlock;
+        if (blocks == 1)
+          expand_block(0, 0);
+        else
+          pool.parallel_for_workers(blocks, expand_block);
       }
       // Sequential merge: assign ids in node order, emission order.
       obs::ObsSpan merge_span("merge", "verify");
@@ -245,6 +290,7 @@ class Kernel {
         std::sort(succs.begin(), succs.end());
         succs.erase(std::unique(succs.begin(), succs.end()), succs.end());
         graph_.append(succs);
+        stats_.emitted += buffer.emitted_;
         if (graph_.num_edges() > options_.max_edges) {
           stats_.limit = LimitKind::kEdges;
           break;
@@ -274,6 +320,7 @@ class Kernel {
     stats_.edges = graph_.num_edges();
     stats_.bytes = bytes();
     stats_.complete = stats_.limit == LimitKind::kNone;
+    registry.counter("verify.successors_emitted").add(stats_.emitted);
     return stats_;
   }
 

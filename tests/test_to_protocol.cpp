@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "compile/lower.hpp"
 #include "czerner/construction.hpp"
 #include "machine/interp.hpp"
@@ -219,6 +222,34 @@ TEST_F(PipelineN1, PiConfigurationShape) {
                   false)],
               1u)
         << lowered_.machine.pointers[p].name;
+}
+
+TEST(Conversion, PiNeedsNoLiveMachine) {
+  // The serve daemon and its workers cache a conversion whose machine was
+  // a block-local temporary; π and the pointer states must come out the
+  // same as from a conversion whose machine is still alive.
+  const LoweredMachine alive =
+      lower_program(czerner::build_construction(1).program);
+  const ProtocolConversion reference = machine_to_protocol(alive.machine);
+  const ProtocolConversion orphan = [] {
+    const LoweredMachine lowered =
+        lower_program(czerner::build_construction(1).program);
+    return machine_to_protocol(lowered.machine);
+  }();
+  for (const std::uint64_t m_regs : {0u, 3u}) {
+    std::vector<std::uint64_t> regs(alive.machine.num_registers(), 0);
+    regs.back() = m_regs;
+    const MachineState state = machine::initial_state(alive.machine, regs);
+    for (const bool opinion : {false, true})
+      EXPECT_EQ(orphan.pi(state, opinion), reference.pi(state, opinion));
+  }
+  for (machine::PtrId p = 0; p < alive.machine.num_pointers(); ++p) {
+    for (const std::uint32_t value : alive.machine.pointers[p].domain)
+      EXPECT_EQ(orphan.pointer_state(p, value, Stage::kDone, true),
+                reference.pointer_state(p, value, Stage::kDone, true));
+    EXPECT_THROW(orphan.pointer_state(p, 0xffffffffu, Stage::kNone, false),
+                 std::out_of_range);
+  }
 }
 
 TEST_F(PipelineN1, ExhaustiveDecisionFromPi) {

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <map>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/reachability.hpp"
@@ -21,6 +23,7 @@
 #include "compile/lower.hpp"
 #include "compile/to_protocol.hpp"
 #include "engine/pool.hpp"
+#include "obs/registry.hpp"
 #include "machine/interp.hpp"
 #include "pp/verifier.hpp"
 #include "progmodel/explore.hpp"
@@ -177,7 +180,8 @@ TEST(Kernel, ExploresTheFullToyGraphIdenticallyAtEveryThreadCount) {
     const ToyDomain domain{1000, 7};
     verify::KernelOptions options;
     options.threads = threads;
-    options.wave_chunk = 16;  // force many waves
+    // Many waves of several claim blocks each, the last one partial.
+    options.wave_chunk = 100;
     verify::Kernel<ToyDomain> kernel(domain, options);
     const std::vector<std::vector<u64>> roots = {{1}};
     const verify::KernelStats& stats = kernel.run(roots);
@@ -256,7 +260,7 @@ TEST(Kernel, RepeatsAndManyWavesMatchSequentialBfs) {
     const RepeatDomain domain{kModulus};
     verify::KernelOptions options;
     options.threads = threads;
-    options.wave_chunk = 16;
+    options.wave_chunk = 100;
     verify::Kernel<RepeatDomain> kernel(domain, options);
     const std::vector<std::vector<u64>> roots = {{1}};
     const verify::KernelStats& stats = kernel.run(roots);
@@ -270,6 +274,33 @@ TEST(Kernel, RepeatsAndManyWavesMatchSequentialBfs) {
     }
     EXPECT_EQ(successor_lists(kernel), ref.successors) << threads;
     EXPECT_EQ(stats.edges, edges) << threads;
+  }
+}
+
+TEST(Kernel, CountsEveryEmissionIdenticallyAtEveryThreadCount) {
+  // Every node of the complete graph is expanded once, and RepeatDomain
+  // emits targets(x) — repeats and the emitted self-loop included — so the
+  // count is known; it is published once per run.
+  constexpr u64 kModulus = 5003;
+  const BfsReference ref = bfs_reference(kModulus, 1);
+  u64 expected = 0;
+  for (const u64 x : ref.states)
+    expected += RepeatDomain::targets(x, kModulus).size();
+  EXPECT_EQ(expected, 29'633u);
+  obs::Counter& published =
+      obs::Registry::global().counter("verify.successors_emitted");
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const RepeatDomain domain{kModulus};
+    verify::KernelOptions options;
+    options.threads = threads;
+    options.wave_chunk = 100;  // several claim blocks per wave
+    verify::Kernel<RepeatDomain> kernel(domain, options);
+    const std::vector<std::vector<u64>> roots = {{1}};
+    const u64 before = published.value();
+    const verify::KernelStats& stats = kernel.run(roots);
+    ASSERT_TRUE(stats.complete) << threads;
+    EXPECT_EQ(stats.emitted, expected) << threads;
+    EXPECT_EQ(published.value() - before, expected) << threads;
   }
 }
 
@@ -330,7 +361,7 @@ TEST(Kernel, BudgetTripPointIsThreadCountIndependent) {
     for (const unsigned threads : {1u, 4u}) {
       const RepeatDomain domain{100'003};
       c.options.threads = threads;
-      c.options.wave_chunk = 32;
+      c.options.wave_chunk = 100;
       verify::Kernel<RepeatDomain> kernel(domain, c.options);
       const std::vector<std::vector<u64>> roots = {{1}};
       stats.push_back(kernel.run(roots));
@@ -345,6 +376,7 @@ TEST(Kernel, BudgetTripPointIsThreadCountIndependent) {
       EXPECT_EQ(other.edges, stats[0].edges) << kind;
       EXPECT_EQ(other.bytes, stats[0].bytes) << kind;
       EXPECT_EQ(other.waves, stats[0].waves) << kind;
+      EXPECT_EQ(other.emitted, stats[0].emitted) << kind;
     }
     EXPECT_EQ(graphs[0], graphs[1]) << kind;
   }
@@ -507,6 +539,89 @@ TEST(VerifierOracle, PopulationBeyond16BitsMatches) {
       pp::Verifier(epidemic).verify(initial, {});
   EXPECT_EQ(result.verdict, pp::VerificationResult::Verdict::kStabilisesTrue);
   EXPECT_EQ(result.explored_configs, 70'000u);
+}
+
+/// 140 states, so an activity row spans three words and the last one is
+/// partial (states 128..139). Only states at the word edges take part:
+/// 0, 63 | 64, 127 | 128, 139. Every larger one converts every smaller
+/// one it meets as initiator, and three are self-active: (0, 0) -> (0, 63),
+/// (63, 63) -> (64, 64), (127, 127) -> (128, 127). Accepting: 128 and 139.
+pp::Protocol make_word_edge_protocol() {
+  pp::Protocol protocol;
+  for (u32 q = 0; q < 140; ++q) protocol.add_state("s" + std::to_string(q));
+  const std::vector<pp::State> live = {0, 63, 64, 127, 128, 139};
+  for (const pp::State q : live) protocol.mark_input(q);
+  protocol.mark_accepting(128);
+  protocol.mark_accepting(139);
+  for (std::size_t i = 0; i < live.size(); ++i)
+    for (std::size_t j = i + 1; j < live.size(); ++j)
+      protocol.add_transition(live[j], live[i], live[j], live[j]);
+  protocol.add_transition(0, 0, 0, 63);
+  protocol.add_transition(63, 63, 64, 64);
+  protocol.add_transition(127, 127, 128, 127);
+  protocol.finalize();
+  return protocol;
+}
+
+/// The same 140 states with a race: X = 63 meets P = 64, R = 127 or
+/// U = 128, and the pair decides the consensus — (X, P) -> (T, T) with
+/// T = 139 accepting, (X, R) and (X, U) -> (F, F) with F = 0 rejecting; T
+/// and F then convert the leftovers. From {X, P, R, U} both consensuses
+/// are reachable, and the counterexample is whichever sink is discovered
+/// second, so it pins the order in which X's partners are walked.
+pp::Protocol make_word_edge_race() {
+  pp::Protocol protocol;
+  for (u32 q = 0; q < 140; ++q) protocol.add_state("s" + std::to_string(q));
+  const pp::State x = 63, p = 64, r = 127, u = 128, t = 139, f = 0;
+  for (const pp::State q : {x, p, r, u}) protocol.mark_input(q);
+  protocol.mark_accepting(t);
+  protocol.add_transition(x, p, t, t);
+  protocol.add_transition(x, r, f, f);
+  protocol.add_transition(x, u, f, f);
+  for (const pp::State leftover : {p, r, u}) {
+    protocol.add_transition(t, leftover, t, t);
+    protocol.add_transition(f, leftover, f, f);
+  }
+  protocol.finalize();
+  return protocol;
+}
+
+TEST(VerifierOracle, ActivityRowsAcrossWordEdgesMatch) {
+  // Occupied states straddle 63/64 and 127/128 and reach into the partial
+  // last word; self-active states hold one agent (must not fire) and two.
+  const pp::Protocol protocol = make_word_edge_protocol();
+  const std::vector<std::vector<std::pair<pp::State, u32>>> starts = {
+      {{0, 2}, {127, 1}},           {{0, 1}, {63, 1}, {64, 1}},
+      {{63, 2}, {128, 1}, {0, 1}},  {{0, 2}, {63, 1}, {127, 2}},
+      {{64, 1}, {128, 1}, {139, 1}}, {{0, 3}, {63, 2}, {127, 1}, {139, 1}},
+  };
+  for (const unsigned threads : {1u, 4u}) {
+    for (const auto& start : starts) {
+      pp::Config initial(protocol.num_states());
+      for (const auto& [q, count] : start) initial.add(q, count);
+      expect_matches_oracle(protocol, initial, false, threads);
+    }
+  }
+}
+
+TEST(VerifierOracle, WordEdgeRaceCounterexamplePinsNodeOrder) {
+  const pp::Protocol protocol = make_word_edge_race();
+  pp::Config initial(protocol.num_states());
+  for (const pp::State q : {63, 64, 127, 128}) initial.add(q, 1);
+  for (const unsigned threads : {1u, 4u}) {
+    expect_matches_oracle(protocol, initial, false, threads);
+    pp::VerifierOptions options;
+    options.threads = threads;
+    const pp::VerificationResult result =
+        pp::Verifier(protocol).verify(initial, options);
+    ASSERT_EQ(result.verdict,
+              pp::VerificationResult::Verdict::kDoesNotStabilise);
+    // (X, P) is walked first, so the all-T sink gets the smaller id and
+    // the all-F sink is the counterexample.
+    pp::Config all_f(protocol.num_states());
+    all_f.add(0, 4);
+    EXPECT_EQ(*result.counterexample, all_f);
+  }
 }
 
 TEST(Verifier, ResourceLimitCarriesPartialCounts) {

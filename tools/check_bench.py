@@ -86,27 +86,28 @@ def check_engine(path, doc):
 
 
 # The exhaustive frontier of `ppde verify 1 <m_regs>`: (configurations,
-# edges) per m_regs. The kernel must explore exactly these graphs at every
-# thread count.
+# edges, successors emitted) per m_regs. The kernel must explore exactly
+# these graphs, with exactly this much expansion work, at every thread
+# count.
 VERIFY_GRAPHS = {
-    5: (806312, 849152),
-    6: (1455408, 1538280),
-    7: (2431108, 2576804),
+    5: (806312, 849152, 1947440),
+    6: (1455408, 1538280, 3526892),
+    7: (2431108, 2576804, 5903308),
 }
 
 
 def check_verify(path, doc):
-    """bench_verify_v == 1: a host object and per-(m_regs, threads) rows
+    """bench_verify_v == 2: a host object and per-(m_regs, threads) rows
     of the S22 kernel on `ppde verify 1 <m_regs>`."""
-    require(path, doc.get("bench_verify_v") == 1,
-            f"bench_verify_v != 1 (got {doc.get('bench_verify_v')})")
+    require(path, doc.get("bench_verify_v") == 2,
+            f"bench_verify_v != 2 (got {doc.get('bench_verify_v')})")
     check_host(path, doc)
     rows = doc.get("rows")
     require(path, isinstance(rows, list) and rows, "rows missing or empty")
     seen = set()
     for i, row in enumerate(rows):
         for key in ("protocol", "m_regs", "threads", "configs", "edges",
-                    "wall_s", "store_bytes"):
+                    "successors_emitted", "wall_s", "store_bytes"):
             require(path, key in row, f"rows[{i}] missing {key}")
         require(path, row["wall_s"] > 0, f"rows[{i}] nonpositive wall_s")
         require(path, row["store_bytes"] > 0,
@@ -114,11 +115,12 @@ def check_verify(path, doc):
         expected = VERIFY_GRAPHS.get(row["m_regs"])
         require(path, expected is not None,
                 f"rows[{i}] unexpected m_regs {row['m_regs']}")
-        require(path, (row["configs"], row["edges"]) == expected,
+        explored = (row["configs"], row["edges"], row["successors_emitted"])
+        require(path, explored == expected,
                 f"rows[{i}] m_regs={row['m_regs']} threads={row['threads']} "
-                f"explored {row['configs']} configs, {row['edges']} edges; "
-                f"expected {expected[0]}, {expected[1]} at every thread "
-                f"count")
+                f"explored {explored[0]} configs, {explored[1]} edges, "
+                f"{explored[2]} successors emitted; expected {expected[0]}, "
+                f"{expected[1]}, {expected[2]} at every thread count")
         seen.add((row["m_regs"], row["threads"]))
     for m_regs in VERIFY_GRAPHS:
         for threads in (1, 2, 4):
@@ -215,9 +217,11 @@ def check_serve(path, doc):
 
 
 def check_sched(path, doc):
-    """bench_sched_v == 1: scheduler x construction convergence table."""
-    require(path, doc.get("bench_sched_v") == 1,
-            f"bench_sched_v != 1 (got {doc.get('bench_sched_v')})")
+    """bench_sched_v == 2: a host object and the scheduler x construction
+    convergence table."""
+    require(path, doc.get("bench_sched_v") == 2,
+            f"bench_sched_v != 2 (got {doc.get('bench_sched_v')})")
+    check_host(path, doc)
     trials = doc.get("trials")
     require(path, isinstance(trials, int) and trials > 0,
             "trials missing or nonpositive")
@@ -254,9 +258,11 @@ def check_sched(path, doc):
 
 
 def check_obs(path, doc):
-    """bench_obs_v == 1: S29 distributed-tracing data-path timings."""
-    require(path, doc.get("bench_obs_v") == 1,
-            f"bench_obs_v != 1 (got {doc.get('bench_obs_v')})")
+    """bench_obs_v == 2: a host object and the S29 distributed-tracing
+    data-path timings."""
+    require(path, doc.get("bench_obs_v") == 2,
+            f"bench_obs_v != 2 (got {doc.get('bench_obs_v')})")
+    check_host(path, doc)
     rows = doc.get("rows")
     require(path, isinstance(rows, list) and rows, "rows missing or empty")
     for i, row in enumerate(rows):
