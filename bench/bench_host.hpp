@@ -10,16 +10,15 @@
 #include <string_view>
 #include <thread>
 
+#include "smc/json.hpp"
+
 namespace ppde::bench {
 
 /// `text` as a JSON string literal.
 inline std::string json_string(std::string_view text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
-  }
-  return out + "\"";
+  std::string out;
+  smc::append_json_string(out, text);
+  return out;
 }
 
 /// The "host" object: the facts needed to read the rows.

@@ -69,9 +69,8 @@ void print_report() {
     const auto conv = compile::machine_to_protocol(lowered.machine);
     analysis::TextTable scale({"m (= |F| + extra)", "interactions to full"
                                " consensus", "parallel time"});
-    const engine::PairIndex index(conv.protocol);
     for (std::uint32_t extra : {2u, 6u, 14u, 30u}) {
-      engine::CountSimulator sim(conv.protocol, index,
+      engine::CountSimulator sim(conv.protocol,
                                  conv.initial_config(conv.num_pointers + extra),
                                  811 + extra);
       std::uint64_t done = 0;

@@ -82,8 +82,7 @@ EngineRow measure_step(const char* name, Sim& sim, double budget_seconds) {
 
 EngineRow measure_count_step(const compile::ProtocolConversion& conv,
                              std::uint32_t m, double budget_seconds) {
-  const engine::PairIndex index(conv.protocol);
-  engine::CountSimulator sim(conv.protocol, index, conv.initial_config(m), 13);
+  engine::CountSimulator sim(conv.protocol, conv.initial_config(m), 13);
   return measure_step("count+null-skip", sim, budget_seconds);
 }
 

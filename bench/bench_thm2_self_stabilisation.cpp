@@ -108,6 +108,7 @@ void print_report() {
     options.max_trials = 24;
     options.threads = 4;
     options.seed = 7;
+    options.engine = engine::EngineKind::kPerAgent;
     options.sim.stable_window = 80'000'000;
     options.sim.max_interactions = 1'500'000'000;
     const smc::Certificate cert = analysis::sweep_certified(

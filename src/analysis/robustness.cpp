@@ -1,6 +1,5 @@
 #include "analysis/robustness.hpp"
 
-#include <memory>
 #include <optional>
 
 #include "engine/executor.hpp"
@@ -82,25 +81,30 @@ RobustnessResult sweep_simulated(const pp::Protocol& protocol,
   // The shared trial body (S27): per-worker simulator reuse and engine
   // selection live in engine::TrialExecutor; outcomes stay pure functions
   // of (trial, seed).
-  engine::TrialExecutor executor(protocol, kind, sched::Scenario{},
-                                 engine::fleet_workers(trials, threads));
-  const std::vector<engine::TrialResult> outcomes = engine::run_trial_range(
-      0, trials, threads, seed,
-      [&](unsigned worker, std::uint64_t trial, std::uint64_t trial_seed) {
-        return executor.run(worker, configs[trial], trial_seed, options);
-      });
-
+  const unsigned workers = engine::fleet_workers(trials, threads);
+  engine::TrialExecutor executor(protocol, kind, sched::Scenario{}, workers);
+  // Each trial comes back correct (true), wrong (false) or unresolved.
   RobustnessResult result;
-  for (std::uint64_t trial = 0; trial < trials; ++trial) {
-    const engine::TrialResult& outcome = outcomes[trial];
-    ++result.trials;
-    if (!outcome.sim.stabilised)
-      ++result.unresolved;
-    else if (outcome.sim.output == predicate(configs[trial].total()))
-      ++result.correct;
-    else
-      ++result.wrong;
-  }
+  engine::run_fleet<std::optional<bool>>(
+      workers, seed, "engine", [&] { return trials; },
+      [&](unsigned worker, std::uint64_t trial, std::uint64_t trial_seed,
+          const std::atomic<bool>& stop) -> std::optional<bool> {
+        const pp::SimulationResult sim =
+            executor.run(worker, configs[trial], trial_seed, options, &stop)
+                .sim;
+        if (!sim.stabilised) return std::nullopt;
+        return sim.output == predicate(configs[trial].total());
+      },
+      [&](std::uint64_t, std::optional<bool>&& correct) {
+        ++result.trials;
+        if (!correct)
+          ++result.unresolved;
+        else if (*correct)
+          ++result.correct;
+        else
+          ++result.wrong;
+        return false;
+      });
   return result;
 }
 
@@ -109,10 +113,9 @@ smc::Certificate sweep_certified(const pp::Protocol& protocol,
                                  std::uint32_t max_noise,
                                  const TotalPredicate& predicate,
                                  const smc::CertifyOptions& options,
-                                 engine::EngineKind kind,
                                  const std::vector<pp::State>* noise_pool) {
   engine::TrialExecutor executor(
-      protocol, kind, sched::Scenario{},
+      protocol, options.engine, options.scenario,
       engine::fleet_workers(options.max_trials, options.threads));
 
   // Unlike sweep_simulated the trial count is not known up front (the SPRT

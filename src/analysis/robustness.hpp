@@ -80,12 +80,12 @@ RobustnessResult sweep_simulated(
 /// its digest) is identical at every thread count. The trial budget cap in
 /// `options` downgrades the verdict to kInconclusive rather than
 /// overstating the evidence. certificate.population reports the *base*
-/// population (each trial adds up to max_noise agents on top).
+/// population (each trial adds up to max_noise agents on top). Trials run
+/// on `options.engine` under `options.scenario`, like certify()'s.
 smc::Certificate sweep_certified(
     const pp::Protocol& protocol, const pp::Config& base,
     std::uint32_t max_noise, const TotalPredicate& predicate,
     const smc::CertifyOptions& options,
-    engine::EngineKind engine = engine::EngineKind::kPerAgent,
     const std::vector<pp::State>* noise_pool = nullptr);
 
 }  // namespace ppde::analysis

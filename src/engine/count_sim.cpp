@@ -14,28 +14,13 @@ namespace ppde::engine {
 
 CountSimulator::CountSimulator(const pp::Protocol& protocol,
                                const pp::Config& initial, std::uint64_t seed)
-    : CountSimulator(std::make_unique<PairIndex>(protocol), protocol, initial,
-                     seed) {}
-
-CountSimulator::CountSimulator(std::unique_ptr<const PairIndex> owned,
-                               const pp::Protocol& protocol,
-                               const pp::Config& initial, std::uint64_t seed)
-    : CountSimulator(protocol, *owned, initial, seed) {
-  owned_index_ = std::move(owned);
-}
-
-CountSimulator::CountSimulator(const pp::Protocol& protocol,
-                               const PairIndex& index,
-                               const pp::Config& initial, std::uint64_t seed)
     : protocol_(&protocol),
-      index_(&index),
       counts_(protocol.num_states()),
       position_(protocol.num_states(), kNoPosition),
       rng_(seed) {
   if (!protocol.finalized())
     throw std::logic_error("CountSimulator: protocol not finalized");
-  if (index.num_states() != protocol.num_states())
-    throw std::invalid_argument("CountSimulator: index/protocol mismatch");
+  compiled_ = &protocol.compiled();
   load(initial);
 }
 
@@ -85,13 +70,13 @@ void CountSimulator::reset(const pp::Config& initial, std::uint64_t seed) {
 std::uint64_t CountSimulator::fresh_partner_sum(pp::State q) const {
   // Zero-count partners contribute nothing, so the sum may run over either
   // the partner list or the populated list — whichever is shorter.
-  std::uint64_t sum = index_->self_active(q) ? ~std::uint64_t{0} : 0;  // −1
-  const auto partners = index_->partners_of(q);
+  std::uint64_t sum = compiled_->self_active(q) ? ~std::uint64_t{0} : 0;  // −1
+  const auto partners = compiled_->partners_of(q);
   if (partners.size() <= populated_.size()) {
     for (pp::State r : partners) sum += counts_[r];
   } else {
     for (pp::State r : populated_)
-      if (index_->pair_active(q, r)) sum += counts_[r];
+      if (compiled_->pair_active(q, r)) sum += counts_[r];
   }
   return sum;
 }
@@ -114,11 +99,11 @@ std::uint64_t CountSimulator::build_matrix_row(std::uint32_t slot) {
   // is gated by a mask bit — and each gets the unresolved code 1, since
   // most pairs are never selected before the row is rebuilt.
   const std::uint64_t bit = std::uint64_t{1} << slot;
-  std::uint64_t sum = index_->self_active(q) ? ~std::uint64_t{0} : 0;  // −1
+  std::uint64_t sum = compiled_->self_active(q) ? ~std::uint64_t{0} : 0;  // −1
   std::uint64_t mask = 0;
   for (std::uint32_t j = 0; j < filled; ++j) {
     const pp::State r = populated_[j];
-    if (!index_->pair_active(q, r)) continue;
+    if (!compiled_->pair_active(q, r)) continue;
     row[j] = 1;
     col_mask_[j] |= bit;
     mask |= std::uint64_t{1} << j;
@@ -158,7 +143,7 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
       // the column's bit. Only active cells are written (stale inactive
       // cells are unreachable behind the masks); walk whichever side is
       // shorter.
-      if (const auto initiators = index_->initiators_meeting(state);
+      if (const auto initiators = compiled_->initiators_meeting(state);
           initiators.size() <= filled) {
         for (pp::State p : initiators) {
           const std::uint32_t i = position_[p];
@@ -169,7 +154,7 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
         }
       } else {
         for (std::uint32_t i = 0; i < filled; ++i)
-          if (index_->pair_active(populated_[i], state)) {
+          if (compiled_->pair_active(populated_[i], state)) {
             act_[i * kMatrixSlots + col] = 1;
             built |= std::uint64_t{1} << i;
             row_mask_[i] |= bit;
@@ -182,7 +167,7 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
       partner_sum_[i] += shift;
       refresh_weight(i);
     }
-  } else if (const auto initiators = index_->initiators_meeting(state);
+  } else if (const auto initiators = compiled_->initiators_meeting(state);
              initiators.size() <= populated_.size()) {
     // Matrix-less fallback: walk whichever side is shorter — the
     // in-partner list of `state` or the populated list — the updated
@@ -195,7 +180,7 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
     }
   } else {
     for (std::uint32_t slot = 0; slot < filled; ++slot) {
-      if (!index_->pair_active(populated_[slot], state)) continue;
+      if (!compiled_->pair_active(populated_[slot], state)) continue;
       partner_sum_[slot] += shift;
       refresh_weight(slot);
     }
@@ -307,7 +292,7 @@ void CountSimulator::shift_pair(pp::State from, pp::State to) {
 
 void CountSimulator::fire_cells(pp::State q, pp::State r, std::uint32_t pos) {
   ++metrics_.firings;
-  const auto cells = index_->pair_cells(pos);
+  const auto cells = compiled_->cells(pos);
   const isa::Cell& cell =
       cells.size() == 1 ? cells[0] : cells[rng_.below(cells.size())];
   // change_count/shift_pair maintain accepting_ themselves, so the cell's
@@ -348,7 +333,7 @@ void CountSimulator::apply_active_meeting(std::uint64_t active) {
     // A zero-count partner carries zero weight and never absorbs the
     // remainder, so walking the whole (ascending) partner list is exact.
     pp::State r = q;  // overwritten: the walk always selects
-    for (pp::State partner : index_->partners_of(q)) {
+    for (pp::State partner : compiled_->partners_of(q)) {
       const std::uint64_t weight = weight_of(partner);
       if (remaining < weight) {
         r = partner;
@@ -356,7 +341,7 @@ void CountSimulator::apply_active_meeting(std::uint64_t active) {
       }
       remaining -= weight;
     }
-    fire_cells(q, r, index_->compiled().entry_of(q, r));  // (q, r) is active
+    fire_cells(q, r, compiled_->entry_of(q, r));  // (q, r) is active
     return;
   }
   // For the same reason the walk may skip every unpopulated partner: it
@@ -390,7 +375,7 @@ void CountSimulator::apply_active_meeting(std::uint64_t active) {
   // The cell's code hands the firing its pair position, resolved on the
   // pair's first selection.
   std::uint32_t& code = act_[slot * kMatrixSlots + j];
-  if (code == 1) code = index_->compiled().entry_of(q, r) + 2;
+  if (code == 1) code = compiled_->entry_of(q, r) + 2;
   fire_cells(q, r, code - 2);
 }
 

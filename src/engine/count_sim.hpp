@@ -49,11 +49,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <new>
 #include <optional>
-#include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "engine/metrics.hpp"
@@ -65,70 +62,16 @@
 
 namespace ppde::engine {
 
-/// Activity structure of a finalized protocol: which ordered state pairs
-/// (q, r) have at least one non-silent transition. Since S26 this is a
-/// thin view over the protocol's isa::CompiledProtocol — the engine no
-/// longer builds its own adjacency/candidate/bitset copies. Immutable,
-/// O(1) to construct, and safe to share across threads; it keeps the
-/// compiled tables alive via shared ownership.
-class PairIndex {
- public:
-  explicit PairIndex(const pp::Protocol& protocol)
-      : compiled_(protocol.compiled_ptr()) {
-    if (!compiled_)
-      throw std::logic_error("PairIndex: protocol not finalized");
-  }
-
-  /// The compiled IR behind this view.
-  const isa::CompiledProtocol& compiled() const { return *compiled_; }
-
-  /// States r such that (q, r) is active, q as the initiator; ascending.
-  std::span<const pp::State> partners_of(pp::State q) const {
-    return compiled_->partners_of(q);
-  }
-
-  /// The compiled cells of the active pair at *pair position* `pos`
-  /// (compiled().entry_of(q, r)), one per candidate transition, in the
-  /// order of Protocol::transitions_for.
-  std::span<const isa::Cell> pair_cells(std::uint32_t pos) const {
-    return compiled_->cells(pos);
-  }
-  /// States q such that (q, r) is active, r as the responder.
-  std::span<const pp::State> initiators_meeting(pp::State r) const {
-    return compiled_->initiators_meeting(r);
-  }
-  /// True iff (q, q) is active.
-  bool self_active(pp::State q) const { return compiled_->self_active(q); }
-
-  /// True iff (q, r) is active. O(1) via a dense pair bitset for protocols
-  /// up to kBitsetStates states (97 KB at the converted Czerner n = 1's
-  /// 880 states), O(log out-degree) binary search beyond that.
-  bool pair_active(pp::State q, pp::State r) const {
-    return compiled_->pair_active(q, r);
-  }
-
-  std::size_t num_states() const { return compiled_->num_states(); }
-  std::size_t num_active_pairs() const {
-    return compiled_->num_active_pairs();
-  }
-
- private:
-  std::shared_ptr<const isa::CompiledProtocol> compiled_;
-};
-
 /// Drop-in counterpart of pp::Simulator that never materialises agents.
-/// The protocol (and the PairIndex, if supplied) must outlive the
-/// simulator.
+/// The protocol must be finalized and outlive the simulator; pair activity
+/// and candidate cells come from its compiled tables (protocol.compiled()).
 class CountSimulator {
  public:
   CountSimulator(const pp::Protocol& protocol, const pp::Config& initial,
                  std::uint64_t seed = 1);
-  /// Shares a prebuilt PairIndex (one per protocol, reused across trials).
-  CountSimulator(const pp::Protocol& protocol, const PairIndex& index,
-                 const pp::Config& initial, std::uint64_t seed = 1);
 
-  /// Rewind to `initial` with a fresh `seed`, keeping the protocol, index
-  /// and every allocation. A reset simulator is indistinguishable from a
+  /// Rewind to `initial` with a fresh `seed`, keeping the protocol and
+  /// every allocation. A reset simulator is indistinguishable from a
   /// freshly constructed one — trial fleets reuse one simulator per worker
   /// instead of reallocating O(|Q|) state every trial.
   void reset(const pp::Config& initial, std::uint64_t seed);
@@ -178,10 +121,6 @@ class CountSimulator {
   const RunMetrics& metrics() const { return metrics_; }
 
  private:
-  CountSimulator(std::unique_ptr<const PairIndex> owned,
-                 const pp::Protocol& protocol, const pp::Config& initial,
-                 std::uint64_t seed);
-
   /// Load `initial` into an empty simulator: counts, populated list,
   /// partner sums and slot weights.
   void load(const pp::Config& initial);
@@ -265,8 +204,7 @@ class CountSimulator {
   static constexpr std::uint32_t kMatrixSlots = 64;
 
   const pp::Protocol* protocol_;
-  std::unique_ptr<const PairIndex> owned_index_;
-  const PairIndex* index_;
+  const isa::CompiledProtocol* compiled_ = nullptr;  ///< protocol's tables
   pp::Config counts_;
   /// States with non-zero count, unordered; keeps all incremental
   /// bookkeeping O(#populated states) instead of O(|Q|) or O(degree) — on
@@ -288,10 +226,10 @@ class CountSimulator {
   /// resolves a code through entry_of on the pair's first selection, so a
   /// pair never selected before its row is rebuilt costs no lookup. Only
   /// cells behind a row_mask_/col_mask_ bit are meaningful; the rest may
-  /// hold stale codes. PairIndex is consulted only when a state enters the
-  /// populated list. Maintained while the populated list fits in
+  /// hold stale codes. The compiled tables are consulted only when a state
+  /// enters the populated list. Maintained while the populated list fits in
   /// kMatrixSlots slots (matrix_ok_); beyond that the simulator falls back
-  /// to PairIndex until the next reset.
+  /// to the compiled tables until the next reset.
   std::vector<std::uint32_t> act_;
   /// col_mask_[j]: bit i set iff (populated_[i], populated_[j]) is active —
   /// the initiator slots watching populated_[j], as a 64-bit set mirroring

@@ -4,15 +4,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "engine/executor.hpp"
-#include "engine/pool.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
@@ -39,60 +34,6 @@ unsigned fleet_workers(std::uint64_t trials, unsigned threads) {
                    : std::max(1u, std::thread::hardware_concurrency());
   return static_cast<unsigned>(
       std::min<std::uint64_t>(requested, std::max<std::uint64_t>(trials, 1)));
-}
-
-std::vector<TrialResult> run_trial_range(
-    std::uint64_t first_trial, std::uint64_t trials, unsigned threads,
-    std::uint64_t master_seed,
-    const std::function<TrialResult(unsigned, std::uint64_t, std::uint64_t)>&
-        body) {
-  std::vector<TrialResult> results(trials);
-  if (trials == 0) return results;
-
-  // The shared worker pool (engine/pool.hpp) preserves this function's
-  // contract: results indexed by offset, exceptions surfaced after all
-  // workers drain, never more workers than trials. The pool rethrows the
-  // *first recorded* exception; the wrapper below instead names the lowest
-  // failing trial index so the error is deterministic and actionable
-  // ("which (trial, seed) reproduces this?") rather than a bare what()
-  // from whichever worker lost the race.
-  WorkerPool pool(fleet_workers(trials, threads));
-  std::mutex failure_mutex;
-  bool failed = false;
-  std::uint64_t failed_trial = 0;
-  std::string failed_what;
-  const auto note_failure = [&](std::uint64_t trial, const char* what) {
-    const std::lock_guard<std::mutex> lock(failure_mutex);
-    if (!failed || trial < failed_trial) {
-      failed = true;
-      failed_trial = trial;
-      failed_what = what;
-    }
-  };
-  try {
-    pool.parallel_for_workers(trials, [&](unsigned worker, std::uint64_t i) {
-      const std::uint64_t trial = first_trial + i;
-      obs::ObsSpan span("trial", "engine");
-      span.set_value(static_cast<double>(trial));
-      try {
-        results[i] =
-            body(worker, trial, derive_trial_seed(master_seed, trial));
-      } catch (const std::exception& error) {
-        note_failure(trial, error.what());
-        throw;
-      } catch (...) {
-        note_failure(trial, "unknown exception");
-        throw;
-      }
-    });
-  } catch (...) {
-    if (failed)
-      throw std::runtime_error("run_trial_range: trial " +
-                               std::to_string(failed_trial) +
-                               " failed: " + failed_what);
-    throw;
-  }
-  return results;
 }
 
 namespace {
@@ -150,10 +91,17 @@ EnsembleStats run_ensemble(const pp::Protocol& protocol,
   // the serve workers run.
   const unsigned workers = fleet_workers(options.trials, options.threads);
   TrialExecutor executor(protocol, options.engine, options.scenario, workers);
-  const std::vector<TrialResult> results = run_trial_range(
-      0, options.trials, options.threads, options.master_seed,
-      [&](unsigned worker, std::uint64_t, std::uint64_t seed) {
-        return executor.run(worker, initial, seed, options.sim);
+  std::vector<TrialResult> results(options.trials);
+  run_fleet<TrialResult>(
+      workers, options.master_seed, "engine",
+      [&] { return options.trials; },
+      [&](unsigned worker, std::uint64_t, std::uint64_t seed,
+          const std::atomic<bool>& stop) {
+        return executor.run(worker, initial, seed, options.sim, &stop);
+      },
+      [&](std::uint64_t trial, TrialResult&& result) {
+        results[trial] = std::move(result);
+        return false;
       });
   EnsembleStats stats = aggregate(results);
   // Report what the fleet actually ran with: the pool never spawns more

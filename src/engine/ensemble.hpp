@@ -17,13 +17,21 @@
 // number.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "engine/count_sim.hpp"
 #include "engine/metrics.hpp"
+#include "engine/pool.hpp"
+#include "obs/trace.hpp"
 #include "pp/config.hpp"
 #include "pp/protocol.hpp"
 #include "pp/simulator.hpp"
@@ -44,8 +52,8 @@ enum class EngineKind {
 const char* to_string(EngineKind kind);
 
 /// One trial's result: the one per-trial record, from TrialExecutor::run
-/// through run_trial_range (or a serve worker's batch loop and the wire)
-/// to the certification fold (smc::outcome_of) and aggregation.
+/// through the fleet (or a serve worker's batch loop and the wire) to the
+/// certification fold (smc::outcome_of) and aggregation.
 struct TrialResult {
   pp::SimulationResult sim;
   RunMetrics metrics;
@@ -101,27 +109,82 @@ struct EnsembleOptions {
 /// hardware concurrency) capped at the trial count, at least 1.
 unsigned fleet_workers(std::uint64_t trials, unsigned threads);
 
-/// Run `body(worker, trial, derive_trial_seed(master_seed, trial))` for
-/// every trial in [first_trial, first_trial + trials) on a fixed pool of
-/// `threads` workers (0 ⇒ hardware concurrency); results are indexed by
-/// offset. Each trial gets its *global* derived seed, so any partition of
-/// the trial index space into ranges reproduces exactly the per-trial
-/// results of one range over the union — regardless of which process runs
-/// which range (the serve daemon's shards, S25). `worker` is the
-/// executing worker's index in [0, fleet_workers(trials, threads)), so
-/// callers can keep one reusable simulator per worker
-/// (CountSimulator::reset) instead of reconstructing per trial; each
-/// result must remain a pure function of (trial, seed) — reuse scratch
-/// through the worker index, never results. `body` must be safe to call
-/// concurrently from different threads. If any body throws, the pool
-/// drains and a std::runtime_error naming the lowest failing global trial
-/// index (with the original what()) is thrown — never a silent partial
-/// result.
-std::vector<TrialResult> run_trial_range(
-    std::uint64_t first_trial, std::uint64_t trials, unsigned threads,
-    std::uint64_t master_seed,
-    const std::function<TrialResult(unsigned worker, std::uint64_t trial,
-                                    std::uint64_t seed)>& body);
+/// The one in-process trial fleet, shared by ensembles, robustness sweeps
+/// and certificates. `workers` workers (fleet_workers; at least 1, the
+/// calling thread among them) claim trial indices in ascending order,
+/// each below `horizon()`. A claimed trial runs `body(worker, trial,
+/// derive_trial_seed(master_seed, trial), stop)` outside the fleet's lock,
+/// inside a ("trial", `category`) span; its result is handed to
+/// `deliver(trial, result)` under the lock, in completion order. Once `deliver` returns true (no further trial is
+/// needed) or a body throws, the fleet claims nothing more and raises
+/// `stop`: running bodies may poll it and return early, and their results
+/// are dropped undelivered. The fleet returns when no trial is running and
+/// none can be claimed; if a body threw, it then throws a
+/// std::runtime_error naming the lowest failing trial and its what().
+///
+/// Each result must be a pure function of (trial, seed): the worker index,
+/// in [0, workers), only selects scratch reused across trials (one
+/// CountSimulator per worker). `horizon` and `deliver` run under the lock
+/// and must not throw; `horizon()` must never decrease, and may stay at
+/// the claimed frontier only while a trial is running.
+template <typename Result>
+void run_fleet(
+    unsigned workers, std::uint64_t master_seed, const char* category,
+    const std::function<std::uint64_t()>& horizon,
+    const std::function<Result(unsigned worker, std::uint64_t trial,
+                               std::uint64_t seed,
+                               const std::atomic<bool>& stop)>& body,
+    const std::function<bool(std::uint64_t trial, Result&& result)>&
+        deliver) {
+  std::mutex mutex;
+  std::condition_variable moved;
+  std::uint64_t next = 0;  // lowest unclaimed trial
+  unsigned running = 0;
+  std::atomic<bool> stop{false};
+  bool failed = false;
+  std::uint64_t failed_trial = 0;
+  std::string failed_what;
+  WorkerPool pool(workers);
+  pool.parallel_for_workers(workers, [&](unsigned worker, std::uint64_t) {
+    std::unique_lock<std::mutex> lock(mutex);
+    while (true) {
+      moved.wait(lock,
+                 [&] { return stop || running == 0 || next < horizon(); });
+      if (stop || next >= horizon()) return;
+      const std::uint64_t trial = next++;
+      ++running;
+      lock.unlock();
+      std::optional<Result> result;
+      std::string what;
+      try {
+        obs::ObsSpan span("trial", category);
+        span.set_value(static_cast<double>(trial));
+        result.emplace(
+            body(worker, trial, derive_trial_seed(master_seed, trial), stop));
+      } catch (const std::exception& error) {
+        what = error.what();
+      } catch (...) {
+        what = "unknown exception";
+      }
+      lock.lock();
+      --running;
+      if (!result) {
+        if (!failed || trial < failed_trial) {
+          failed = true;
+          failed_trial = trial;
+          failed_what = std::move(what);
+        }
+        stop = true;
+      } else if (!stop && deliver(trial, std::move(*result))) {
+        stop = true;
+      }
+      moved.notify_all();
+    }
+  });
+  if (failed)
+    throw std::runtime_error("trial " + std::to_string(failed_trial) +
+                             " failed: " + failed_what);
+}
 
 /// Deterministic aggregation of per-trial results (in index order).
 EnsembleStats aggregate(const std::vector<TrialResult>& results);

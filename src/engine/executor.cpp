@@ -38,11 +38,7 @@ TrialExecutor::TrialExecutor(const pp::Protocol& protocol, EngineKind kind,
     : protocol_(protocol),
       scenario_(scenario),
       per_agent_(kind == EngineKind::kPerAgent || !scenario.is_default()),
-      sims_(workers) {
-  // One shared activity index for all count-based trials; read-only after
-  // construction, so safe across the pool.
-  if (!per_agent_) index_.emplace(protocol);
-}
+      sims_(workers) {}
 
 TrialResult TrialExecutor::run(unsigned worker, const pp::Config& initial,
                                std::uint64_t seed,
@@ -60,8 +56,7 @@ TrialResult TrialExecutor::run(unsigned worker, const pp::Config& initial,
     // to a fresh one, so results stay pure functions of (initial, seed).
     std::unique_ptr<CountSimulator>& sim = sims_[worker];
     if (!sim)
-      sim = std::make_unique<CountSimulator>(protocol_, *index_, initial,
-                                             seed);
+      sim = std::make_unique<CountSimulator>(protocol_, initial, seed);
     else
       sim->reset(initial, seed);
     trial.sim = sim->run_until_stable(options, stop);

@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "engine/count_sim.hpp"
@@ -48,7 +47,6 @@ class TrialExecutor {
   const pp::Protocol& protocol_;
   sched::Scenario scenario_;
   bool per_agent_;
-  std::optional<PairIndex> index_;
   std::vector<std::unique_ptr<CountSimulator>> sims_;
 };
 

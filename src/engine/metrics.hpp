@@ -18,9 +18,10 @@ struct RunMetrics {
   /// Scheduler meetings advanced, including every meeting jumped over by a
   /// null-skip batch. Always equals the simulator's interaction count.
   std::uint64_t meetings = 0;
-  /// Meetings for which an enabled transition was applied (a silent
-  /// transition drawn from a mixed candidate set still counts as a firing,
-  /// matching pp::Simulator::step()'s return value).
+  /// Meetings for which a transition was applied, matching
+  /// pp::Simulator::step()'s return value. Every such transition changes
+  /// a state: CompiledProtocol::compile drops silent candidates, so
+  /// neither simulator ever draws one.
   std::uint64_t firings = 0;
   /// Closed-form geometric null-skip batches taken (CountSimulator only).
   std::uint64_t null_skip_batches = 0;

@@ -26,10 +26,7 @@ void WorkerPool::run_indices(unsigned worker) {
   for (std::uint64_t i;
        (i = next_.fetch_add(1, std::memory_order_relaxed)) < count_;) {
     try {
-      if (body_ != nullptr)
-        (*body_)(i);
-      else
-        (*worker_body_)(worker, i);
+      (*body_)(worker, i);
     } catch (...) {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (!first_error_) first_error_ = std::current_exception();
@@ -53,9 +50,13 @@ void WorkerPool::worker_loop(unsigned worker) {
   }
 }
 
-void WorkerPool::dispatch(std::uint64_t count) {
+void WorkerPool::parallel_for_workers(
+    std::uint64_t count,
+    const std::function<void(unsigned, std::uint64_t)>& body) {
+  if (count == 0) return;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
+    body_ = &body;
     count_ = count;
     first_error_ = nullptr;
     pending_ = workers_ - 1;
@@ -67,28 +68,12 @@ void WorkerPool::dispatch(std::uint64_t count) {
   std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [&] { return pending_ == 0; });
   body_ = nullptr;
-  worker_body_ = nullptr;
   if (first_error_) {
     const std::exception_ptr error = first_error_;
     first_error_ = nullptr;
     lock.unlock();
     std::rethrow_exception(error);
   }
-}
-
-void WorkerPool::parallel_for(
-    std::uint64_t count, const std::function<void(std::uint64_t)>& body) {
-  if (count == 0) return;
-  body_ = &body;
-  dispatch(count);
-}
-
-void WorkerPool::parallel_for_workers(
-    std::uint64_t count,
-    const std::function<void(unsigned, std::uint64_t)>& body) {
-  if (count == 0) return;
-  worker_body_ = &body;
-  dispatch(count);
 }
 
 }  // namespace ppde::engine

@@ -185,8 +185,7 @@ std::shared_ptr<const CompiledProtocol> CompiledProtocol::compile(
   const auto& transitions = protocol.transitions();
 
   // Active adjacency (non-silent candidates) and the any-candidate pair
-  // set, silent ones included — the distinction pp::Protocol::finalize()
-  // and engine::PairIndex used to maintain separately.
+  // set, silent ones included.
   std::vector<std::vector<pp::State>> out(n);
   std::vector<std::vector<pp::State>> in(n);
   for (const pp::Transition& tr : transitions)

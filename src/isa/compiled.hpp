@@ -21,8 +21,8 @@
 //     candidate needs no Transition load and no per-state accepting probes.
 //     isa/exec.hpp executes cells with computed-goto threaded dispatch.
 //   * Adjacency CSRs (partners_of / initiators_meeting), self-pair flags
-//     and the |Q|² active/any bitsets previously rebuilt per layer by
-//     engine::PairIndex now live here; PairIndex is a thin view.
+//     and the |Q|² active/any bitsets live here too; the count engine
+//     reads them straight from Protocol::compiled().
 //
 // Lowering is pure table construction: candidate order equals
 // Protocol::finalize()'s transition order, so a simulator picking
@@ -88,7 +88,7 @@ class CompiledProtocol {
   static constexpr std::uint32_t kSilentOnly = 0xfffffffeu;
 
   /// Largest |Q| for which the |Q|²-bit active/any bitsets are built
-  /// (8 MB each at the cap) — same threshold the legacy PairIndex used.
+  /// (8 MB each at the cap).
   static constexpr std::size_t kBitsetStates = 8192;
 
   /// The flat tables; see the member comments for invariants. Exported by

@@ -103,11 +103,30 @@ struct Tracer::Impl {
     return true;
   }
 
-  std::string serialise(const TraceEvent& event, std::uint32_t tid) const {
+  /// A fresh tracer state: a new id, `options` with the ring capacity
+  /// rounded down to a power of two (the mask invariant), epoch now.
+  static Impl* create(const TracerOptions& options) {
+    auto* impl = new Impl;
+    impl->id = g_next_tracer_id.fetch_add(1, std::memory_order_relaxed);
+    impl->options = options;
+    std::uint32_t capacity = 1;
+    while (capacity * 2 <= options.ring_capacity && capacity < (1u << 20))
+      capacity *= 2;
+    impl->options.ring_capacity = capacity;
+    impl->epoch_ns = now_ns();
+    return impl;
+  }
+
+  /// One trace-event line for `event` (absolute timestamp, rebased onto
+  /// this tracer's epoch) in process `pid`: pid 1 for this process's own
+  /// events, a worker's pid for stitched ones.
+  std::string serialise(std::uint64_t pid, const CapturedEvent& event) const {
     smc::JsonWriter json;
     json.field("name", std::string_view(event.name));
     json.field("cat", std::string_view(event.cat));
-    const double ts_us = static_cast<double>(event.ts_ns) / 1000.0;
+    const std::uint64_t rel_ns =
+        event.ts_ns > epoch_ns ? event.ts_ns - epoch_ns : 0;
+    const double ts_us = static_cast<double>(rel_ns) / 1000.0;
     switch (event.kind) {
       case TraceEvent::Kind::kComplete:
         json.field("ph", std::string_view("X"));
@@ -124,8 +143,8 @@ struct Tracer::Impl {
         json.field("s", std::string_view("t"));
         break;
     }
-    json.field("pid", 1);
-    json.field("tid", static_cast<std::uint64_t>(tid));
+    json.field("pid", pid);
+    json.field("tid", static_cast<std::uint64_t>(event.tid));
     if (event.kind == TraceEvent::Kind::kCounter) {
       smc::JsonWriter args;
       args.field("value", event.value);
@@ -138,24 +157,34 @@ struct Tracer::Impl {
     return json.finish();
   }
 
+  /// Take every ring's pending events, oldest first within a ring, as
+  /// absolute-timestamped records. Callers hold rings_mutex.
+  template <typename Visit>
+  void drain_rings(Visit&& visit) {
+    for (const std::unique_ptr<ThreadRing>& ring : rings) {
+      const std::uint64_t head = ring->head.load(std::memory_order_acquire);
+      std::uint64_t tail = ring->tail.load(std::memory_order_relaxed);
+      for (; tail != head; ++tail) {
+        const TraceEvent& event = ring->slots[tail & ring->mask];
+        visit(CapturedEvent{event.name, event.cat, event.kind,
+                            epoch_ns + event.ts_ns, event.dur_ns, ring->tid,
+                            event.value, event.has_value});
+      }
+      ring->tail.store(head, std::memory_order_release);
+    }
+  }
+
   /// Drain every ring to the file. Serialised by rings_mutex, so it is
   /// safe from the collector thread and from stop() after the join.
   /// Capture-mode tracers are drained by drain_capture() instead; here
   /// (their finish() path) leftover events are simply discarded.
   void drain() {
     std::lock_guard<std::mutex> lock(rings_mutex);
-    for (const std::unique_ptr<ThreadRing>& ring : rings) {
-      const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-      std::uint64_t tail = ring->tail.load(std::memory_order_relaxed);
-      for (; tail != head; ++tail) {
-        if (capture || file == nullptr) continue;
-        if (suppress_for_cap()) continue;
-        write_line(serialise(ring->slots[tail & ring->mask], ring->tid),
-                   /*last=*/false);
-        ++written;
-      }
-      ring->tail.store(head, std::memory_order_release);
-    }
+    drain_rings([&](const CapturedEvent& event) {
+      if (capture || file == nullptr || suppress_for_cap()) return;
+      write_line(serialise(1, event), /*last=*/false);
+      ++written;
+    });
   }
 
   /// Capture-mode drain: move every ring's pending events out as owned,
@@ -163,25 +192,10 @@ struct Tracer::Impl {
   std::vector<CapturedEvent> drain_to_memory() {
     std::lock_guard<std::mutex> lock(rings_mutex);
     std::vector<CapturedEvent> out;
-    for (const std::unique_ptr<ThreadRing>& ring : rings) {
-      const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-      std::uint64_t tail = ring->tail.load(std::memory_order_relaxed);
-      for (; tail != head; ++tail) {
-        const TraceEvent& event = ring->slots[tail & ring->mask];
-        CapturedEvent captured;
-        captured.name = event.name;
-        captured.cat = event.cat;
-        captured.kind = event.kind;
-        captured.ts_ns = epoch_ns + event.ts_ns;
-        captured.dur_ns = event.dur_ns;
-        captured.tid = ring->tid;
-        captured.value = event.value;
-        captured.has_value = event.has_value;
-        out.push_back(std::move(captured));
-        ++written;
-      }
-      ring->tail.store(head, std::memory_order_release);
-    }
+    drain_rings([&](CapturedEvent&& event) {
+      out.push_back(std::move(event));
+      ++written;
+    });
     return out;
   }
 
@@ -246,46 +260,6 @@ struct Tracer::Impl {
     return true;
   }
 
-  /// Serialise a foreign (worker) event under this tracer's epoch with an
-  /// explicit pid. Callers hold rings_mutex.
-  std::string serialise_foreign(std::uint64_t pid,
-                                const CapturedEvent& event) const {
-    smc::JsonWriter json;
-    json.field("name", std::string_view(event.name));
-    json.field("cat", std::string_view(event.cat));
-    const std::uint64_t rel_ns =
-        event.ts_ns > epoch_ns ? event.ts_ns - epoch_ns : 0;
-    const double ts_us = static_cast<double>(rel_ns) / 1000.0;
-    switch (event.kind) {
-      case TraceEvent::Kind::kComplete:
-        json.field("ph", std::string_view("X"));
-        json.field("ts", ts_us);
-        json.field("dur", static_cast<double>(event.dur_ns) / 1000.0);
-        break;
-      case TraceEvent::Kind::kCounter:
-        json.field("ph", std::string_view("C"));
-        json.field("ts", ts_us);
-        break;
-      case TraceEvent::Kind::kInstant:
-        json.field("ph", std::string_view("i"));
-        json.field("ts", ts_us);
-        json.field("s", std::string_view("t"));
-        break;
-    }
-    json.field("pid", pid);
-    json.field("tid", static_cast<std::uint64_t>(event.tid));
-    if (event.kind == TraceEvent::Kind::kCounter) {
-      smc::JsonWriter args;
-      args.field("value", event.value);
-      json.raw_field("args", args.finish());
-    } else if (event.has_value) {
-      smc::JsonWriter args;
-      args.field("n", event.value);
-      json.raw_field("args", args.finish());
-    }
-    return json.finish();
-  }
-
   /// Emit a process_name metadata record for a foreign pid, once per pid.
   /// Callers hold rings_mutex.
   void announce_locked(std::uint64_t pid, const std::string& group_name) {
@@ -304,21 +278,15 @@ struct Tracer::Impl {
 
 std::atomic<Tracer*> Tracer::g_active{nullptr};
 
+Tracer::Tracer(Impl* impl) : impl_(impl), epoch_ns_(impl->epoch_ns) {}
+
 bool Tracer::start(const std::string& path, const TracerOptions& options) {
   if (g_active.load(std::memory_order_relaxed) != nullptr) return false;
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) return false;
 
-  auto* impl = new Impl;
-  impl->id = g_next_tracer_id.fetch_add(1, std::memory_order_relaxed);
-  impl->options = options;
-  // Round the ring capacity down to a power of two (the mask invariant).
-  std::uint32_t capacity = 1;
-  while (capacity * 2 <= impl->options.ring_capacity && capacity < (1u << 20))
-    capacity *= 2;
-  impl->options.ring_capacity = capacity;
+  Impl* impl = Impl::create(options);
   impl->file = file;
-  impl->epoch_ns = now_ns();
 
   // Header: a JSON array, one event object per line (trailing commas, so
   // `sed 's/,$//'` yields pure JSONL). The first record carries the
@@ -337,28 +305,17 @@ bool Tracer::start(const std::string& path, const TracerOptions& options) {
     impl->write_line(meta.finish(), /*last=*/false);
   }
 
-  Tracer* tracer = new Tracer(impl);
-  tracer->epoch_ns_ = impl->epoch_ns;
   impl->collector = std::thread([impl] { impl->collector_loop(); });
-  g_active.store(tracer, std::memory_order_release);
+  g_active.store(new Tracer(impl), std::memory_order_release);
   return true;
 }
 
 bool Tracer::start_capture(const TracerOptions& options) {
   if (g_active.load(std::memory_order_relaxed) != nullptr) return false;
-  auto* impl = new Impl;
-  impl->id = g_next_tracer_id.fetch_add(1, std::memory_order_relaxed);
-  impl->options = options;
-  std::uint32_t capacity = 1;
-  while (capacity * 2 <= impl->options.ring_capacity && capacity < (1u << 20))
-    capacity *= 2;
-  impl->options.ring_capacity = capacity;
+  Impl* impl = Impl::create(options);
   impl->capture = true;
-  impl->epoch_ns = now_ns();
-  Tracer* tracer = new Tracer(impl);
-  tracer->epoch_ns_ = impl->epoch_ns;
   // No file, no collector thread: the owner drains via drain_capture().
-  g_active.store(tracer, std::memory_order_release);
+  g_active.store(new Tracer(impl), std::memory_order_release);
   return true;
 }
 
@@ -422,7 +379,7 @@ void Tracer::emit_foreign(std::uint64_t pid, const std::string& group_name,
   if (impl_->capture || impl_->file == nullptr) return;
   impl_->announce_locked(pid, group_name);
   if (impl_->suppress_for_cap()) return;
-  impl_->write_line(impl_->serialise_foreign(pid, event), /*last=*/false);
+  impl_->write_line(impl_->serialise(pid, event), /*last=*/false);
   ++impl_->written;
 }
 

@@ -191,7 +191,7 @@ class Tracer {
 
  private:
   struct Impl;
-  explicit Tracer(Impl* impl) : impl_(impl) {}
+  explicit Tracer(Impl* impl);
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 

@@ -76,9 +76,6 @@ class Protocol {
   /// The compiled IR — the single source of truth for pair lookup,
   /// candidate spans and opcode cells. Requires finalize().
   const isa::CompiledProtocol& compiled() const { return *compiled_; }
-  std::shared_ptr<const isa::CompiledProtocol> compiled_ptr() const {
-    return compiled_;
-  }
 
   /// Indices into transitions() applicable to the ordered pair (q, r).
   /// Requires finalize(). Thin view over compiled()'s candidate CSR.

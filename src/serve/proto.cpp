@@ -48,24 +48,6 @@ const std::string& element_str(const std::vector<Json>& fields,
 /// Fields of one trial record on the wire (proto.hpp, BatchResult).
 constexpr std::size_t kRecordFields = 9;
 
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buffer;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
 // -- observability sidecar of a batch result (S29) --------------------------
 //
 // Trace events travel as compact arrays
@@ -85,9 +67,9 @@ void append_trace_events(std::string& out,
     if (!first) out += ',';
     first = false;
     out += '[';
-    append_json_string(out, event.name);
+    smc::append_json_string(out, event.name);
     out += ',';
-    append_json_string(out, event.cat);
+    smc::append_json_string(out, event.cat);
     out += ',';
     append_u64(out, static_cast<std::uint64_t>(event.kind));
     out += ',';
@@ -113,7 +95,7 @@ void append_metric_deltas(std::string& out,
     if (!first) out += ',';
     first = false;
     out += '[';
-    append_json_string(out, delta.name);
+    smc::append_json_string(out, delta.name);
     out += ',';
     switch (delta.kind) {
       case obs::MetricKind::kCounter:

@@ -91,7 +91,8 @@ QueryParams parse_query(const Json& json);
 /// Throws std::runtime_error unless `dispatch` is "bytecode", the one
 /// execution core. The interpreter core was removed; it survives only as
 /// a test oracle, so a request for it is refused rather than silently
-/// served by bytecode. The CLI applies the same check to --dispatch.
+/// served by bytecode. The CLI has no --dispatch flag at all: it exits 1
+/// on it like on any undeclared flag.
 void check_dispatch(std::string_view dispatch);
 
 /// The CertifyOptions a query denotes (threads are irrelevant server-side

@@ -23,9 +23,6 @@
 #include <unistd.h>
 
 #include "bignum/nat.hpp"
-#include "compile/lower.hpp"
-#include "compile/to_protocol.hpp"
-#include "czerner/construction.hpp"
 #include "engine/ensemble.hpp"
 #include "obs/flight.hpp"
 #include "obs/prom_http.hpp"
@@ -34,6 +31,7 @@
 #include "obs/trace.hpp"
 #include "sched/scenario.hpp"
 #include "serve/proto.hpp"
+#include "serve/statement.hpp"
 #include "serve/supervisor.hpp"
 #include "serve/wire.hpp"
 #include "smc/json.hpp"
@@ -47,34 +45,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Statement fields the daemon computes itself (workers never report them
-/// — they are options, not observations): the converted protocol's
-/// fingerprint, the initial configuration size, and the ground-truth
-/// expected output extra >= k(n). Cached per n; runner threads share it.
-struct Statement {
-  std::uint64_t fingerprint = 0;
-  std::uint32_t num_pointers = 0;
-  bignum::Nat threshold;
-  compile::ProtocolConversion conversion;
-};
-
-const Statement& cached_statement(int n) {
-  static std::mutex mutex;
-  static std::map<int, std::unique_ptr<Statement>> cache;
-  std::lock_guard<std::mutex> lock(mutex);
-  std::unique_ptr<Statement>& slot = cache[n];
-  if (!slot) {
-    const auto lowered =
-        compile::lower_program(czerner::build_construction(n).program);
-    slot = std::make_unique<Statement>();
-    slot->conversion = compile::machine_to_protocol(lowered.machine);
-    slot->fingerprint = slot->conversion.protocol.fingerprint();
-    slot->num_pointers = slot->conversion.num_pointers;
-    slot->threshold = czerner::Construction::threshold(n);
-  }
-  return *slot;
 }
 
 struct Metrics {
@@ -429,8 +399,8 @@ struct Server::Impl {
 
   std::string run_certify(const QueryParams& query, obs::QueryFlight& record) {
     const Clock::time_point began = Clock::now();
-    const Statement& statement = cached_statement(query.n);
-    const std::uint64_t m = statement.num_pointers + query.extra;
+    const Statement& statement = serve::statement(query.n);
+    const std::uint64_t m = statement.conversion.num_pointers + query.extra;
     const std::uint64_t population =
         statement.conversion.initial_config(m).total();
     const bool expected =
@@ -501,8 +471,8 @@ struct Server::Impl {
   std::string run_ensemble(const QueryParams& query,
                            obs::QueryFlight& record) {
     const Clock::time_point began = Clock::now();
-    const Statement& statement = cached_statement(query.n);
-    const std::uint64_t m = statement.num_pointers + query.extra;
+    const Statement& statement = serve::statement(query.n);
+    const std::uint64_t m = statement.conversion.num_pointers + query.extra;
     const std::uint64_t total = query.trials;
     if (total == 0) return encode_error("ensemble query with zero trials");
 

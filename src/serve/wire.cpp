@@ -8,6 +8,8 @@
 
 #include <unistd.h>
 
+#include "smc/json.hpp"
+
 namespace ppde::serve {
 
 namespace {
@@ -326,40 +328,13 @@ const std::vector<Json>& Json::items() const {
   return items_;
 }
 
-namespace {
-
-void dump_string(std::string& out, const std::string& text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
-
 std::string Json::dump() const {
   std::string out;
   switch (kind_) {
     case Kind::kNull: out = "null"; break;
     case Kind::kBool: out = bool_ ? "true" : "false"; break;
     case Kind::kNumber: out = text_; break;  // raw token: exact round-trip
-    case Kind::kString: dump_string(out, text_); break;
+    case Kind::kString: smc::append_json_string(out, text_); break;
     case Kind::kArray: {
       out = "[";
       for (std::size_t i = 0; i < items_.size(); ++i) {
@@ -373,7 +348,7 @@ std::string Json::dump() const {
       out = "{";
       for (std::size_t i = 0; i < members_.size(); ++i) {
         if (i != 0) out += ',';
-        dump_string(out, members_[i].first);
+        smc::append_json_string(out, members_[i].first);
         out += ':';
         out += members_[i].second.dump();
       }

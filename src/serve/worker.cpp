@@ -2,8 +2,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,9 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "compile/lower.hpp"
 #include "compile/to_protocol.hpp"
-#include "czerner/construction.hpp"
 #include "engine/ensemble.hpp"
 #include "engine/executor.hpp"
 #include "obs/registry.hpp"
@@ -23,29 +19,12 @@
 #include "obs/trace.hpp"
 #include "sched/scenario.hpp"
 #include "serve/proto.hpp"
+#include "serve/statement.hpp"
 #include "serve/wire.hpp"
 
 namespace ppde::serve {
 
 namespace {
-
-/// Per-n converted protocol, built once per worker process and reused
-/// across batches (construction dominates small-batch latency otherwise).
-struct CachedProtocol {
-  compile::ProtocolConversion conversion;
-};
-
-CachedProtocol& cached_protocol(int n) {
-  static std::map<int, std::unique_ptr<CachedProtocol>> cache;
-  std::unique_ptr<CachedProtocol>& slot = cache[n];
-  if (!slot) {
-    const auto lowered =
-        compile::lower_program(czerner::build_construction(n).program);
-    slot = std::make_unique<CachedProtocol>(
-        CachedProtocol{compile::machine_to_protocol(lowered.machine)});
-  }
-  return *slot;
-}
 
 /// True once the daemon has sent a cancel for the batch in progress —
 /// polled without blocking between trials. EOF (the daemon went away)
@@ -70,16 +49,17 @@ bool cancel_pending(int fd) {
 /// is processes, and a forked child must not spawn threads anyway), so
 /// it looks for a cancel between trials only.
 BatchResult run_batch(int fd, const BatchRequest& request) {
-  CachedProtocol& cached = cached_protocol(request.n);
-  const std::uint64_t m = cached.conversion.num_pointers + request.extra;
-  const pp::Config initial = cached.conversion.initial_config(m);
+  const compile::ProtocolConversion& conversion =
+      statement(request.n).conversion;
+  const std::uint64_t m = conversion.num_pointers + request.extra;
+  const pp::Config initial = conversion.initial_config(m);
   pp::SimulationOptions sim_stop;
   sim_stop.stable_window = request.window;
   sim_stop.max_interactions = request.budget;
   sched::Scenario scenario;
   if (!request.scenario.empty())
     scenario = sched::Scenario::parse(request.scenario);
-  engine::TrialExecutor executor(cached.conversion.protocol,
+  engine::TrialExecutor executor(conversion.protocol,
                                  engine::EngineKind::kCountNullSkip, scenario,
                                  /*workers=*/1);
   BatchResult result;

@@ -2,12 +2,9 @@
 
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
-#include <mutex>
 
 #include "engine/executor.hpp"
-#include "engine/pool.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "smc/partial.hpp"
@@ -44,7 +41,6 @@ Certificate certify_trials(const TrialFn& body,
 
   const unsigned workers =
       engine::fleet_workers(options.max_trials, options.threads);
-  engine::WorkerPool pool(workers);
 
   // Certification observability (S24): one sprt_round span per fold
   // advance, live gauges for the heartbeat. Everything here observes the
@@ -61,69 +57,29 @@ Certificate certify_trials(const TrialFn& body,
   registry.gauge("smc.max_trials")
       .set(static_cast<double>(options.max_trials));
 
-  // The scheduler state, guarded by `mutex`: the next unclaimed trial, the
-  // fold, and `stop`, raised once the SPRT decides or a trial throws (the
-  // running bodies read it without the lock).
-  std::mutex mutex;
-  std::condition_variable frontier_moved;
-  std::uint64_t next_claim = 0;
-  std::atomic<bool> stop{false};
-
-  // Fold one finished trial. Only an outcome at the frontier advances the
-  // fold; anything else waits in the merger's reorder buffer.
-  const auto absorb = [&](std::uint64_t trial, TrialOutcome&& outcome) {
-    if (trial != merger.next_needed()) {
-      merger.absorb(trial, {std::move(outcome)});
-      return;
-    }
-    obs::ObsSpan round_span("sprt_round", "smc");
-    merger.absorb(trial, {std::move(outcome)});
-    round_span.set_value(static_cast<double>(merger.next_needed() - trial));
-    rounds_counter.add(1);
-    trials_gauge.set(static_cast<double>(merger.sprt().trials()));
-    successes_gauge.set(static_cast<double>(merger.sprt().successes()));
-    llr_gauge.set(merger.sprt().llr());
-    obs::trace_counter("smc.llr", merger.sprt().llr());
-    if (merger.decided()) stop.store(true, std::memory_order_relaxed);
-  };
-
-  // Every worker runs the same loop: claim the next trial below the
-  // look-ahead horizon (or wait for the frontier to move), run it, fold
-  // it. No rounds, no barrier: the fold advances as soon as the lowest
-  // unfolded trial lands.
-  pool.parallel_for_workers(workers, [&](unsigned worker, std::uint64_t) {
-    std::unique_lock<std::mutex> lock(mutex);
-    while (true) {
-      const auto finished = [&] {
-        return stop.load(std::memory_order_relaxed) ||
-               next_claim >= options.max_trials;
-      };
-      frontier_moved.wait(lock, [&] {
-        return finished() || next_claim < merger.horizon(workers);
+  // The fleet claims trials below the fold's look-ahead horizon and hands
+  // each outcome here under its lock. Only an outcome at the frontier
+  // advances the fold; anything else waits in the merger's reorder
+  // buffer. The SPRT decision ends the fleet and cancels what still runs.
+  engine::run_fleet<TrialOutcome>(
+      workers, options.seed, "smc",
+      [&] { return merger.horizon(workers); }, body,
+      [&](std::uint64_t trial, TrialOutcome&& outcome) {
+        if (trial != merger.next_needed()) {
+          merger.absorb(trial, {std::move(outcome)});
+          return false;
+        }
+        obs::ObsSpan round_span("sprt_round", "smc");
+        merger.absorb(trial, {std::move(outcome)});
+        round_span.set_value(
+            static_cast<double>(merger.next_needed() - trial));
+        rounds_counter.add(1);
+        trials_gauge.set(static_cast<double>(merger.sprt().trials()));
+        successes_gauge.set(static_cast<double>(merger.sprt().successes()));
+        llr_gauge.set(merger.sprt().llr());
+        obs::trace_counter("smc.llr", merger.sprt().llr());
+        return merger.decided();
       });
-      if (finished()) return;
-      const std::uint64_t trial = next_claim++;
-      lock.unlock();
-      TrialOutcome outcome;
-      try {
-        obs::ObsSpan trial_span("trial", "smc");
-        trial_span.set_value(static_cast<double>(trial));
-        outcome = body(worker, trial,
-                       engine::derive_trial_seed(options.seed, trial), stop);
-      } catch (...) {
-        lock.lock();
-        stop.store(true, std::memory_order_relaxed);
-        frontier_moved.notify_all();
-        throw;  // the pool rethrows it once every worker has returned
-      }
-      lock.lock();
-      // An outcome that lands after `stop` is dropped unfolded, and a body
-      // cut short by `stop` only ever lands after it.
-      if (!stop.load(std::memory_order_relaxed))
-        absorb(trial, std::move(outcome));
-      frontier_moved.notify_all();
-    }
-  });
 
   Certificate cert = merger.finish();
   cert.threads_used = workers;

@@ -160,15 +160,16 @@ using TrialFn = std::function<TrialOutcome(
     unsigned worker, std::uint64_t trial, std::uint64_t seed,
     const std::atomic<bool>& stop)>;
 
-/// The trial scheduler: a pool of engine::fleet_workers(max_trials, threads)
-/// workers, each claiming the next trial index below the fold's look-ahead
-/// horizon (StreamingMerger::horizon), running `body` on it and absorbing
-/// the outcome into the one StreamingMerger, which folds in trial order
-/// until the SPRT decides or options.max_trials is exhausted. On the
-/// decision `stop` is raised for the trials still running. A throwing
-/// body stops every worker and its exception is rethrown here. Statement
-/// fields that depend on the system under test (fingerprint, population,
-/// expected_output) are left zero — certify() fills them.
+/// Certify on the in-process trial fleet (engine::run_fleet) of
+/// engine::fleet_workers(max_trials, threads) workers: trials are claimed
+/// below the fold's look-ahead horizon (StreamingMerger::horizon) and each
+/// outcome is absorbed into the one StreamingMerger, which folds in trial
+/// order until the SPRT decides or options.max_trials is exhausted. On
+/// the decision `stop` is raised for the trials still running. If a body
+/// throws, the fleet stops and a std::runtime_error naming the lowest
+/// failing trial is thrown. Statement fields that depend on the system
+/// under test (fingerprint, population, expected_output) are left zero —
+/// certify() fills them.
 Certificate certify_trials(const TrialFn& body, const CertifyOptions& options);
 
 /// Certify "`protocol` stabilises to `expected_output` from `initial` with

@@ -5,6 +5,29 @@
 
 namespace ppde::smc {
 
+void append_json_string(std::string& out, std::string_view text) {
+  out += '"';
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof buffer, "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buffer;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
 void JsonWriter::key(std::string_view name) {
   if (!body_.empty()) body_ += ',';
   body_ += '"';
@@ -47,26 +70,7 @@ void JsonWriter::field(std::string_view name, double value) {
 
 void JsonWriter::field(std::string_view name, std::string_view value) {
   key(name);
-  body_ += '"';
-  for (char c : value) {
-    switch (c) {
-      case '"': body_ += "\\\""; break;
-      case '\\': body_ += "\\\\"; break;
-      case '\n': body_ += "\\n"; break;
-      case '\t': body_ += "\\t"; break;
-      case '\r': body_ += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(c));
-          body_ += buffer;
-        } else {
-          body_ += c;
-        }
-    }
-  }
-  body_ += '"';
+  append_json_string(body_, value);
 }
 
 void JsonWriter::raw_field(std::string_view name, std::string_view json) {

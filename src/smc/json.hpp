@@ -22,6 +22,13 @@
 
 namespace ppde::smc {
 
+/// Append `text` to `out` as a JSON string literal: quote, backslash and
+/// every control character escaped (\n, \t and \r by name, the rest as
+/// \u00xx). The one string escaper of the repository: JsonWriter, the
+/// serve wire (serve::Json::dump, serve/proto.cpp) and the bench host
+/// block all write strings through it.
+void append_json_string(std::string& out, std::string_view text);
+
 /// Minimal ordered-field JSON object writer.
 class JsonWriter {
  public:

@@ -6,10 +6,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -28,6 +31,25 @@
 
 namespace ppde::engine {
 namespace {
+
+// The fleet as run_ensemble drives it: every trial below `trials`, each
+// result stored at its index.
+std::vector<TrialResult> run_all(
+    std::uint64_t trials, unsigned threads, std::uint64_t master_seed,
+    const std::function<TrialResult(std::uint64_t trial, std::uint64_t seed)>&
+        body) {
+  std::vector<TrialResult> results(trials);
+  run_fleet<TrialResult>(
+      fleet_workers(trials, threads), master_seed, "engine",
+      [&] { return trials; },
+      [&](unsigned, std::uint64_t trial, std::uint64_t seed,
+          const std::atomic<bool>&) { return body(trial, seed); },
+      [&](std::uint64_t trial, TrialResult&& result) {
+        results[trial] = std::move(result);
+        return false;
+      });
+  return results;
+}
 
 // Two-opinion "initiator wins" protocol: (T,F -> T,T), (F,T -> F,F).
 // From a mixed start the absorbing opinion is genuinely random, which makes
@@ -126,34 +148,6 @@ pp::Protocol make_carousel_protocol(std::uint32_t n) {
       protocol.add_transition(q, r, q, (r + 1) % n);
   protocol.finalize();
   return protocol;
-}
-
-TEST(PairIndex, MarksExactlyTheNonSilentPairs) {
-  const pp::Protocol majority = baselines::make_majority();
-  const PairIndex index(majority);
-  const pp::State big_a = majority.state("A");
-  const pp::State big_b = majority.state("B");
-  const pp::State small_a = majority.state("a");
-  const pp::State small_b = majority.state("b");
-  EXPECT_EQ(index.num_active_pairs(), 4u);
-  EXPECT_EQ(index.partners_of(big_a).size(), 2u);  // B and b
-  EXPECT_EQ(index.partners_of(big_b).size(), 1u);  // a
-  EXPECT_EQ(index.partners_of(small_a).size(), 1u);  // b
-  EXPECT_EQ(index.partners_of(small_b).size(), 0u);
-  EXPECT_EQ(index.initiators_meeting(small_b).size(), 2u);  // A and a
-  for (pp::State q : {big_a, big_b, small_a, small_b})
-    EXPECT_FALSE(index.self_active(q));
-}
-
-TEST(PairIndex, AllSilentPairsAreNull) {
-  pp::Protocol protocol;
-  const pp::State x = protocol.add_state("x");
-  const pp::State y = protocol.add_state("y");
-  protocol.mark_accepting(x);
-  protocol.add_transition(x, y, x, y);  // silent: cannot change anything
-  protocol.finalize();
-  const PairIndex index(protocol);
-  EXPECT_EQ(index.num_active_pairs(), 0u);
 }
 
 TEST(CountSimulator, ConservesCountsExactly) {
@@ -385,13 +379,11 @@ TEST(Ensemble, EnginesAgreeOnVerdicts) {
 }
 
 TEST(Ensemble, FleetRethrowsBodyExceptions) {
-  EXPECT_THROW(run_trial_range(0, 8, 4, 1,
-                               [](unsigned, std::uint64_t trial,
-                                  std::uint64_t) -> TrialResult {
-                                 if (trial == 5)
-                                   throw std::runtime_error("boom");
-                                 return {};
-                               }),
+  EXPECT_THROW(run_all(8, 4, 1,
+                       [](std::uint64_t trial, std::uint64_t) -> TrialResult {
+                         if (trial == 5) throw std::runtime_error("boom");
+                         return {};
+                       }),
                std::runtime_error);
 }
 
@@ -601,7 +593,7 @@ TEST(CountSimulator, BudgetBoundaryOnFrozenConsensus) {
 }
 
 TEST(CountSimulator, ResetMatchesFreshConstruction) {
-  // run_trial_range reuses one simulator per worker; reset(Config, seed)
+  // TrialExecutor reuses one simulator per worker; reset(Config, seed)
   // must therefore be indistinguishable from constructing fresh — same
   // trajectory, same metrics — even after a prior run left the simulator
   // in an arbitrary state.
@@ -802,7 +794,7 @@ TEST(WorkerPool, ManySequentialRoundsReuseTheSameThreads) {
   WorkerPool pool(4);
   std::atomic<std::uint64_t> total{0};
   for (int round = 0; round < 100; ++round)
-    pool.parallel_for(64, [&](std::uint64_t) {
+    pool.parallel_for_workers(64, [&](unsigned, std::uint64_t) {
       total.fetch_add(1, std::memory_order_relaxed);
     });
   EXPECT_EQ(total.load(), 6400u);
@@ -813,10 +805,10 @@ TEST(WorkerPool, FirstExceptionWinsWhenManyWorkersThrow) {
   // Every index throws; the pool must drain (no hang, no worker stuck on
   // a dead round) and rethrow exactly one of them.
   try {
-    pool.parallel_for(256, [](std::uint64_t i) {
+    pool.parallel_for_workers(256, [](unsigned, std::uint64_t i) {
       throw std::runtime_error("item " + std::to_string(i));
     });
-    FAIL() << "parallel_for swallowed the exceptions";
+    FAIL() << "parallel_for_workers swallowed the exceptions";
   } catch (const std::runtime_error& error) {
     EXPECT_EQ(std::string(error.what()).rfind("item ", 0), 0u);
   }
@@ -824,8 +816,10 @@ TEST(WorkerPool, FirstExceptionWinsWhenManyWorkersThrow) {
 
 TEST(WorkerPool, ResubmitAfterAFailedRoundWorks) {
   WorkerPool pool(3);
-  EXPECT_THROW(pool.parallel_for(
-                   8, [](std::uint64_t) { throw std::logic_error("boom"); }),
+  EXPECT_THROW(pool.parallel_for_workers(8,
+                                         [](unsigned, std::uint64_t) {
+                                           throw std::logic_error("boom");
+                                         }),
                std::logic_error);
   // The failed round must not poison the pool: a clean round right after
   // runs every index exactly once.
@@ -839,12 +833,10 @@ TEST(WorkerPool, ResubmitAfterAFailedRoundWorks) {
 
 TEST(Ensemble, FleetErrorNamesTheLowestFailingTrial) {
   try {
-    run_trial_range(0, 16, 4, 1,
-                    [](unsigned, std::uint64_t trial,
-                       std::uint64_t) -> TrialResult {
-                      if (trial >= 6) throw std::runtime_error("boom");
-                      return {};
-                    });
+    run_all(16, 4, 1, [](std::uint64_t trial, std::uint64_t) -> TrialResult {
+      if (trial >= 6) throw std::runtime_error("boom");
+      return {};
+    });
     FAIL() << "fleet swallowed the exception";
   } catch (const std::runtime_error& error) {
     // Lowest failing index with the original message — never a silent
@@ -855,8 +847,37 @@ TEST(Ensemble, FleetErrorNamesTheLowestFailingTrial) {
   }
 }
 
+TEST(Ensemble, FleetStopsClaimingAfterAFailure) {
+  // A failing trial ends the fleet: at one thread nothing past it runs,
+  // and at four threads only what was already claimed finishes.
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    std::vector<std::atomic<int>> runs(64);
+    EXPECT_THROW(
+        run_all(64, threads, 1,
+                [&](std::uint64_t trial, std::uint64_t) -> TrialResult {
+                  runs[trial].fetch_add(1);
+                  if (trial == 3) throw std::runtime_error("boom");
+                  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                  return {};
+                }),
+        std::runtime_error);
+    int ran = 0;
+    for (std::uint64_t trial = 0; trial < runs.size(); ++trial) {
+      EXPECT_LE(runs[trial].load(), 1) << "trial " << trial;
+      ran += runs[trial].load();
+    }
+    for (std::uint64_t trial = 0; trial <= 3; ++trial)
+      EXPECT_EQ(runs[trial].load(), 1) << "trial " << trial;
+    if (threads == 1)
+      EXPECT_EQ(ran, 4);
+    else
+      EXPECT_LT(ran, 64);
+  }
+}
+
 TEST(Ensemble, TrialRangeReproducesFleetSlices) {
-  const auto body = [](unsigned, std::uint64_t trial,
+  const auto body = [](std::uint64_t trial,
                        std::uint64_t seed) -> TrialResult {
     TrialResult result;
     result.seed = seed;
@@ -864,21 +885,18 @@ TEST(Ensemble, TrialRangeReproducesFleetSlices) {
     result.metrics.meetings = seed % 31;
     return result;
   };
-  const std::vector<TrialResult> fleet = run_trial_range(0, 20, 2, 42, body);
-  // Any partition into ranges reproduces the fleet results exactly —
-  // the property the serve daemon's shard dispatch stands on.
-  for (const auto& [first, count] :
-       {std::pair<std::uint64_t, std::uint64_t>{0, 20},
-        {3, 5},
-        {19, 1},
-        {0, 1}}) {
-    const std::vector<TrialResult> range =
-        run_trial_range(first, count, 3, 42, body);
-    ASSERT_EQ(range.size(), count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      EXPECT_EQ(range[i].seed, fleet[first + i].seed);
-      EXPECT_EQ(range[i].sim.interactions, fleet[first + i].sim.interactions);
-      EXPECT_EQ(range[i].metrics.meetings, fleet[first + i].metrics.meetings);
+  // Fleet trial i is exactly the body at (i, derive_trial_seed(master, i))
+  // at any thread count, so a loop over any range of trials reproduces
+  // that slice of the fleet — the property the serve daemon's shard
+  // dispatch stands on (a worker's batch is such a loop).
+  for (const unsigned threads : {1u, 2u, 3u}) {
+    const std::vector<TrialResult> fleet = run_all(20, threads, 42, body);
+    ASSERT_EQ(fleet.size(), 20u);
+    for (std::uint64_t trial = 0; trial < fleet.size(); ++trial) {
+      const TrialResult alone = body(trial, derive_trial_seed(42, trial));
+      EXPECT_EQ(fleet[trial].seed, alone.seed);
+      EXPECT_EQ(fleet[trial].sim.interactions, alone.sim.interactions);
+      EXPECT_EQ(fleet[trial].metrics.meetings, alone.metrics.meetings);
     }
   }
 }

@@ -146,6 +146,33 @@ TEST(CompiledProtocol, TableMatchesTransitionList) {
   expect_table_matches_transitions(make_ring(5));
 }
 
+TEST(CompiledProtocol, MarksExactlyTheNonSilentPairs) {
+  const pp::Protocol majority = baselines::make_majority();
+  const CompiledProtocol& compiled = majority.compiled();
+  const pp::State big_a = majority.state("A");
+  const pp::State big_b = majority.state("B");
+  const pp::State small_a = majority.state("a");
+  const pp::State small_b = majority.state("b");
+  EXPECT_EQ(compiled.num_active_pairs(), 4u);
+  EXPECT_EQ(compiled.partners_of(big_a).size(), 2u);  // B and b
+  EXPECT_EQ(compiled.partners_of(big_b).size(), 1u);  // a
+  EXPECT_EQ(compiled.partners_of(small_a).size(), 1u);  // b
+  EXPECT_EQ(compiled.partners_of(small_b).size(), 0u);
+  EXPECT_EQ(compiled.initiators_meeting(small_b).size(), 2u);  // A and a
+  for (pp::State q : {big_a, big_b, small_a, small_b})
+    EXPECT_FALSE(compiled.self_active(q));
+}
+
+TEST(CompiledProtocol, AllSilentPairsAreNull) {
+  pp::Protocol protocol;
+  const pp::State x = protocol.add_state("x");
+  const pp::State y = protocol.add_state("y");
+  protocol.mark_accepting(x);
+  protocol.add_transition(x, y, x, y);  // silent: cannot change anything
+  protocol.finalize();
+  EXPECT_EQ(protocol.compiled().num_active_pairs(), 0u);
+}
+
 TEST(CompiledProtocol, LargeProtocolsUsePerfectHash) {
   // 600 states: the dense table would cost 600^2 * 4 bytes = 1.44 MB,
   // far past both dense admission criteria, so compile() must fall back

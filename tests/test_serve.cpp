@@ -43,6 +43,7 @@
 #include "serve/proto.hpp"
 #include "serve/server.hpp"
 #include "serve/signals.hpp"
+#include "serve/statement.hpp"
 #include "serve/wire.hpp"
 #include "serve/worker.hpp"
 #include "smc/certify.hpp"
@@ -123,6 +124,38 @@ TEST(Json, RoundTripsWriterOutput) {
   EXPECT_DOUBLE_EQ(json.dbl("x", 0.0), 0.125);
   EXPECT_EQ(json.str("s", ""), "a\\b\"c");
   EXPECT_EQ(json.find("h")->as_hex_u64(), 0xdeadbeefull);
+}
+
+TEST(Json, EveryWriterRoundTripsEscapedStrings) {
+  // Every writer escapes strings through smc::append_json_string, so a
+  // quote, a backslash and control characters come back unchanged
+  // through the wire parser whichever writer produced them.
+  const std::string tricky = "q\"b\\n\nc\x01" "d\x1f" "e";
+  smc::JsonWriter writer;
+  writer.field(std::string_view("s"), std::string_view(tricky));
+  const Json written = Json::parse(writer.finish());
+  EXPECT_EQ(written.str("s", ""), tricky);
+  EXPECT_EQ(Json::parse(written.dump()).str("s", ""), tricky);
+
+  std::string literal;
+  smc::append_json_string(literal, tricky);
+  EXPECT_EQ(Json::parse(literal).as_string(), tricky);
+
+  BatchResult batch;
+  obs::CapturedEvent event;
+  event.name = tricky;
+  event.cat = tricky;
+  batch.trace.push_back(event);
+  obs::MetricSnapshot metric;
+  metric.name = tricky;
+  batch.metric_deltas.push_back(metric);
+  const BatchResult decoded =
+      parse_batch_result(Json::parse(encode_batch_result(batch)));
+  ASSERT_EQ(decoded.trace.size(), 1u);
+  EXPECT_EQ(decoded.trace[0].name, tricky);
+  EXPECT_EQ(decoded.trace[0].cat, tricky);
+  ASSERT_EQ(decoded.metric_deltas.size(), 1u);
+  EXPECT_EQ(decoded.metric_deltas[0].name, tricky);
 }
 
 // ---------------------------------------------------------------------------
@@ -531,9 +564,9 @@ TEST(Worker, BatchRecordsMatchInProcessOutcomes) {
   write_frame(worker.fd, encode_exit());
   EXPECT_EQ(worker.exit_status(), 0);
 
-  // Differential: the worker's records are exactly what the in-process
-  // range runner computes for the same trials, and map to exactly the
-  // outcomes in-process certify folds.
+  // Differential: the worker's records are exactly what an in-process
+  // loop over the same trials computes, and map to exactly the outcomes
+  // in-process certify folds.
   const auto lowered =
       compile::lower_program(czerner::build_construction(1).program);
   const auto conv = compile::machine_to_protocol(lowered.machine);
@@ -544,10 +577,10 @@ TEST(Worker, BatchRecordsMatchInProcessOutcomes) {
   engine::TrialExecutor executor(conv.protocol,
                                  engine::EngineKind::kCountNullSkip,
                                  sched::Scenario{}, 1);
-  const std::vector<engine::TrialResult> expected = engine::run_trial_range(
-      2, 4, 1, 7, [&](unsigned worker, std::uint64_t, std::uint64_t seed) {
-        return executor.run(worker, initial, seed, sim);
-      });
+  std::vector<engine::TrialResult> expected;
+  for (std::uint64_t trial = 2; trial < 6; ++trial)
+    expected.push_back(executor.run(
+        0, initial, engine::derive_trial_seed(7, trial), sim));
   for (const BatchResult& result : results) {
     EXPECT_EQ(result.first, 2u);
     ASSERT_EQ(result.records.size(), expected.size());
@@ -696,6 +729,23 @@ std::string digest_of(const std::string& json_text) {
   const std::size_t start = key + 10;
   const std::size_t end = json_text.find('"', start);
   return json_text.substr(start, end - start);
+}
+
+TEST(Statement, ABuildDoesNotBlockLookupsOfOtherN) {
+  // A first n = 2 build takes over a second; a lookup of the already
+  // built n = 1 must not wait for it.
+  const Statement& one = statement(1);
+  std::thread builder([] { statement(2); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto started = std::chrono::steady_clock::now();
+  const Statement& again = statement(1);
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - started)
+                            .count();
+  builder.join();
+  EXPECT_EQ(&again, &one);
+  EXPECT_LT(waited, 0.1);
+  EXPECT_NE(statement(2).fingerprint, one.fingerprint);
 }
 
 TEST(Server, CertifyMatchesInProcessDigestByteForByte) {

@@ -378,6 +378,32 @@ TEST(Certify, ThrowingTrialDoesNotHang) {
   }
 }
 
+TEST(Certify, ReportsTheLowestFailingTrial) {
+  // Trial 2 fails at once; trial 1, still running, fails 50 ms later. The
+  // fleet waits for the running trials and names the lowest failure, not
+  // the first one noticed.
+  CertifyOptions options = mixed_options();
+  options.threads = 4;
+  try {
+    certify_trials(
+        [](unsigned, std::uint64_t trial, std::uint64_t seed,
+           const std::atomic<bool>&) {
+          if (trial == 1) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            throw std::runtime_error("slow failure");
+          }
+          if (trial == 2) throw std::runtime_error("fast failure");
+          return mixed_outcome(seed);
+        },
+        options);
+    FAIL() << "certify_trials swallowed the exception";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("trial 1 failed"), std::string::npos) << what;
+    EXPECT_NE(what.find("slow failure"), std::string::npos) << what;
+  }
+}
+
 TEST(Certify, CancelStopsRunningTrials) {
   // Trials 0-2 succeed at once and decide the test (H1 needs three
   // successes here); every later trial spins until `stop` is raised. The
@@ -564,17 +590,17 @@ TEST(RobustnessCertification, FlockUnderInputNoiseStaysCorrect) {
   // verdict is deterministic at every thread count.
   const pp::Protocol flock = baselines::make_flock_of_birds(3);
   const std::vector<pp::State> pool{flock.state("1")};
-  CertifyOptions options = fast_options();
+  CertifyOptions options = fast_options();  // per-agent engine
   const auto predicate = [](std::uint64_t m) { return m >= 3; };
   const Certificate one = analysis::sweep_certified(
       flock, baselines::flock_initial(flock, 4), /*max_noise=*/3, predicate,
-      options, engine::EngineKind::kPerAgent, &pool);
+      options, &pool);
   EXPECT_EQ(one.verdict, Verdict::kCertified);
   CertifyOptions eight = options;
   eight.threads = 8;
   const Certificate again = analysis::sweep_certified(
       flock, baselines::flock_initial(flock, 4), /*max_noise=*/3, predicate,
-      eight, engine::EngineKind::kPerAgent, &pool);
+      eight, &pool);
   EXPECT_EQ(certificate_payload(one), certificate_payload(again));
 }
 

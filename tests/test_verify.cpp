@@ -48,8 +48,8 @@ TEST(WorkerPool, RunsEveryIndexExactlyOnce) {
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     engine::WorkerPool pool(threads);
     std::vector<std::atomic<int>> hits(1000);
-    pool.parallel_for(hits.size(),
-                      [&](u64 i) { hits[i].fetch_add(1); });
+    pool.parallel_for_workers(hits.size(),
+                              [&](unsigned, u64 i) { hits[i].fetch_add(1); });
     for (const std::atomic<int>& hit : hits) EXPECT_EQ(hit.load(), 1);
   }
 }
@@ -58,26 +58,27 @@ TEST(WorkerPool, ReusableAcrossCalls) {
   engine::WorkerPool pool(4);
   std::atomic<u64> sum{0};
   for (int round = 0; round < 50; ++round)
-    pool.parallel_for(10, [&](u64 i) { sum.fetch_add(i); });
+    pool.parallel_for_workers(10, [&](unsigned, u64 i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), 50u * 45u);
 }
 
 TEST(WorkerPool, EmptyRangeIsANoOp) {
   engine::WorkerPool pool(4);
-  pool.parallel_for(0, [&](u64) { FAIL() << "body must not run"; });
+  pool.parallel_for_workers(
+      0, [&](unsigned, u64) { FAIL() << "body must not run"; });
 }
 
 TEST(WorkerPool, RethrowsTheFirstException) {
   engine::WorkerPool pool(4);
-  EXPECT_THROW(pool.parallel_for(100,
-                                 [&](u64 i) {
-                                   if (i % 10 == 3)
-                                     throw std::runtime_error("boom");
-                                 }),
+  EXPECT_THROW(pool.parallel_for_workers(100,
+                                         [&](unsigned, u64 i) {
+                                           if (i % 10 == 3)
+                                             throw std::runtime_error("boom");
+                                         }),
                std::runtime_error);
   // The pool must survive a throwing batch.
   std::atomic<int> ran{0};
-  pool.parallel_for(8, [&](u64) { ran.fetch_add(1); });
+  pool.parallel_for_workers(8, [&](unsigned, u64) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 8);
 }
 
