@@ -42,8 +42,8 @@ void print_report() {
       conv.pointer_state(vx, 0, compile::Stage::kNone, false);
   std::printf("sample <move> gadget transitions (x -> y at instruction %u):\n",
               move_at + 1);
-  for (std::uint32_t index : conv.protocol.transitions_for(ip_none, vx_none)) {
-    const pp::Transition& t = conv.protocol.transitions()[index];
+  for (const pp::Transition& t : conv.protocol.transitions()) {
+    if (t.q != ip_none || t.r != vx_none) continue;
     std::printf("  %s, %s -> %s, %s\n", conv.protocol.name(t.q).c_str(),
                 conv.protocol.name(t.r).c_str(),
                 conv.protocol.name(t.q2).c_str(),

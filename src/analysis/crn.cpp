@@ -1,6 +1,7 @@
 #include "analysis/crn.hpp"
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <sstream>
 

@@ -7,7 +7,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "isa/exec.hpp"
 #include "obs/trace.hpp"
 
 namespace ppde::engine {
@@ -295,24 +294,10 @@ void CountSimulator::fire_cells(pp::State q, pp::State r, std::uint32_t pos) {
   const auto cells = compiled_->cells(pos);
   const isa::Cell& cell =
       cells.size() == 1 ? cells[0] : cells[rng_.below(cells.size())];
-  // change_count/shift_pair maintain accepting_ themselves, so the cell's
-  // fused accepting delta is ignored here (the per-agent simulator is the
-  // consumer that needs it).
-  isa::execute_cell(
-      cell,
-      isa::make_policy([&](std::uint32_t q2) { shift_pair(q, q2); },
-                       [&](std::uint32_t r2) { shift_pair(r, r2); },
-                       [&](std::uint32_t q2, std::uint32_t r2) {
-                         shift_pair(q, q2);
-                         shift_pair(r, r2);
-                       },
-                       [&] {
-                         // A swap moves the initiator first, preserving
-                         // the seed engine's list surgery order.
-                         shift_pair(q, r);
-                         shift_pair(r, q);
-                       },
-                       [](std::int32_t) {}));
+  // The initiator moves first, preserving the seed engine's list surgery
+  // order (a swap included).
+  if (cell.q2 != q) shift_pair(q, cell.q2);
+  if (cell.r2 != r) shift_pair(r, cell.r2);
 }
 
 void CountSimulator::apply_active_meeting(std::uint64_t active) {

@@ -72,13 +72,6 @@ std::uint64_t Protocol::fingerprint() const {
   return h;
 }
 
-std::span<const std::uint32_t> Protocol::transitions_for(State q,
-                                                         State r) const {
-  const std::uint32_t entry = compiled_->entry_of(q, r);
-  if (entry >= isa::CompiledProtocol::kSilentOnly) return {};
-  return compiled_->candidates(entry);
-}
-
 std::string Protocol::describe() const {
   std::ostringstream os;
   os << "states: " << num_states() << ", transitions: " << num_transitions()

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -67,19 +66,15 @@ class Protocol {
   bool is_accepting(State q) const { return accepting_[q] != 0; }
   const std::vector<Transition>& transitions() const { return transitions_; }
 
-  /// Lower the protocol into its compiled bytecode tables (isa::
-  /// CompiledProtocol) and validate all indices. Must be called once after
-  /// construction; add_* calls afterwards throw.
+  /// Lower the protocol into its compiled tables (isa::CompiledProtocol)
+  /// and validate all indices. Must be called once after construction;
+  /// add_* calls afterwards throw.
   void finalize();
   bool finalized() const { return finalized_; }
 
-  /// The compiled IR — the single source of truth for pair lookup,
-  /// candidate spans and opcode cells. Requires finalize().
+  /// The compiled tables — the single source of truth for pair activity,
+  /// pair positions and candidate cells. Requires finalize().
   const isa::CompiledProtocol& compiled() const { return *compiled_; }
-
-  /// Indices into transitions() applicable to the ordered pair (q, r).
-  /// Requires finalize(). Thin view over compiled()'s candidate CSR.
-  std::span<const std::uint32_t> transitions_for(State q, State r) const;
 
   /// Human-readable dump (for goldens and debugging).
   std::string describe() const;

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "isa/exec.hpp"
 #include "obs/trace.hpp"
 
 namespace ppde::pp {
@@ -111,33 +110,19 @@ bool Simulator::step() {
 
   const State q = agents_[i];
   const State r = agents_[j];
-  // One pair-table probe, then the picked cell's opcode writes only the
-  // slots that change, with the fused accepting delta replacing four
-  // is_accepting probes. The candidate pick consumes the RNG exactly like
-  // a walk over Protocol::transitions_for (no draw for a single
-  // candidate).
-  const std::uint32_t entry = compiled_->entry_of(q, r);
-  if (entry >= isa::CompiledProtocol::kSilentOnly) return false;
+  // One bit of the pair index decides the meeting; the candidate pick
+  // consumes the RNG exactly like a walk over the pair's transitions (no
+  // draw for a single candidate).
+  if (!compiled_->pair_active(q, r)) return false;
   ++metrics_.firings;
-  const auto cells = compiled_->cells(entry);
+  const auto cells = compiled_->cells(compiled_->entry_of(q, r));
   const isa::Cell& cell =
       cells.size() == 1 ? cells[0] : cells[rng_.below(cells.size())];
-  isa::execute_cell(
-      cell,
-      isa::make_policy([&](std::uint32_t q2) { agents_[i] = q2; },
-                       [&](std::uint32_t r2) { agents_[j] = r2; },
-                       [&](std::uint32_t q2, std::uint32_t r2) {
-                         agents_[i] = q2;
-                         agents_[j] = r2;
-                       },
-                       [&] {
-                         agents_[i] = r;
-                         agents_[j] = q;
-                       },
-                       [&](std::int32_t delta) {
-                         accepting_agents_ += static_cast<std::uint64_t>(
-                             static_cast<std::int64_t>(delta));
-                       }));
+  accepting_agents_ += protocol_.is_accepting(cell.q2) +
+                       protocol_.is_accepting(cell.r2);
+  accepting_agents_ -= protocol_.is_accepting(q) + protocol_.is_accepting(r);
+  agents_[i] = cell.q2;
+  agents_[j] = cell.r2;
   return true;
 }
 

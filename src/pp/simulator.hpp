@@ -62,7 +62,7 @@ class Simulator {
  public:
   /// `protocol` must be finalized and outlive the simulator; `initial` must
   /// contain at least two agents. Meetings step through the compiled
-  /// pair-lookup table and opcode cells (S26).
+  /// pair index and cells (S26).
   Simulator(const Protocol& protocol, const Config& initial,
             std::uint64_t seed = 1);
 

@@ -3,8 +3,7 @@
 #include <bit>
 #include <stdexcept>
 
-#include "analysis/reachability.hpp"
-#include "isa/exec.hpp"
+#include "isa/compiled.hpp"
 #include "verify/kernel.hpp"
 
 namespace ppde::pp {
@@ -91,16 +90,14 @@ Config to_dense(std::span<const u64> sparse, std::size_t num_states) {
 }
 
 /// Successor generator over packed configurations. Only active pairs of
-/// occupied states are visited: once per verification every state q gets
-/// a word-aligned activity row (bit r set iff (q, r) has a non-silent
-/// candidate), and a node ANDs each occupied state's row with its own
-/// occupied-state mask, walking the set bits in ascending state order.
-/// The pair (q, q) needs at least two agents in q. Meetings expand through
-/// the compiled pair table and opcode cells in candidate order (S26),
-/// touching only the rewritten side of each pair; successor emission order
-/// — and with it every node ID, SCC and counterexample — equals a walk
-/// over every ordered pair of present states through
-/// Protocol::transitions_for at every thread count.
+/// occupied states are visited: a node ANDs each occupied state's activity
+/// row from the compiled pair index (bit r set iff (q, r) has a non-silent
+/// candidate) with its own occupied-state mask, walking the set bits in
+/// ascending state order. The pair (q, q) needs at least two agents in q.
+/// Meetings expand through the pair's compiled cells in candidate order
+/// (S26); successor emission order — and with it every node ID, SCC and
+/// counterexample — equals a walk over every ordered pair of present states
+/// through the pair's transitions at every thread count.
 class ConfigDomain {
  public:
   /// Buffers of one worker, reused across the nodes it expands.
@@ -115,14 +112,7 @@ class ConfigDomain {
   };
 
   ConfigDomain(const Protocol& protocol, const Codec& codec)
-      : compiled_(protocol.compiled()),
-        codec_(codec),
-        row_words_((protocol.num_states() + 63) / 64),
-        rows_(protocol.num_states() * row_words_, 0) {
-    for (State q = 0; q < protocol.num_states(); ++q)
-      for (const State r : compiled_.partners_of(q))
-        rows_[q * row_words_ + r / 64] |= u64{1} << (r % 64);
-  }
+      : compiled_(protocol.compiled()), codec_(codec) {}
 
   void expand(std::span<const u64> packed, verify::Emitter& emit,
               Scratch& scratch) const {
@@ -130,7 +120,7 @@ class ConfigDomain {
     std::vector<u64>& occupied = scratch.occupied;
     std::vector<u32>& occupied_words = scratch.occupied_words;
     codec_.unpack(packed, sparse);
-    occupied.resize(row_words_);
+    occupied.resize(compiled_.row_words());
     occupied_words.clear();
     for (const u64 entry : sparse) {
       const State q = state_of(entry);
@@ -139,7 +129,7 @@ class ConfigDomain {
     }
     for (const u64 entry_q : sparse) {
       const State q = state_of(entry_q);
-      const u64* row = rows_.data() + q * row_words_;
+      const std::span<const u64> row = compiled_.active_row(q);
       for (const u32 w : occupied_words) {
         for (u64 bits = row[w] & occupied[w]; bits != 0; bits &= bits - 1) {
           const State r = w * 64 + static_cast<State>(std::countr_zero(bits));
@@ -157,24 +147,14 @@ class ConfigDomain {
     std::vector<u64>& next = scratch.next;
     for (const isa::Cell& cell : compiled_.cells(compiled_.entry_of(q, r))) {
       next.assign(scratch.sparse.begin(), scratch.sparse.end());
-      isa::execute_cell(
-          cell, isa::make_policy(
-                    [&](u32 q2) {
-                      adjust(next, q, -1);
-                      adjust(next, q2, +1);
-                    },
-                    [&](u32 r2) {
-                      adjust(next, r, -1);
-                      adjust(next, r2, +1);
-                    },
-                    [&](u32 q2, u32 r2) {
-                      adjust(next, q, -1);
-                      adjust(next, r, -1);
-                      adjust(next, q2, +1);
-                      adjust(next, r2, +1);
-                    },
-                    [] { /* swap leaves the counts unchanged: self-loop */ },
-                    [](std::int32_t) {}));
+      if (cell.q2 != q) {
+        adjust(next, q, -1);
+        adjust(next, cell.q2, +1);
+      }
+      if (cell.r2 != r) {
+        adjust(next, r, -1);
+        adjust(next, cell.r2, +1);
+      }
       codec_.pack(next, scratch.words);
       emit_successor(emit, scratch.words);
     }
@@ -198,9 +178,6 @@ class ConfigDomain {
 
   const isa::CompiledProtocol& compiled_;
   const Codec& codec_;
-  std::size_t row_words_;
-  /// Activity rows: bit r of row q, at rows_[q * row_words_ + r / 64].
-  std::vector<u64> rows_;
 };
 
 /// Outputs of a sparse configuration, mirroring Config::output; in witness
@@ -220,16 +197,23 @@ verify::NodeOutput sparse_output(const Protocol& protocol,
                        : verify::NodeOutput::kFalse;
 }
 
-VerificationResult verify_on(const Protocol& protocol, const Config& initial,
-                             const VerifierOptions& options) {
+}  // namespace
+
+Verifier::Verifier(const Protocol& protocol) : protocol_(protocol) {
+  if (!protocol.finalized())
+    throw std::logic_error("Verifier: protocol not finalized");
+}
+
+VerificationResult Verifier::verify(const Config& initial,
+                                    const VerifierOptions& options) const {
   verify::KernelOptions kernel_options;
   kernel_options.max_nodes = options.max_configs;
   kernel_options.max_edges = options.max_edges;
   kernel_options.max_bytes = options.max_bytes;
   kernel_options.threads = options.threads;
 
-  const Codec codec(protocol.num_states(), initial.total());
-  const ConfigDomain domain(protocol, codec);
+  const Codec codec(protocol_.num_states(), initial.total());
+  const ConfigDomain domain(protocol_, codec);
   verify::Kernel<ConfigDomain> kernel(domain, kernel_options);
   std::vector<std::vector<u64>> roots(1);
   codec.pack(to_sparse(initial), roots[0]);
@@ -249,7 +233,7 @@ VerificationResult verify_on(const Protocol& protocol, const Config& initial,
   const verify::ConsensusReport report = verify::classify_bottom(
       analysis, kernel.num_nodes(), [&](u32 id) {
         codec.unpack(kernel.state(id), sparse);
-        return sparse_output(protocol, sparse, options.witness_mode);
+        return sparse_output(protocol_, sparse, options.witness_mode);
       });
   result.num_sccs = report.num_sccs;
   result.num_bottom_sccs = report.num_bottom_sccs;
@@ -258,44 +242,11 @@ VerificationResult verify_on(const Protocol& protocol, const Config& initial,
   if (report.aggregate_true && report.aggregate_false) {
     result.verdict = Verdict::kDoesNotStabilise;
     codec.unpack(kernel.state(*report.offending_node), sparse);
-    result.counterexample = to_dense(sparse, protocol.num_states());
+    result.counterexample = to_dense(sparse, protocol_.num_states());
   } else if (report.aggregate_true) {
     result.verdict = Verdict::kStabilisesTrue;
   } else {
     result.verdict = Verdict::kStabilisesFalse;
-  }
-  return result;
-}
-
-}  // namespace
-
-Verifier::Verifier(const Protocol& protocol) : protocol_(protocol) {
-  if (!protocol.finalized())
-    throw std::logic_error("Verifier: protocol not finalized");
-}
-
-VerificationResult Verifier::verify(const Config& initial,
-                                    const VerifierOptions& options) const {
-  if (!options.prune) return verify_on(protocol_, initial, options);
-
-  // Explore the pruned state space directly: states no run can occupy are
-  // dropped up front (with every transition touching one), so expansions
-  // scan a smaller transition relation. The reachable configuration graph
-  // is isomorphic to the unpruned one — every state occupied by a
-  // reachable configuration is occupiable by definition — so the verdict
-  // and all statistics are unchanged; only a counterexample needs mapping
-  // back into the original state space.
-  const analysis::PrunedProtocol pruned =
-      analysis::prune_protocol(protocol_, initial);
-  VerificationResult result = verify_on(pruned.protocol, pruned.initial,
-                                        options);
-  if (result.counterexample) {
-    Config original(protocol_.num_states());
-    const Config& reduced = *result.counterexample;
-    for (State q = 0; q < reduced.num_states(); ++q)
-      if (reduced[q] != 0)
-        original.add(protocol_.state(pruned.protocol.name(q)), reduced[q]);
-    result.counterexample = std::move(original);
   }
   return result;
 }

@@ -40,11 +40,6 @@ struct VerifierOptions {
   /// Worker threads for frontier expansion (0 = hardware concurrency).
   /// Results are identical at every thread count.
   unsigned threads = 1;
-  /// Drop states no run can occupy (analysis::prune_protocol) before
-  /// exploring. The verdict and all graph statistics are unchanged — the
-  /// reachable configuration graphs are isomorphic — but each expansion
-  /// scans a smaller transition relation.
-  bool prune = false;
 };
 
 struct VerificationResult {

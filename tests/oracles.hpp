@@ -1,12 +1,12 @@
 // Reference implementations the production cores are differentially
 // tested against. None of them runs in the library: each is the plain,
 // slow form of a production path, written against Protocol::transitions()
-// alone — no compiled pair tables, opcode cells, activity matrix or
-// interner — so a bit-identity test against it checks the optimisations
-// and the lowering at once.
+// alone — no compiled pair index, cells, activity matrix or interner — so
+// a bit-identity test against it checks the optimisations and the lowering
+// at once.
 //
-//   TransitionMap     the transition relation as an ordered map; the
-//                     candidate lists Protocol::transitions_for returns.
+//   TransitionMap     the transition relation as an ordered map: per pair,
+//                     the candidates the compiled cells must reproduce.
 //   MapStepper        the per-agent scheduler step (pp::Simulator), every
 //                     scenario included, RNG draw for RNG draw.
 //   LinearScanOracle  the seed count engine with geometric null-skip

@@ -1,14 +1,16 @@
-// Tests for the bytecode execution core (DESIGN.md S26): lowering
-// round-trips through raw()/adopt(), malformed tables are rejected, and —
-// the load-bearing property — every production core fed by the compiled
-// tables produces bit-identical trajectories, metrics, verification graphs
-// and certificate digests to the reference implementations in
-// tests/oracles.hpp, which read only Protocol::transitions().
+// Tests for the compiled protocol (DESIGN.md S26): the pair index and cells
+// agree with the transition list, lowering round-trips through
+// raw()/adopt(), malformed tables are refused, and — the load-bearing
+// property — every production core fed by the compiled tables produces
+// bit-identical trajectories, metrics, verification graphs and certificate
+// digests to the reference implementations in tests/oracles.hpp, which read
+// only Protocol::transitions().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -34,16 +36,17 @@ using isa::CompiledProtocol;
 // ---------------------------------------------------------------------------
 // Zoo.
 
-pp::Protocol czerner_protocol(int n) {
+pp::Protocol czerner_protocol(int n, bool with_broadcast = true) {
   const auto lowered = compile::lower_program(czerner::build_construction(n).program);
-  return compile::machine_to_protocol(lowered.machine).protocol;
+  compile::ConversionOptions options;
+  options.with_broadcast = with_broadcast;
+  return compile::machine_to_protocol(lowered.machine, options).protocol;
 }
 
 /// Ring protocol over `n` states: (i, i) -> (i, i+1 mod n). Every state is
 /// populated from a uniform start, so with n > 64 the count engine's
 /// matrix fast path cannot hold the populated set and the general path
-/// runs; with n large enough the compiler also picks the perfect-hash
-/// lookup over the dense table.
+/// runs.
 pp::Protocol make_ring(std::uint32_t n) {
   pp::Protocol protocol;
   for (std::uint32_t i = 0; i < n; ++i)
@@ -82,68 +85,58 @@ pp::Config czerner_initial(std::uint32_t extra) {
 // ---------------------------------------------------------------------------
 // Lowering.
 
-/// The compiled pair table must agree with the protocol's own transition
-/// list: for every ordered state pair, entry_of resolves to exactly the
-/// non-silent transitions of that pair, in declaration order.
+/// The compiled tables must agree with the protocol's own transition list,
+/// read through oracle::TransitionMap: for every ordered state pair,
+/// pair_active says whether it has a non-silent transition, entry_of counts
+/// the active pairs before it in (q, r) order, and its cells are those
+/// transitions' post-states in declaration order; the adjacency lists and
+/// self flags follow.
 void expect_table_matches_transitions(const pp::Protocol& protocol) {
   const CompiledProtocol& compiled = protocol.compiled();
-  std::map<std::pair<pp::State, pp::State>, std::vector<std::uint32_t>> want;
-  std::map<std::pair<pp::State, pp::State>, bool> silent;
-  for (std::uint32_t i = 0; i < protocol.transitions().size(); ++i) {
-    const pp::Transition& t = protocol.transitions()[i];
-    if (t.q2 == t.q && t.r2 == t.r)
-      silent[{t.q, t.r}] = true;
-    else
-      want[{t.q, t.r}].push_back(i);
-  }
+  const oracle::TransitionMap map(protocol);
+  std::uint32_t position = 0;
   for (pp::State q = 0; q < protocol.num_states(); ++q) {
+    ASSERT_TRUE(std::ranges::equal(compiled.partners_of(q),
+                                   map.partners_of(q)))
+        << "q=" << q;
+    ASSERT_TRUE(std::ranges::equal(compiled.initiators_meeting(q),
+                                   map.initiators_meeting(q)))
+        << "q=" << q;
+    ASSERT_EQ(compiled.self_active(q), map.self_active(q)) << "q=" << q;
     for (pp::State r = 0; r < protocol.num_states(); ++r) {
-      const std::uint32_t entry = compiled.entry_of(q, r);
-      const auto it = want.find({q, r});
-      if (it == want.end()) {
-        if (silent.count({q, r}))
-          EXPECT_EQ(entry, CompiledProtocol::kSilentOnly);
-        else
-          EXPECT_EQ(entry, CompiledProtocol::kAbsent);
-        continue;
-      }
-      ASSERT_LT(entry, CompiledProtocol::kSilentOnly);
-      const auto candidates = compiled.candidates(entry);
-      ASSERT_EQ(candidates.size(), it->second.size());
-      const auto cells = compiled.cells(entry);
-      ASSERT_EQ(cells.size(), it->second.size());
-      for (std::size_t k = 0; k < candidates.size(); ++k) {
-        EXPECT_EQ(candidates[k], it->second[k]);
-        const pp::Transition& t = protocol.transitions()[candidates[k]];
-        // The cell's post-states reconstruct the transition regardless of
-        // which opcode the classifier picked.
-        std::uint32_t q2 = q, r2 = r;
-        switch (cells[k].op()) {
-          case isa::Op::kNop: break;
-          case isa::Op::kWriteQ: q2 = cells[k].q2; break;
-          case isa::Op::kWriteR: r2 = cells[k].r2; break;
-          case isa::Op::kWriteBoth: q2 = cells[k].q2; r2 = cells[k].r2; break;
-          case isa::Op::kSwap: q2 = r; r2 = q; break;
-          default: FAIL() << "bad opcode";
-        }
-        EXPECT_EQ(q2, t.q2);
-        EXPECT_EQ(r2, t.r2);
-        const std::int32_t want_delta =
-            (protocol.is_accepting(t.q2) ? 1 : 0) -
-            (protocol.is_accepting(t.q) ? 1 : 0) +
-            (protocol.is_accepting(t.r2) ? 1 : 0) -
-            (protocol.is_accepting(t.r) ? 1 : 0);
-        EXPECT_EQ(cells[k].accepting_delta(), want_delta);
+      const std::vector<std::uint32_t>& want = map.candidates(q, r);
+      ASSERT_EQ(compiled.pair_active(q, r), !want.empty())
+          << "q=" << q << " r=" << r;
+      if (want.empty()) continue;
+      ASSERT_EQ(compiled.entry_of(q, r), position++)
+          << "q=" << q << " r=" << r;
+      const auto cells = compiled.cells(compiled.entry_of(q, r));
+      ASSERT_EQ(cells.size(), want.size()) << "q=" << q << " r=" << r;
+      for (std::size_t k = 0; k < cells.size(); ++k) {
+        const pp::Transition& t = protocol.transitions()[want[k]];
+        EXPECT_EQ(cells[k], (isa::Cell{t.q2, t.r2}))
+            << "q=" << q << " r=" << r << " k=" << k;
       }
     }
   }
+  EXPECT_EQ(compiled.num_active_pairs(), position);
 }
 
 TEST(CompiledProtocol, TableMatchesTransitionList) {
-  expect_table_matches_transitions(baselines::make_majority());
   expect_table_matches_transitions(baselines::make_flock_of_birds(3));
-  expect_table_matches_transitions(czerner_protocol(1));
   expect_table_matches_transitions(make_ring(5));
+}
+
+TEST(CompiledProtocol, PairIndexMatchesTransitionMap) {
+  // Rings around the 64-state row-word edges, up to ten words per row.
+  for (const std::uint32_t n : {63u, 64u, 65u, 128u, 129u, 600u}) {
+    SCOPED_TRACE("ring " + std::to_string(n));
+    expect_table_matches_transitions(make_ring(n));
+  }
+  expect_table_matches_transitions(baselines::make_majority());
+  expect_table_matches_transitions(baselines::make_flock_of_birds(64));
+  expect_table_matches_transitions(czerner_protocol(1, true));
+  expect_table_matches_transitions(czerner_protocol(1, false));
 }
 
 TEST(CompiledProtocol, MarksExactlyTheNonSilentPairs) {
@@ -171,19 +164,7 @@ TEST(CompiledProtocol, AllSilentPairsAreNull) {
   protocol.add_transition(x, y, x, y);  // silent: cannot change anything
   protocol.finalize();
   EXPECT_EQ(protocol.compiled().num_active_pairs(), 0u);
-}
-
-TEST(CompiledProtocol, LargeProtocolsUsePerfectHash) {
-  // 600 states: the dense table would cost 600^2 * 4 bytes = 1.44 MB,
-  // far past both dense admission criteria, so compile() must fall back
-  // to the perfect hash — and the table must still resolve every pair.
-  const pp::Protocol ring = make_ring(600);
-  EXPECT_TRUE(ring.compiled().raw().dense.empty());
-  EXPECT_FALSE(ring.compiled().raw().ph_key.empty());
-  expect_table_matches_transitions(ring);
-
-  const pp::Protocol majority = baselines::make_majority();
-  EXPECT_FALSE(majority.compiled().raw().dense.empty());
+  EXPECT_FALSE(protocol.compiled().pair_active(x, y));
 }
 
 TEST(CompiledProtocol, RawTablesRoundTripThroughAdopt) {
@@ -194,65 +175,102 @@ TEST(CompiledProtocol, RawTablesRoundTripThroughAdopt) {
     ASSERT_NE(readopted, nullptr);
     for (pp::State q = 0; q < protocol.num_states(); ++q) {
       for (pp::State r = 0; r < protocol.num_states(); ++r) {
-        const std::uint32_t entry = original.entry_of(q, r);
-        ASSERT_EQ(readopted->entry_of(q, r), entry);
-        if (entry >= CompiledProtocol::kSilentOnly) continue;
-        const auto a = original.candidates(entry);
-        const auto b = readopted->candidates(entry);
-        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+        ASSERT_EQ(readopted->pair_active(q, r), original.pair_active(q, r));
+        if (!original.pair_active(q, r)) continue;
+        ASSERT_EQ(readopted->entry_of(q, r), original.entry_of(q, r));
+        ASSERT_TRUE(std::ranges::equal(
+            readopted->cells(readopted->entry_of(q, r)),
+            original.cells(original.entry_of(q, r))));
       }
     }
   }
 }
 
+/// adopt() must refuse `bad`, naming the broken invariant.
+void expect_refused(CompiledProtocol::RawTables bad, const std::string& why) {
+  try {
+    (void)CompiledProtocol::adopt(std::move(bad));
+    ADD_FAILURE() << "adopted tables with " << why;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+  }
+}
+
+/// {(a, b) -> (a, a), (b, a) -> (b, b)}: each state meets the other.
+pp::Protocol make_two_way_epidemic() {
+  pp::Protocol protocol;
+  const pp::State a = protocol.add_state("a");
+  const pp::State b = protocol.add_state("b");
+  protocol.add_transition(a, b, a, a);
+  protocol.add_transition(b, a, b, b);
+  protocol.finalize();
+  return protocol;
+}
+
 TEST(CompiledProtocol, AdoptRejectsMalformedTables) {
   const pp::Protocol majority = baselines::make_majority();
   const CompiledProtocol::RawTables good = majority.compiled().raw();
-
-  {  // Bad opcode.
-    CompiledProtocol::RawTables bad = good;
-    ASSERT_FALSE(bad.cells.empty());
-    bad.cells[0].meta = isa::Cell::pack_meta(isa::Op::kNumOps, 0);
-    EXPECT_THROW((void)CompiledProtocol::adopt(std::move(bad)),
-                 std::invalid_argument);
-  }
   {  // Post-state out of range.
     CompiledProtocol::RawTables bad = good;
+    ASSERT_FALSE(bad.cells.empty());
     bad.cells[0].q2 = bad.num_states + 7;
-    bad.cells[0].meta = isa::Cell::pack_meta(isa::Op::kWriteQ, 0);
-    EXPECT_THROW((void)CompiledProtocol::adopt(std::move(bad)),
-                 std::invalid_argument);
-  }
-  {  // Accepting delta outside [-2, 2].
-    CompiledProtocol::RawTables bad = good;
-    bad.cells[0].meta =
-        isa::Cell::pack_meta(bad.cells[0].op(), 3);
-    EXPECT_THROW((void)CompiledProtocol::adopt(std::move(bad)),
-                 std::invalid_argument);
+    expect_refused(std::move(bad), "post-state out of range");
   }
   {  // Truncated candidate stream breaks the CSR.
     CompiledProtocol::RawTables bad = good;
-    ASSERT_FALSE(bad.cand_flat.empty());
-    bad.cand_flat.pop_back();
     bad.cells.pop_back();
-    EXPECT_THROW((void)CompiledProtocol::adopt(std::move(bad)),
-                 std::invalid_argument);
+    expect_refused(std::move(bad), "malformed cand CSR");
   }
-  {  // Dense table of the wrong size.
+}
+
+TEST(CompiledProtocol, AdoptRefusesAnInCsrThatIsNotTheTranspose) {
+  // Both in rows stay sorted and in range, but name the wrong initiator:
+  // initiators_meeting(a) would answer {a} instead of {b}.
+  const pp::Protocol protocol = make_two_way_epidemic();
+  CompiledProtocol::RawTables bad = protocol.compiled().raw();
+  ASSERT_EQ(bad.in_flat, (std::vector<std::uint32_t>{1, 0}));
+  bad.in_flat = {0, 1};
+  expect_refused(std::move(bad), "not the transpose");
+}
+
+TEST(CompiledProtocol, AdoptRefusesActivityRowsOffTheOutCsr) {
+  CompiledProtocol::RawTables bad = make_two_way_epidemic().compiled().raw();
+  bad.active_bits[0] |= 1;  // (a, a) is not active
+  expect_refused(std::move(bad), "activity rows disagree");
+}
+
+TEST(CompiledProtocol, AdoptRefusesAWrongRankBase) {
+  CompiledProtocol::RawTables bad = make_ring(129).compiled().raw();
+  ++bad.rank_base[1];
+  expect_refused(std::move(bad), "wrong rank base");
+}
+
+TEST(CompiledProtocol, AdoptRefusesSelfActiveOffTheDiagonal) {
+  CompiledProtocol::RawTables bad = make_two_way_epidemic().compiled().raw();
+  bad.self_active[0] = 1;
+  expect_refused(std::move(bad), "self_active disagrees");
+}
+
+TEST(CompiledProtocol, AdoptRefusesACellThatChangesNothing) {
+  CompiledProtocol::RawTables bad = make_two_way_epidemic().compiled().raw();
+  bad.cells[0] = {0, 1};  // pair position 0 is (a, b)
+  expect_refused(std::move(bad), "leaves its pair unchanged");
+}
+
+TEST(CompiledProtocol, AdoptRefusesRetiredTables) {
+  const CompiledProtocol::RawTables good =
+      make_two_way_epidemic().compiled().raw();
+  const auto refuse = [&](auto fill) {
     CompiledProtocol::RawTables bad = good;
-    ASSERT_FALSE(bad.dense.empty());
-    bad.dense.pop_back();
-    EXPECT_THROW((void)CompiledProtocol::adopt(std::move(bad)),
-                 std::invalid_argument);
-  }
-  {  // Both lookup strategies at once.
-    CompiledProtocol::RawTables bad = good;
-    bad.ph_disp.assign(1, 0);
-    bad.ph_key.assign(2, ~std::uint64_t{0});
-    bad.ph_entry.assign(2, CompiledProtocol::kAbsent);
-    EXPECT_THROW((void)CompiledProtocol::adopt(std::move(bad)),
-                 std::invalid_argument);
-  }
+    fill(bad);
+    expect_refused(std::move(bad), "retired table not empty");
+  };
+  refuse([](auto& t) { t.dense.assign(4, 0); });
+  refuse([](auto& t) { t.ph_disp.assign(1, 0); });
+  refuse([](auto& t) { t.ph_key.assign(2, 0); });
+  refuse([](auto& t) { t.ph_entry.assign(2, 0); });
+  refuse([](auto& t) { t.any_bits.assign(1, 0); });
+  refuse([](auto& t) { t.cand_flat.assign(2, 0); });
 }
 
 // ---------------------------------------------------------------------------
@@ -321,13 +339,12 @@ TEST(Differential, CountEngineBitIdenticalWithNullSkip) {
 
 TEST(Differential, CountEngineBeyondMatrixCapacity) {
   // 100 populated states exceed the 64-slot activity matrix, forcing the
-  // engine's general selection paths; 600 states also puts the pair probe
-  // on the perfect-hash lookup — for the per-agent core as well.
+  // engine's general selection paths; at 600 states each activity row
+  // spans ten words — for the per-agent core as well.
   const pp::Protocol small_ring = make_ring(100);
   expect_count_bit_identical(small_ring, uniform_initial(small_ring, 3),
                              30'000);
   const pp::Protocol big_ring = make_ring(600);
-  ASSERT_FALSE(big_ring.compiled().dense_lookup());
   expect_count_bit_identical(big_ring, uniform_initial(big_ring, 2), 10'000);
   expect_per_agent_bit_identical(big_ring, uniform_initial(big_ring, 2),
                                  20'000);
@@ -346,8 +363,7 @@ TEST(Differential, SilentOnlyPairsAreNullInBothModes) {
   protocol.add_transition(a, b, a, b);  // silent
   protocol.add_transition(b, a, a, a);
   protocol.finalize();
-  EXPECT_EQ(protocol.compiled().entry_of(a, b), CompiledProtocol::kSilentOnly);
-  EXPECT_TRUE(protocol.transitions_for(a, b).empty());
+  EXPECT_FALSE(protocol.compiled().pair_active(a, b));
   EXPECT_TRUE(oracle::TransitionMap(protocol).candidates(a, b).empty());
 
   pp::Config initial(protocol.num_states());

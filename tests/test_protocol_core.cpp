@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "baselines/majority.hpp"
+#include "isa/compiled.hpp"
+#include "oracles.hpp"
 #include "pp/config.hpp"
 #include "pp/protocol.hpp"
 #include "pp/simulator.hpp"
@@ -44,9 +46,13 @@ TEST(Protocol, TransitionIndexFindsApplicable) {
   Protocol protocol = make_two_state_epidemic();
   const State sick = protocol.state("sick");
   const State healthy = protocol.state("healthy");
-  EXPECT_EQ(protocol.transitions_for(sick, healthy).size(), 1u);
-  EXPECT_TRUE(protocol.transitions_for(healthy, sick).empty());
-  EXPECT_TRUE(protocol.transitions_for(healthy, healthy).empty());
+  const oracle::TransitionMap map(protocol);
+  EXPECT_EQ(map.candidates(sick, healthy).size(), 1u);
+  EXPECT_TRUE(map.candidates(healthy, sick).empty());
+  EXPECT_TRUE(map.candidates(healthy, healthy).empty());
+  EXPECT_TRUE(protocol.compiled().pair_active(sick, healthy));
+  EXPECT_FALSE(protocol.compiled().pair_active(healthy, sick));
+  EXPECT_FALSE(protocol.compiled().pair_active(healthy, healthy));
 }
 
 TEST(Protocol, SilentTransitionsAreDroppedFromIndex) {
@@ -54,7 +60,8 @@ TEST(Protocol, SilentTransitionsAreDroppedFromIndex) {
   const State a = protocol.add_state("a");
   protocol.add_transition(a, a, a, a);
   protocol.finalize();
-  EXPECT_TRUE(protocol.transitions_for(a, a).empty());
+  EXPECT_TRUE(oracle::TransitionMap(protocol).candidates(a, a).empty());
+  EXPECT_FALSE(protocol.compiled().pair_active(a, a));
 }
 
 TEST(Protocol, MutationAfterFinalizeThrows) {

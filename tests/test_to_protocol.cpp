@@ -13,7 +13,9 @@
 
 #include "compile/lower.hpp"
 #include "czerner/construction.hpp"
+#include "isa/compiled.hpp"
 #include "machine/interp.hpp"
+#include "oracles.hpp"
 #include "pp/simulator.hpp"
 #include "pp/verifier.hpp"
 #include "progmodel/builder.hpp"
@@ -99,12 +101,12 @@ TEST(Conversion, Figure4MoveGadgetTransitionsExist) {
   const pp::State ip_none =
       conv.pointer_state(m.ip, move_at, Stage::kNone, false);
   const pp::State vx_none = conv.pointer_state(vx, 0, Stage::kNone, false);
-  EXPECT_FALSE(conv.protocol.transitions_for(ip_none, vx_none).empty())
+  EXPECT_TRUE(conv.protocol.compiled().pair_active(ip_none, vx_none))
       << "IP must recruit V_x";
 
   const pp::State vx_emit = conv.pointer_state(vx, 0, Stage::kEmit, false);
   const pp::State reg0 = conv.reg_state(0, false);
-  EXPECT_FALSE(conv.protocol.transitions_for(vx_emit, reg0).empty())
+  EXPECT_TRUE(conv.protocol.compiled().pair_active(vx_emit, reg0))
       << "V_x in emit must park a register agent";
 }
 
@@ -117,7 +119,8 @@ TEST(Conversion, Figure4TestGadgetWritesCF) {
   const pp::State vx_true = conv.pointer_state(vx, 0, Stage::kTrue, false);
   const pp::State cf_false =
       conv.pointer_state(m.cf, 0, Stage::kNone, false);
-  const auto hits = conv.protocol.transitions_for(vx_true, cf_false);
+  const oracle::TransitionMap map(conv.protocol);
+  const std::vector<std::uint32_t>& hits = map.candidates(vx_true, cf_false);
   ASSERT_FALSE(hits.empty());
   const pp::Transition& t = conv.protocol.transitions()[hits[0]];
   EXPECT_EQ(t.r2, conv.pointer_state(m.cf, 1, Stage::kNone, false))

@@ -660,70 +660,6 @@ TEST(Verifier, ResultsAreIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Pruned exploration
-
-TEST(Verifier, PruneLeavesVerdictAndGraphStatisticsUnchanged) {
-  // The conversion protocols are where pruning bites: they carry states no
-  // run can occupy. The reachable configuration graphs are isomorphic, so
-  // every statistic must match exactly.
-  const auto program = progmodel::make_window_program(1, 3);
-  const compile::LoweredMachine lowered = compile::lower_program(program);
-  compile::ConversionOptions nb;
-  nb.with_broadcast = false;
-  const compile::ProtocolConversion conv =
-      compile::machine_to_protocol(lowered.machine, nb);
-  for (u64 m = 0; m <= 2; ++m) {
-    const pp::Config initial =
-        conv.pi(machine::initial_state(lowered.machine, {0, 0, m}), false);
-    pp::VerifierOptions options;
-    options.witness_mode = true;
-    const pp::VerificationResult plain =
-        pp::Verifier(conv.protocol).verify(initial, options);
-    options.prune = true;
-    options.threads = 4;
-    const pp::VerificationResult pruned =
-        pp::Verifier(conv.protocol).verify(initial, options);
-    EXPECT_EQ(pruned.verdict, plain.verdict) << "m=" << m;
-    EXPECT_EQ(pruned.explored_configs, plain.explored_configs) << "m=" << m;
-    EXPECT_EQ(pruned.explored_edges, plain.explored_edges) << "m=" << m;
-    EXPECT_EQ(pruned.num_sccs, plain.num_sccs) << "m=" << m;
-    EXPECT_EQ(pruned.num_bottom_sccs, plain.num_bottom_sccs) << "m=" << m;
-  }
-}
-
-TEST(Verifier, PruneMapsCounterexampleBackToOriginalStates) {
-  // Opinion protocol plus a junk state nothing can reach: pruning drops
-  // the state, and the counterexample must still be expressed over the
-  // *original* state numbering.
-  pp::Protocol protocol;
-  const pp::State t = protocol.add_state("T");
-  const pp::State junk = protocol.add_state("junk");
-  const pp::State f = protocol.add_state("F");
-  protocol.mark_input(t);
-  protocol.mark_input(f);
-  protocol.mark_accepting(t);
-  protocol.add_transition(t, f, t, t);
-  protocol.add_transition(f, t, f, f);
-  protocol.add_transition(junk, junk, t, f);
-  protocol.finalize();
-  pp::Config initial(protocol.num_states());
-  initial.add(t, 2);
-  initial.add(f, 2);
-
-  pp::VerifierOptions options;
-  const pp::VerificationResult plain =
-      pp::Verifier(protocol).verify(initial, options);
-  options.prune = true;
-  const pp::VerificationResult pruned =
-      pp::Verifier(protocol).verify(initial, options);
-  ASSERT_EQ(plain.verdict, pp::VerificationResult::Verdict::kDoesNotStabilise);
-  ASSERT_TRUE(plain.counterexample.has_value());
-  ASSERT_TRUE(pruned.counterexample.has_value());
-  EXPECT_EQ(*pruned.counterexample, *plain.counterexample);
-  EXPECT_EQ(pruned.counterexample->num_states(), protocol.num_states());
-}
-
-// ---------------------------------------------------------------------------
 // Program- and machine-level explorers on the kernel
 
 TEST(ProgramExplorer, DecideIsIdenticalAcrossThreadCounts) {

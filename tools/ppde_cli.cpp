@@ -476,7 +476,6 @@ int cmd_verify(int argc, char** argv, int n, std::uint64_t m_regs,
   // Default 0 = all hardware threads; results are thread-count-independent.
   options.threads = static_cast<unsigned>(
       flag_value(argc, argv, "--threads", 0, kMaxUnsigned));
-  options.prune = has_flag(argc, argv, "--prune");
   const auto verdict =
       pp::Verifier(conv.protocol)
           .verify(conv.pi(machine::initial_state(lowered.machine, regs),
@@ -757,9 +756,7 @@ constexpr VerbHelp kVerbs[] = {
      "                       node records, interner slots and successor\n"
      "                       lists, counted from the explored counts so it\n"
      "                       stops at the same configuration at every\n"
-     "                       thread count (default unlimited)\n"
-     "    --prune            drop states no run can occupy before\n"
-     "                       exploring (verdict unchanged)\n"},
+     "                       thread count (default unlimited)\n"},
     {"decide", "<n> <m> [--equality]",
      "  Program-level exhaustive decision.\n"
      "    --equality   decide the x = k(n) variant\n"},
