@@ -10,8 +10,9 @@
 // transient corruption, while the 1-aware flock baseline does not.
 //
 // Not a google-benchmark binary: the unit of interest is a whole fleet
-// under one scenario, and the output is a machine-readable report
-// (default BENCH_sched.json, override with --json=PATH):
+// under one scenario. It prints one line per scenario; with --json it also
+// writes a machine-readable report to BENCH_sched.json (--json=PATH
+// elsewhere), so a plain run never touches the committed report:
 //
 //   {"bench_sched_v": 2, "host": {...}, "trials": T, "rows": [
 //     {"construction": "...", "scenario": "...", "population": m,
@@ -105,9 +106,10 @@ void append_row(std::string& out, const Row& row) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = "BENCH_sched.json";
+  const char* json_path = nullptr;  // no report without --json
   std::uint64_t trials = 8;
   for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0) json_path = "BENCH_sched.json";
     if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
     if (std::strncmp(argv[i], "--trials=", 9) == 0)
       trials = std::strtoull(argv[i] + 9, nullptr, 10);
@@ -154,6 +156,7 @@ int main(int argc, char** argv) {
     }
   }
   out += "]}";
+  if (json_path == nullptr) return 0;
 
   std::FILE* file = std::fopen(json_path, "w");
   if (file == nullptr) {

@@ -20,6 +20,7 @@ CountSimulator::CountSimulator(const pp::Protocol& protocol,
   if (!protocol.finalized())
     throw std::logic_error("CountSimulator: protocol not finalized");
   compiled_ = &protocol.compiled();
+  populated_bits_.assign(compiled_->row_words(), 0);
   load(initial);
 }
 
@@ -33,18 +34,23 @@ void CountSimulator::load(const pp::Config& initial) {
     if (protocol_->is_accepting(q)) accepting_ += counts_[q];
     position_[q] = static_cast<std::uint32_t>(populated_.size());
     populated_.push_back(q);
+    set_populated(q);
   }
   const auto filled = static_cast<std::uint32_t>(populated_.size());
   matrix_ok_ = filled <= kMatrixSlots;
   if (matrix_ok_) {
     if (act_.empty()) act_.assign(kMatrixSlots * kMatrixSlots, 0);
     col_mask_.fill(0);
+    // Ids start out equal to slots; the rest are free.
+    for (std::uint32_t slot = 0; slot < filled; ++slot)
+      slot_id_[slot] = id_slot_[slot] = static_cast<std::uint8_t>(slot);
+    free_ids_ = filled == kMatrixSlots ? 0 : ~std::uint64_t{0} << filled;
   }
   partner_sum_.resize(filled);
   for (std::uint32_t slot = 0; slot < filled; ++slot) {
     const pp::State q = populated_[slot];
     partner_sum_[slot] =
-        matrix_ok_ ? build_matrix_row(slot) : fresh_partner_sum(q);
+        matrix_ok_ ? build_matrix_row(slot, q) : fresh_partner_sum(q);
     weight_push(counts_[q] * partner_sum_[slot]);
   }
 }
@@ -55,6 +61,7 @@ void CountSimulator::reset(const pp::Config& initial, std::uint64_t seed) {
     position_[q] = kNoPosition;
   }
   populated_.clear();
+  std::fill(populated_bits_.begin(), populated_bits_.end(), 0);
   partner_sum_.clear();
   weight_.clear();
   weight_total_ = 0;
@@ -66,17 +73,19 @@ void CountSimulator::reset(const pp::Config& initial, std::uint64_t seed) {
   load(initial);
 }
 
+template <typename Visit>
+void CountSimulator::for_each_populated(std::span<const std::uint64_t> row,
+                                        Visit&& visit) const {
+  for (std::size_t w = 0; w < row.size(); ++w)
+    for (std::uint64_t bits = row[w] & populated_bits_[w]; bits != 0;
+         bits &= bits - 1)
+      visit(static_cast<pp::State>(w * 64 + std::countr_zero(bits)));
+}
+
 std::uint64_t CountSimulator::fresh_partner_sum(pp::State q) const {
-  // Zero-count partners contribute nothing, so the sum may run over either
-  // the partner list or the populated list — whichever is shorter.
   std::uint64_t sum = compiled_->self_active(q) ? ~std::uint64_t{0} : 0;  // −1
-  const auto partners = compiled_->partners_of(q);
-  if (partners.size() <= populated_.size()) {
-    for (pp::State r : partners) sum += counts_[r];
-  } else {
-    for (pp::State r : populated_)
-      if (compiled_->pair_active(q, r)) sum += counts_[r];
-  }
+  for_each_populated(compiled_->active_row(q),
+                     [&](pp::State r) { sum += counts_[r]; });
   return sum;
 }
 
@@ -88,27 +97,25 @@ void CountSimulator::refresh_weight(std::uint32_t slot) {
   weight_set(slot, counts_[populated_[slot]] * partner_sum_[slot]);
 }
 
-std::uint64_t CountSimulator::build_matrix_row(std::uint32_t slot) {
-  const pp::State q = populated_[slot];
-  const auto filled = static_cast<std::uint32_t>(populated_.size());
-  std::uint32_t* row = act_.data() + slot * kMatrixSlots;
-  // Probe the populated slots (the slot itself included: its diagonal).
+std::uint64_t CountSimulator::build_matrix_row(std::uint32_t id,
+                                               pp::State q) {
+  std::uint32_t* row = act_.data() + id * kMatrixSlots;
   // Only active cells are written — stale codes left at inactive positions
-  // by the slot's previous occupant are unreachable, since every act_ read
-  // is gated by a mask bit — and each gets the unresolved code 1, since
-  // most pairs are never selected before the row is rebuilt.
-  const std::uint64_t bit = std::uint64_t{1} << slot;
+  // by the id's previous holders are unreachable, since every act_ read is
+  // gated by a mask bit — and each gets the unresolved code 1, since most
+  // pairs are never selected before the row is rebuilt. q's own bit in
+  // the populated set makes the diagonal one of the partners.
+  const std::uint64_t bit = std::uint64_t{1} << id;
   std::uint64_t sum = compiled_->self_active(q) ? ~std::uint64_t{0} : 0;  // −1
   std::uint64_t mask = 0;
-  for (std::uint32_t j = 0; j < filled; ++j) {
-    const pp::State r = populated_[j];
-    if (!compiled_->pair_active(q, r)) continue;
+  for_each_populated(compiled_->active_row(q), [&](pp::State r) {
+    const std::uint32_t j = id_of(r);
     row[j] = 1;
     col_mask_[j] |= bit;
     mask |= std::uint64_t{1} << j;
     sum += counts_[r];
-  }
-  row_mask_[slot] = mask;
+  });
+  row_mask_[id] = mask;
   return sum;
 }
 
@@ -120,121 +127,69 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
   const auto shift = static_cast<std::uint64_t>(delta);  // two's complement
   if (protocol_->is_accepting(state)) accepting_ += shift;
 
-  const auto filled = static_cast<std::uint32_t>(populated_.size());
   const bool appearing = position_[state] == kNoPosition;  // delta > 0 then
-  if (matrix_ok_ && appearing && filled >= kMatrixSlots)
+  if (matrix_ok_ && appearing && populated_.size() >= kMatrixSlots)
     matrix_ok_ = false;  // populated list outgrew the matrix; until reset
 
   // Every populated initiator q with (q, state) active sees its partner
-  // sum move by delta.
-  if (matrix_ok_) {
-    // Walk the set bits of state's watcher mask. A state entering the
-    // populated list gets its column built here, at the slot the append
-    // below will assign (the A-loop must run while the slot list still
-    // excludes `state` — its own partner sum comes fresh).
-    std::uint32_t col = position_[state];
-    if (appearing) {
-      col = filled;
-      const std::uint64_t bit = std::uint64_t{1} << col;
-      std::uint64_t built = 0;
-      // Activity is static, so the new column is just state's in-partner
-      // list restricted to populated slots; each watcher's row mask gains
-      // the column's bit. Only active cells are written (stale inactive
-      // cells are unreachable behind the masks); walk whichever side is
-      // shorter.
-      if (const auto initiators = compiled_->initiators_meeting(state);
-          initiators.size() <= filled) {
-        for (pp::State p : initiators) {
-          const std::uint32_t i = position_[p];
-          if (i == kNoPosition) continue;
-          act_[i * kMatrixSlots + col] = 1;  // pair position resolved lazily
-          built |= std::uint64_t{1} << i;
-          row_mask_[i] |= bit;
-        }
-      } else {
-        for (std::uint32_t i = 0; i < filled; ++i)
-          if (compiled_->pair_active(populated_[i], state)) {
-            act_[i * kMatrixSlots + col] = 1;
-            built |= std::uint64_t{1} << i;
-            row_mask_[i] |= bit;
-          }
-      }
-      col_mask_[col] = built;
-    }
-    for (std::uint64_t mask = col_mask_[col]; mask != 0; mask &= mask - 1) {
-      const auto i = static_cast<std::uint32_t>(std::countr_zero(mask));
-      partner_sum_[i] += shift;
-      refresh_weight(i);
-    }
-  } else if (const auto initiators = compiled_->initiators_meeting(state);
-             initiators.size() <= populated_.size()) {
-    // Matrix-less fallback: walk whichever side is shorter — the
-    // in-partner list of `state` or the populated list — the updated
-    // slots are the same.
-    for (pp::State p : initiators) {
-      const std::uint32_t slot = position_[p];
-      if (slot == kNoPosition) continue;
-      partner_sum_[slot] += shift;
-      refresh_weight(slot);
-    }
+  // sum move by delta. An appearing state is not in the populated set yet:
+  // it is not its own watcher, its own partner sum comes fresh below.
+  const auto shift_watcher = [&](std::uint32_t slot) {
+    partner_sum_[slot] += shift;
+    refresh_weight(slot);
+  };
+  std::uint32_t id = 0;  // state's matrix id while matrix_ok_
+  if (!matrix_ok_) {
+    for_each_populated(compiled_->in_row(state), [&](pp::State p) {
+      shift_watcher(position_[p]);
+    });
+  } else if (appearing) {
+    // The new column: state's populated watchers, each of whose rows gains
+    // the column's bit.
+    id = static_cast<std::uint32_t>(std::countr_zero(free_ids_));
+    free_ids_ &= free_ids_ - 1;
+    const std::uint64_t bit = std::uint64_t{1} << id;
+    std::uint64_t watchers = 0;
+    for_each_populated(compiled_->in_row(state), [&](pp::State p) {
+      const std::uint32_t i = id_of(p);
+      act_[i * kMatrixSlots + id] = 1;  // pair position resolved lazily
+      row_mask_[i] |= bit;
+      watchers |= std::uint64_t{1} << i;
+      shift_watcher(position_[p]);
+    });
+    col_mask_[id] = watchers;
   } else {
-    for (std::uint32_t slot = 0; slot < filled; ++slot) {
-      if (!compiled_->pair_active(populated_[slot], state)) continue;
-      partner_sum_[slot] += shift;
-      refresh_weight(slot);
-    }
+    id = id_of(state);
+    for (std::uint64_t mask = col_mask_[id]; mask != 0; mask &= mask - 1)
+      shift_watcher(id_slot_[std::countr_zero(mask)]);
   }
 
   if (counts_[state] == 0) {
     // Swap-remove from the populated list (same list surgery as the seed
     // engine, so slot order — and with it every sampled index — evolves
-    // identically); the moved slot's tree entries travel with it.
+    // identically); the moved slot's entries travel with it.
     const std::uint32_t hole = position_[state];
     const auto last = static_cast<std::uint32_t>(populated_.size() - 1);
     const pp::State moved = populated_[last];
+    if (matrix_ok_) {
+      // The freed id leaves its watchers' rows and its partners' columns;
+      // the moved slot keeps its id.
+      const std::uint64_t keep = ~(std::uint64_t{1} << id);
+      for (std::uint64_t mask = col_mask_[id]; mask != 0; mask &= mask - 1)
+        row_mask_[std::countr_zero(mask)] &= keep;
+      for (std::uint64_t mask = row_mask_[id]; mask != 0; mask &= mask - 1)
+        col_mask_[std::countr_zero(mask)] &= keep;
+      free_ids_ |= ~keep;
+      slot_id_[hole] = slot_id_[last];
+      id_slot_[slot_id_[hole]] = static_cast<std::uint8_t>(hole);
+    }
     populated_[hole] = moved;
     position_[moved] = hole;
     populated_.pop_back();
     position_[state] = kNoPosition;
-    if (hole != last) {
-      partner_sum_[hole] = partner_sum_[last];
-      weight_set(hole, weight_[last]);
-      if (matrix_ok_) {
-        // The moved slot's matrix row and column travel with it (codes are
-        // slot-independent); the diagonal corner is saved first because
-        // both loops write through the (hole, hole) cell. Cells at index
-        // `last` go stale, which is fine — the next append rebuilds them.
-        const std::uint32_t corner = act_[last * kMatrixSlots + last];
-        for (std::uint32_t j = 0; j < last; ++j)
-          act_[hole * kMatrixSlots + j] = act_[last * kMatrixSlots + j];
-        for (std::uint32_t i = 0; i < last; ++i)
-          act_[i * kMatrixSlots + hole] = act_[i * kMatrixSlots + last];
-        act_[hole * kMatrixSlots + hole] = corner;
-        // Relabel the row and column masks the same way: drop the removed
-        // slot's bit (`hole`), move bit `last` down to `hole`, and move
-        // mask `last` to `hole`. Masks carry no bits at or above the new
-        // size.
-        const std::uint64_t keep =
-            ~((std::uint64_t{1} << hole) | (std::uint64_t{1} << last));
-        const auto relabel = [&](std::uint64_t m) {
-          return (m & keep) | (((m >> last) & 1) << hole);
-        };
-        col_mask_[hole] = relabel(col_mask_[last]);
-        row_mask_[hole] = relabel(row_mask_[last]);
-        for (std::uint32_t j = 0; j < last; ++j)
-          if (j != hole) {
-            col_mask_[j] = relabel(col_mask_[j]);
-            row_mask_[j] = relabel(row_mask_[j]);
-          }
-      }
-    } else if (matrix_ok_) {
-      // Removed the final slot: just drop its bit everywhere.
-      const std::uint64_t keep = ~(std::uint64_t{1} << last);
-      for (std::uint32_t j = 0; j < last; ++j) {
-        col_mask_[j] &= keep;
-        row_mask_[j] &= keep;
-      }
-    }
+    clear_populated(state);
+    partner_sum_[hole] = partner_sum_[last];
+    weight_set(hole, weight_[last]);
     partner_sum_.pop_back();
     weight_pop();
     ++metrics_.depopulate_events;
@@ -242,9 +197,14 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
     const auto slot = static_cast<std::uint32_t>(populated_.size());
     position_[state] = slot;
     populated_.push_back(state);
-    // Column `slot` was built before the A-loop; one probe pass builds the
-    // row (diagonal included) and the fresh partner sum.
-    partner_sum_.push_back(matrix_ok_ ? build_matrix_row(slot)
+    set_populated(state);
+    if (matrix_ok_) {
+      slot_id_[slot] = static_cast<std::uint8_t>(id);
+      id_slot_[id] = static_cast<std::uint8_t>(slot);
+    }
+    // One walk over the populated partners (diagonal included) builds the
+    // row and the fresh partner sum.
+    partner_sum_.push_back(matrix_ok_ ? build_matrix_row(id, state)
                                       : fresh_partner_sum(state));
     ++metrics_.weight_updates;
     weight_push(counts_[state] * partner_sum_[slot]);
@@ -254,35 +214,120 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
   }
 }
 
+void CountSimulator::move_singleton(pp::State from, pp::State to) {
+  counts_.remove(from, 1);
+  counts_.add(to, 1);
+  if (protocol_->is_accepting(from)) --accepting_;
+  if (protocol_->is_accepting(to)) ++accepting_;
+  const std::uint32_t hole = position_[from];
+  const auto last = static_cast<std::uint32_t>(populated_.size() - 1);
+  const std::uint32_t id = slot_id_[hole];  // from's id, now to's
+  const std::uint64_t bit = std::uint64_t{1} << id;
+  if (hole != last) {
+    const pp::State moved = populated_[last];
+    populated_[hole] = moved;
+    position_[moved] = hole;
+    partner_sum_[hole] = partner_sum_[last];
+    weight_set(hole, weight_[last]);
+    slot_id_[hole] = slot_id_[last];
+    id_slot_[slot_id_[hole]] = static_cast<std::uint8_t>(hole);
+  }
+  populated_[last] = to;
+  position_[to] = last;
+  position_[from] = kNoPosition;
+  slot_id_[last] = static_cast<std::uint8_t>(id);
+  id_slot_[id] = static_cast<std::uint8_t>(last);
+  clear_populated(from);
+  set_populated(to);
+
+  // One pass over the populated words lists to's watchers (its
+  // transposed row) and partners (its activity row), both as masks of ids,
+  // writing the unresolved code 1 into every active cell of column and row
+  // `id` and summing the fresh partner sum.
+  const auto watched_by = compiled_->in_row(to);
+  const auto meets = compiled_->active_row(to);
+  std::uint32_t* row = act_.data() + id * kMatrixSlots;
+  std::uint64_t watchers = 0;
+  std::uint64_t partners = 0;
+  std::uint64_t sum = compiled_->self_active(to) ? ~std::uint64_t{0} : 0;  // −1
+  for (std::size_t w = 0; w < meets.size(); ++w) {
+    const std::uint64_t populated = populated_bits_[w];
+    for (std::uint64_t bits = watched_by[w] & populated; bits != 0;
+         bits &= bits - 1) {
+      const std::uint32_t i =
+          id_of(static_cast<pp::State>(w * 64 + std::countr_zero(bits)));
+      act_[i * kMatrixSlots + id] = 1;
+      watchers |= std::uint64_t{1} << i;
+    }
+    for (std::uint64_t bits = meets[w] & populated; bits != 0;
+         bits &= bits - 1) {
+      const auto r = static_cast<pp::State>(w * 64 + std::countr_zero(bits));
+      const std::uint32_t j = id_of(r);
+      row[j] = 1;
+      partners |= std::uint64_t{1} << j;
+      sum += counts_[r];
+    }
+  }
+  // Column `id` goes from from's watchers to to's. A state watching both
+  // keeps its partner sum (−1 for from, +1 for to); one watching exactly
+  // one of them moves by ±1 and flips bit `id` of its row. Row `id` goes
+  // from from's partners to to's, flipping bit `id` of the columns that
+  // change. The diagonal bits are the new masks' own.
+  for (std::uint64_t changed = (col_mask_[id] ^ watchers) & ~bit;
+       changed != 0; changed &= changed - 1) {
+    const auto i = static_cast<std::uint32_t>(std::countr_zero(changed));
+    row_mask_[i] ^= bit;
+    const std::uint32_t slot = id_slot_[i];
+    partner_sum_[slot] += (watchers >> i) & 1 ? std::uint64_t{1}
+                                              : ~std::uint64_t{0};  // ±1
+    refresh_weight(slot);
+  }
+  for (std::uint64_t changed = (row_mask_[id] ^ partners) & ~bit;
+       changed != 0; changed &= changed - 1)
+    col_mask_[std::countr_zero(changed)] ^= bit;
+  col_mask_[id] = watchers;
+  row_mask_[id] = partners;
+  partner_sum_[last] = sum;
+  ++metrics_.weight_updates;
+  weight_set(last, sum);  // C(to) = 1
+  ++metrics_.populate_events;
+  ++metrics_.depopulate_events;
+}
+
 void CountSimulator::shift_pair(pp::State from, pp::State to) {
-  // Fused fast path for the dominant firing shape on the converted
-  // protocols: one agent moves between two already-populated states and
-  // both stay populated, so no list or matrix surgery can occur. Beyond
-  // halving the fixed bookkeeping, the fusion makes the typical firing
-  // nearly update-free: an initiator active towards both `from` and `to`
-  // sees the two partner-sum shifts cancel exactly, leaving only the two
-  // moved slots' own weights to refresh — and a register state with no
-  // partners of its own keeps weight 0, a no-op tree update.
-  if (matrix_ok_ && counts_[from] > 1 && position_[to] != kNoPosition) {
+  if (matrix_ok_ && position_[to] != kNoPosition && counts_[from] > 1) {
+    // Fused fast path for the dominant firing shape at large populations:
+    // one agent moves between two already-populated states and both stay
+    // populated, so no list or matrix surgery can occur. Beyond halving
+    // the fixed bookkeeping, the fusion makes the typical firing nearly
+    // update-free: an initiator active towards both `from` and `to` sees
+    // the two partner-sum shifts cancel exactly, leaving only the two
+    // moved slots' own weights to refresh — and a register state with no
+    // partners of its own keeps weight 0, a no-op update.
     counts_.remove(from, 1);
     counts_.add(to, 1);
     if (protocol_->is_accepting(from)) --accepting_;
     if (protocol_->is_accepting(to)) ++accepting_;
     const std::uint32_t slot_from = position_[from];
     const std::uint32_t slot_to = position_[to];
-    // Slots watching exactly one of the two states are the XOR of the two
+    // Ids watching exactly one of the two states are the XOR of the two
     // watcher masks — empty for the typical firing, where the same
     // initiators watch both registers.
-    const std::uint64_t gained = col_mask_[slot_to];
-    std::uint64_t changed = col_mask_[slot_from] ^ gained;
+    const std::uint64_t gained = col_mask_[slot_id_[slot_to]];
+    std::uint64_t changed = col_mask_[slot_id_[slot_from]] ^ gained;
     for (; changed != 0; changed &= changed - 1) {
       const auto i = static_cast<std::uint32_t>(std::countr_zero(changed));
-      partner_sum_[i] += (gained >> i) & 1 ? std::uint64_t{1}
-                                           : ~std::uint64_t{0};  // ±1
-      refresh_weight(i);
+      const std::uint32_t slot = id_slot_[i];
+      partner_sum_[slot] += (gained >> i) & 1 ? std::uint64_t{1}
+                                              : ~std::uint64_t{0};  // ±1
+      refresh_weight(slot);
     }
     refresh_weight(slot_from);
     refresh_weight(slot_to);
+    return;
+  }
+  if (matrix_ok_ && position_[to] == kNoPosition && counts_[from] == 1) {
+    move_singleton(from, to);  // the typical firing at small populations
     return;
   }
   change_count(from, -1);
@@ -316,50 +361,59 @@ void CountSimulator::apply_active_meeting(std::uint64_t active) {
   };
   if (!matrix_ok_) {
     // A zero-count partner carries zero weight and never absorbs the
-    // remainder, so walking the whole (ascending) partner list is exact.
-    pp::State r = q;  // overwritten: the walk always selects
-    for (pp::State partner : compiled_->partners_of(q)) {
-      const std::uint64_t weight = weight_of(partner);
+    // remainder, so walking q's populated partners (ascending) is exact.
+    const auto row = compiled_->active_row(q);
+    std::size_t w = 0;
+    std::uint64_t bits = row[0] & populated_bits_[0];
+    for (;; bits &= bits - 1) {
+      while (bits == 0) {
+        ++w;
+        bits = row[w] & populated_bits_[w];
+      }
+      const auto r = static_cast<pp::State>(w * 64 + std::countr_zero(bits));
+      const std::uint64_t weight = weight_of(r);
       if (remaining < weight) {
-        r = partner;
-        break;
+        fire_cells(q, r, compiled_->entry_of(q, r));  // (q, r) is active
+        return;
       }
       remaining -= weight;
     }
-    fire_cells(q, r, compiled_->entry_of(q, r));  // (q, r) is active
-    return;
   }
   // For the same reason the walk may skip every unpopulated partner: it
-  // visits the set bits of row_mask_[slot] — q's active populated partners
-  // — in ascending state order. Typically there are one or two, so those
-  // cases take no sort.
-  std::uint64_t mask = row_mask_[slot];
+  // visits the set bits of q's matrix row — q's active populated partners,
+  // by id — in ascending state order. Typically there are one or two, so
+  // those cases take no sort.
+  const std::uint32_t id = slot_id_[slot];
+  const auto state_of = [&](std::uint32_t i) {
+    return populated_[id_slot_[i]];
+  };
+  std::uint64_t mask = row_mask_[id];
   auto j = static_cast<std::uint32_t>(std::countr_zero(mask));
   mask &= mask - 1;
   if (mask != 0 && (mask & (mask - 1)) == 0) {
     auto k = static_cast<std::uint32_t>(std::countr_zero(mask));
-    if (populated_[k] < populated_[j]) std::swap(j, k);
-    if (remaining >= weight_of(populated_[j])) j = k;
+    if (state_of(k) < state_of(j)) std::swap(j, k);
+    if (remaining >= weight_of(state_of(j))) j = k;
   } else if (mask != 0) {
-    // (state, slot) keys sort into ascending state order.
+    // (state, id) keys sort into ascending state order.
     std::array<std::uint64_t, kMatrixSlots> keys;
     std::size_t n = 0;
-    for (mask = row_mask_[slot]; mask != 0; mask &= mask - 1) {
+    for (mask = row_mask_[id]; mask != 0; mask &= mask - 1) {
       const auto i = static_cast<std::uint32_t>(std::countr_zero(mask));
-      keys[n++] = (std::uint64_t{populated_[i]} << 32) | i;
+      keys[n++] = (std::uint64_t{state_of(i)} << 32) | i;
     }
     std::sort(keys.begin(), keys.begin() + n);
     for (std::size_t k = 0;; ++k) {
       j = static_cast<std::uint32_t>(keys[k]);
-      const std::uint64_t weight = weight_of(populated_[j]);
+      const std::uint64_t weight = weight_of(state_of(j));
       if (remaining < weight) break;
       remaining -= weight;
     }
   }
-  const pp::State r = populated_[j];
+  const pp::State r = state_of(j);
   // The cell's code hands the firing its pair position, resolved on the
   // pair's first selection.
-  std::uint32_t& code = act_[slot * kMatrixSlots + j];
+  std::uint32_t& code = act_[id * kMatrixSlots + j];
   if (code == 1) code = compiled_->entry_of(q, r) + 2;
   fire_cells(q, r, code - 2);
 }

@@ -27,8 +27,16 @@
 // running total W, so a firing — which changes at most four counts, each
 // touching only the populated states adjacent to it — costs O(#populated)
 // instead of a full rescan plus an O(in-degree) adjacency walk per count
-// change. The initiator slot is selected by the seed engine's linear
-// prefix scan and the responder by its walk over active partners, so the
+// change. A bitset of the populated states, ANDed with the compiled
+// tables' activity rows and transposed rows, lists a state's populated
+// partners and watchers in ⌈|Q|/64⌉ word operations. While at most 64
+// states are populated, a 64 × 64 activity matrix over stable matrix ids
+// (an id stays with its state while the state is populated) caches those
+// lists as 64-bit masks, and a lone agent moving into an empty state — the
+// typical firing at certification populations — hands its id over in one
+// fused update. The initiator slot is selected by the seed engine's linear
+// prefix scan and the responder by its walk over active partners, and the
+// populated list keeps the seed engine's swap-remove order, so the
 // sequence of *configurations*, firings and consensus times for a given
 // seed is bit-identical to the seed engine (the linear-scan oracle in
 // tests/oracles.hpp) — and distributed
@@ -51,6 +59,7 @@
 #include <limits>
 #include <new>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "engine/metrics.hpp"
@@ -121,11 +130,16 @@ class CountSimulator {
   const RunMetrics& metrics() const { return metrics_; }
 
  private:
-  /// Load `initial` into an empty simulator: counts, populated list,
-  /// partner sums and slot weights.
+  /// Load `initial` into an empty simulator: counts, populated list and
+  /// bitset, matrix ids, partner sums and slot weights.
   void load(const pp::Config& initial);
+  /// Calls visit(r) for every populated state r whose bit is set in `row`
+  /// (a bit row of the compiled tables), in ascending state order.
+  template <typename Visit>
+  void for_each_populated(std::span<const std::uint64_t> row,
+                          Visit&& visit) const;
   /// A(q) = Σ_{r populated, (q,r) active} C(r) − [(q,q) active], computed
-  /// from scratch over the cheaper of partners_of(q) / the populated list.
+  /// from scratch over q's populated partners.
   std::uint64_t fresh_partner_sum(pp::State q) const;
   /// Store slot's weight C(q)·A(q).
   void refresh_weight(std::uint32_t slot);
@@ -141,19 +155,34 @@ class CountSimulator {
   void apply_active_meeting(std::uint64_t active);
   void change_count(pp::State state, std::int64_t delta);
   /// Move one agent from `from` to `to` (`from` != `to`). Equivalent to
-  /// change_count(from, -1); change_count(to, +1) — with a fused fast path
-  /// for the dominant firing shape, where both states stay populated.
+  /// change_count(from, -1); change_count(to, +1) — with fused paths for
+  /// the two dominant firing shapes while the matrix is in use: both
+  /// states stay populated, or a lone agent moves into an empty state.
   void shift_pair(pp::State from, pp::State to);
-  /// Build matrix row `slot` (unresolved activity codes, row_mask_[slot]
-  /// and the slot's bit in every partner's col_mask_) and return
-  /// A(populated_[slot]) — one pass over the populated slots computes
-  /// both. The slot must already be in the populated list; counts must be
+  /// The lone agent of `from` moves to the unpopulated `to`: `to` takes
+  /// over `from`'s matrix id, the last slot moves into `from`'s hole and
+  /// `to` takes the last slot — the list the two count changes leave —
+  /// and only ids adjacent to `from` or `to` are touched.
+  void move_singleton(pp::State from, pp::State to);
+  /// Build matrix row `id` of the populated state q (unresolved activity
+  /// codes, row_mask_[id] and the id's bit in every partner's col_mask_)
+  /// and return A(q) — one walk over q's populated partners computes both.
+  /// q must already be populated with its id assigned; counts must be
   /// current.
-  std::uint64_t build_matrix_row(std::uint32_t slot);
+  std::uint64_t build_matrix_row(std::uint32_t id, pp::State q);
   /// Pick a candidate of active pair `pos` — no draw for a single
   /// candidate, one uniform draw otherwise — and execute its compiled
   /// cell.
   void fire_cells(pp::State q, pp::State r, std::uint32_t pos);
+
+  void set_populated(pp::State q) {
+    populated_bits_[q / 64] |= std::uint64_t{1} << (q % 64);
+  }
+  void clear_populated(pp::State q) {
+    populated_bits_[q / 64] &= ~(std::uint64_t{1} << (q % 64));
+  }
+  /// Matrix id of a populated state.
+  std::uint32_t id_of(pp::State q) const { return slot_id_[position_[q]]; }
 
   /// Per-slot active weight C(q)·A(q), keeping the running total W.
   void weight_set(std::size_t slot, std::uint64_t w) {
@@ -199,8 +228,8 @@ class CountSimulator {
   using LineVector = std::vector<T, LineAllocator<T>>;
 
   static constexpr std::uint32_t kNoPosition = 0xffffffffu;
-  /// Populated-list capacity of the activity matrix; must stay <= 64 so a
-  /// matrix column fits one col_mask_ word.
+  /// Matrix capacity in populated states; must stay <= 64 so a matrix
+  /// column fits one col_mask_ word.
   static constexpr std::uint32_t kMatrixSlots = 64;
 
   const pp::Protocol* protocol_;
@@ -212,36 +241,44 @@ class CountSimulator {
   /// are ever occupied while adjacency degrees reach |Q|.
   LineVector<pp::State> populated_;
   std::vector<std::uint32_t> position_;  ///< state -> index in populated_
+  /// Bit q set iff C(q) > 0: ⌈|Q|/64⌉ words, kept current in every regime.
+  /// ANDed with q's activity row it lists q's populated partners, with q's
+  /// transposed row its populated watchers, both in ascending state order.
+  LineVector<std::uint64_t> populated_bits_;
   /// partner_sum_[slot] = A(populated_[slot]); parallel to populated_.
   LineVector<std::uint64_t> partner_sum_;
   /// Per-slot active weights C(q)·A(q), parallel to populated_, and their
   /// running total W.
   LineVector<std::uint64_t> weight_;
   std::uint64_t weight_total_ = 0;
-  /// Slot-by-slot activity matrix over the populated list. Cell
-  /// act_[i * kMatrixSlots + j] caches the pair position of (populated_[i],
-  /// populated_[j]) when that pair is active: 1 — not yet resolved; c >= 2
-  /// — pair position c − 2, giving the firing path its candidate
+  /// Activity matrix over matrix ids. A state takes the lowest free id
+  /// when it becomes populated and keeps it until it leaves — a
+  /// swap-remove moves slots, never ids — so leaving costs one bit in each
+  /// adjacent row or column, and no matrix cell ever moves. Cell
+  /// act_[i * kMatrixSlots + j] caches the pair position of (state of id
+  /// i, state of id j) when that pair is active: 1 — not yet resolved;
+  /// c >= 2 — pair position c − 2, giving the firing path its candidate
   /// transitions. Row and column builds write 1 and the responder walk
   /// resolves a code through entry_of on the pair's first selection, so a
   /// pair never selected before its row is rebuilt costs no lookup. Only
   /// cells behind a row_mask_/col_mask_ bit are meaningful; the rest may
-  /// hold stale codes. The compiled tables are consulted only when a state
-  /// enters the populated list. Maintained while the populated list fits in
-  /// kMatrixSlots slots (matrix_ok_); beyond that the simulator falls back
-  /// to the compiled tables until the next reset.
+  /// hold stale codes. Maintained while the populated list fits in
+  /// kMatrixSlots slots (matrix_ok_); beyond that the simulator walks the
+  /// compiled rows against the populated bitset until the next reset.
   std::vector<std::uint32_t> act_;
-  /// col_mask_[j]: bit i set iff (populated_[i], populated_[j]) is active —
-  /// the initiator slots watching populated_[j], as a 64-bit set mirroring
-  /// matrix column j. A count change walks only the set bits, and the
+  /// col_mask_[j]: bit i set iff (state of i, state of j) is active — the
+  /// ids watching id j. A count change walks only the set bits, and the
   /// fused pair shift walks the XOR of two columns — empty whenever both
   /// states are watched by the same initiators, the typical firing.
   std::array<std::uint64_t, kMatrixSlots> col_mask_{};
-  /// row_mask_[i]: bit j set iff (populated_[i], populated_[j]) is active —
-  /// the transpose of col_mask_, kept in the same loops. The responder
-  /// walk visits exactly these partners (typically one or two) and orders
-  /// them by state only when there are several.
+  /// row_mask_[i]: bit j set iff (state of i, state of j) is active — the
+  /// transpose of col_mask_, kept in the same loops. The responder walk
+  /// visits exactly these partners (typically one or two) and orders them
+  /// by state only when there are several.
   std::array<std::uint64_t, kMatrixSlots> row_mask_{};
+  std::array<std::uint8_t, kMatrixSlots> slot_id_{};  ///< slot -> id
+  std::array<std::uint8_t, kMatrixSlots> id_slot_{};  ///< id -> slot
+  std::uint64_t free_ids_ = 0;                        ///< bit i: id i unused
   bool matrix_ok_ = false;
   /// Memoised geometric-law parameters for sample_null_run: log1p(−p) for
   /// the current (W, m). The dominant firing moves one agent between two
@@ -278,7 +315,11 @@ inline bool CountSimulator::geom_prepare(std::uint64_t active) {
     cached_m_ = counts_.total();
     const double m = static_cast<double>(cached_m_);
     cached_p_ = static_cast<double>(active) / (m * (m - 1.0));
-    cached_log1p_ = cached_p_ < 1.0 ? std::log1p(-cached_p_) : 0.0;
+    cached_log1p_ = 0.0;
+    if (cached_p_ < 1.0) {
+      ++metrics_.log_evals;
+      cached_log1p_ = std::log1p(-cached_p_);
+    }
   }
   return cached_p_ < 1.0;
 }

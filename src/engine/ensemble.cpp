@@ -132,7 +132,7 @@ std::string describe(const EnsembleStats& stats) {
       "parallel time ..... p50 %.3g  p90 %.3g  max %.3g\n"
       "meetings/sec ...... %.3g effective (%llu firings, %llu skip batches)\n"
       "incremental ....... %llu weight updates, %llu populate / %llu "
-      "depopulate events\n"
+      "depopulate events, %llu log evaluations\n"
       "wall .............. %.3fs\n",
       static_cast<unsigned long long>(stats.trials), stats.threads_used,
       stats.stabilised_fraction(), stats.accept_fraction(),
@@ -144,6 +144,7 @@ std::string describe(const EnsembleStats& stats) {
       static_cast<unsigned long long>(stats.totals.weight_updates),
       static_cast<unsigned long long>(stats.totals.populate_events),
       static_cast<unsigned long long>(stats.totals.depopulate_events),
+      static_cast<unsigned long long>(stats.totals.log_evals),
       stats.wall_seconds);
   return buffer;
 }

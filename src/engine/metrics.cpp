@@ -14,6 +14,7 @@ void RunMetrics::merge(const RunMetrics& other) {
   weight_updates += other.weight_updates;
   populate_events += other.populate_events;
   depopulate_events += other.depopulate_events;
+  log_evals += other.log_evals;
   wall_seconds += other.wall_seconds;
 }
 
@@ -30,7 +31,7 @@ std::string RunMetrics::to_string() const {
   std::snprintf(buffer, sizeof buffer,
                 "meetings=%llu firings=%llu null_skip_batches=%llu "
                 "skipped=%llu flips=%llu weight_updates=%llu populate=%llu "
-                "depopulate=%llu wall=%.3fs",
+                "depopulate=%llu log_evals=%llu wall=%.3fs",
                 static_cast<unsigned long long>(meetings),
                 static_cast<unsigned long long>(firings),
                 static_cast<unsigned long long>(null_skip_batches),
@@ -39,7 +40,7 @@ std::string RunMetrics::to_string() const {
                 static_cast<unsigned long long>(weight_updates),
                 static_cast<unsigned long long>(populate_events),
                 static_cast<unsigned long long>(depopulate_events),
-                wall_seconds);
+                static_cast<unsigned long long>(log_evals), wall_seconds);
   return buffer;
 }
 

@@ -39,6 +39,10 @@ struct RunMetrics {
   /// an agent into an empty state, these drive the cost per firing.
   std::uint64_t populate_events = 0;
   std::uint64_t depopulate_events = 0;
+  /// log1p(−p) evaluations for the geometric null-run law (CountSimulator
+  /// only): the misses of its (W, m) memo, so a firing that leaves the
+  /// active weight and the population unchanged costs none.
+  std::uint64_t log_evals = 0;
   /// Wall-clock seconds spent inside run_until_stable.
   double wall_seconds = 0.0;
 

@@ -27,83 +27,79 @@ std::size_t row_words_of(std::size_t num_states) {
   return (num_states + 63) / 64;
 }
 
-/// Everything the out CSR determines.
+/// Everything the activity rows determine.
 struct Derived {
-  std::vector<std::uint32_t> in_begin;
-  std::vector<std::uint32_t> in_flat;
   std::vector<std::uint8_t> self_active;
-  std::vector<std::uint64_t> active_bits;
   std::vector<std::uint32_t> rank_base;
+  std::vector<std::uint64_t> in_bits;
 };
 
-/// Derives the activity rows, their rank bases, the diagonal and the in
-/// CSR (the transpose) from a well-formed out CSR.
+/// Derives the rank bases, the diagonal and the transposed rows from
+/// activity rows of the right size with no bit at r >= |Q|.
 Derived derive(const RawTables& t) {
   const std::size_t n = t.num_states;
   const std::size_t words = row_words_of(n);
   Derived d;
-  d.active_bits.assign(n * words, 0);
-  d.rank_base.assign(n * words, 0);
   d.self_active.assign(n, 0);
-  d.in_begin.assign(n + 1, 0);
+  d.rank_base.assign(n * words, 0);
+  d.in_bits.assign(n * words, 0);
+  std::uint32_t rank = 0;
   for (pp::State q = 0; q < n; ++q) {
-    std::uint64_t* row = d.active_bits.data() + q * words;
-    for (std::uint32_t p = t.out_begin[q]; p < t.out_begin[q + 1]; ++p) {
-      const pp::State r = t.out_flat[p];
-      row[r / 64] |= std::uint64_t{1} << (r % 64);
-      ++d.in_begin[r + 1];
-    }
-    std::uint32_t rank = t.out_begin[q];
+    const std::uint64_t* row = t.active_bits.data() + q * words;
+    const std::uint64_t column = std::uint64_t{1} << (q % 64);
     for (std::size_t w = 0; w < words; ++w) {
       d.rank_base[q * words + w] = rank;
       rank += static_cast<std::uint32_t>(std::popcount(row[w]));
+      for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t r = w * 64 + std::countr_zero(bits);
+        d.in_bits[r * words + q / 64] |= column;
+      }
     }
     d.self_active[q] = (row[q / 64] >> (q % 64)) & 1;
   }
-  for (std::size_t r = 0; r < n; ++r) d.in_begin[r + 1] += d.in_begin[r];
-  d.in_flat.resize(t.out_flat.size());
-  std::vector<std::uint32_t> cursor(d.in_begin.begin(), d.in_begin.end() - 1);
-  for (pp::State q = 0; q < n; ++q)  // q ascending: every in row ascends
-    for (std::uint32_t p = t.out_begin[q]; p < t.out_begin[q + 1]; ++p)
-      d.in_flat[cursor[t.out_flat[p]]++] = q;
   return d;
 }
 
 void validate(const RawTables& t) {
-  check(t.dense.empty() && t.ph_disp.empty() && t.ph_key.empty() &&
-            t.ph_entry.empty() && t.any_bits.empty() && t.cand_flat.empty(),
+  check(t.out_begin.empty() && t.out_flat.empty() && t.in_begin.empty() &&
+            t.in_flat.empty() && t.dense.empty() && t.ph_disp.empty() &&
+            t.ph_key.empty() && t.ph_entry.empty() && t.any_bits.empty() &&
+            t.cand_flat.empty(),
         "retired table not empty");
   const std::size_t n = t.num_states;
-  const std::size_t pairs = t.out_flat.size();
-  check_csr(t.out_begin, n, pairs, "malformed out CSR");
-  for (pp::State q = 0; q < n; ++q)
-    for (std::uint32_t p = t.out_begin[q]; p < t.out_begin[q + 1]; ++p) {
-      check(t.out_flat[p] < n, "partner out of range");
-      check(p == t.out_begin[q] || t.out_flat[p - 1] < t.out_flat[p],
-            "partners not strictly ascending");
-    }
+  const std::size_t words = row_words_of(n);
+  check(t.active_bits.size() == n * words, "malformed activity rows");
+  if (n % 64 != 0) {
+    const std::uint64_t beyond = ~std::uint64_t{0} << (n % 64);
+    for (std::size_t q = 0; q < n; ++q)
+      check((t.active_bits[q * words + words - 1] & beyond) == 0,
+            "partner out of range");
+  }
 
   const Derived want = derive(t);
-  check(t.in_begin == want.in_begin && t.in_flat == want.in_flat,
-        "in CSR is not the transpose of the out CSR");
-  check(t.active_bits == want.active_bits,
-        "activity rows disagree with the out CSR");
+  check(t.in_bits == want.in_bits,
+        "transposed rows disagree with the activity rows");
   check(t.rank_base == want.rank_base, "wrong rank base");
   check(t.self_active == want.self_active,
         "self_active disagrees with the diagonal bit");
 
+  std::size_t pairs = 0;
+  for (const std::uint64_t word : t.active_bits) pairs += std::popcount(word);
   check_csr(t.cand_begin, pairs, t.cells.size(), "malformed cand CSR");
+  std::uint32_t p = 0;  // pair position: active pairs in (q, r) order
   for (pp::State q = 0; q < n; ++q)
-    for (std::uint32_t p = t.out_begin[q]; p < t.out_begin[q + 1]; ++p) {
-      check(t.cand_begin[p] < t.cand_begin[p + 1],
-            "active pair without candidates");
-      for (std::uint32_t c = t.cand_begin[p]; c < t.cand_begin[p + 1]; ++c) {
-        const Cell& cell = t.cells[c];
-        check(cell.q2 < n && cell.r2 < n, "cell post-state out of range");
-        check(cell.q2 != q || cell.r2 != t.out_flat[p],
-              "cell leaves its pair unchanged");
+    for (std::size_t w = 0; w < words; ++w)
+      for (std::uint64_t bits = t.active_bits[q * words + w]; bits != 0;
+           bits &= bits - 1, ++p) {
+        const auto r = static_cast<pp::State>(w * 64 + std::countr_zero(bits));
+        check(t.cand_begin[p] < t.cand_begin[p + 1],
+              "active pair without candidates");
+        for (std::uint32_t c = t.cand_begin[p]; c < t.cand_begin[p + 1]; ++c) {
+          const Cell& cell = t.cells[c];
+          check(cell.q2 < n && cell.r2 < n, "cell post-state out of range");
+          check(cell.q2 != q || cell.r2 != r, "cell leaves its pair unchanged");
+        }
       }
-    }
 }
 
 }  // namespace
@@ -117,28 +113,17 @@ std::shared_ptr<const CompiledProtocol> CompiledProtocol::compile(
   const auto& transitions = protocol.transitions();
 
   // The active pairs, as rows, fix the pair positions: (q asc, r asc).
-  std::vector<std::uint64_t> rows(n * words, 0);
+  t.active_bits.assign(n * words, 0);
   for (const pp::Transition& tr : transitions)
     if (!tr.is_silent())
-      rows[tr.q * words + tr.r / 64] |= std::uint64_t{1} << (tr.r % 64);
+      t.active_bits[tr.q * words + tr.r / 64] |= std::uint64_t{1}
+                                                 << (tr.r % 64);
   std::size_t pairs = 0;
-  for (const std::uint64_t word : rows) pairs += std::popcount(word);
-  t.out_flat.reserve(pairs);
-  t.out_begin.assign(n + 1, 0);
-  for (pp::State q = 0; q < n; ++q) {
-    for (std::size_t w = 0; w < words; ++w)
-      for (std::uint64_t bits = rows[q * words + w]; bits != 0;
-           bits &= bits - 1)
-        t.out_flat.push_back(
-            static_cast<pp::State>(w * 64 + std::countr_zero(bits)));
-    t.out_begin[q + 1] = static_cast<std::uint32_t>(t.out_flat.size());
-  }
+  for (const std::uint64_t word : t.active_bits) pairs += std::popcount(word);
   Derived d = derive(t);
-  t.in_begin = std::move(d.in_begin);
-  t.in_flat = std::move(d.in_flat);
   t.self_active = std::move(d.self_active);
-  t.active_bits = std::move(d.active_bits);
   t.rank_base = std::move(d.rank_base);
+  t.in_bits = std::move(d.in_bits);
 
   // Cells by pair position; the candidates of a pair keep transition
   // order — the order Protocol::finalize() recorded them and every

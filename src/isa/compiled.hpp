@@ -7,20 +7,19 @@
 //
 //   * Active pairs — ordered state pairs (q, r) with at least one
 //     non-silent transition — carry dense *pair positions* 0..P-1 in
-//     (q asc, r asc) order: the out CSR lists them row by row.
-//   * One pair index answers both pair queries. Each state q owns a
-//     word-aligned activity row of ⌈|Q|/64⌉ words (bit r set iff (q, r) is
-//     active), and each row word a u32 rank base: the number of active
+//     (q asc, r asc) order.
+//   * Bit rows are the only adjacency. Each state q owns a word-aligned
+//     activity row of ⌈|Q|/64⌉ words (bit r set iff (q, r) is active) and
+//     a transposed row of the same width (bit p set iff (p, q) is active),
+//     and each activity-row word a u32 rank base: the number of active
 //     pairs before the word in (q, r) order. pair_active reads one bit;
 //     entry_of, for an active pair, adds the popcount of the row word below
-//     r to the word's base. The verifier walks the same rows.
+//     r to the word's base. The verifier walks the activity rows; the count
+//     engine ANDs both kinds with its populated-state bitset.
 //   * Each active pair's candidates are Cells — the post-states (q2, r2) of
 //     its non-silent transitions in transition order — behind a candidate
 //     CSR by pair position. Every reader applies a cell the same way:
 //     rewrite the initiator if q2 != q, then the responder if r2 != r.
-//   * Adjacency CSRs (partners_of / initiators_meeting) and self-pair flags
-//     live here too; the count engine reads them straight from
-//     Protocol::compiled().
 //
 // Lowering is pure table construction: candidate order equals
 // Protocol::finalize()'s transition order, so a simulator picking
@@ -30,9 +29,9 @@
 // tests/oracles.hpp pins.
 //
 // The tables can be exported (raw()) and re-adopted (adopt()); adopt()
-// validates every invariant — each derived table against the out CSR — and
-// throws std::invalid_argument on malformed tables, which is also how
-// compile() output is checked.
+// validates every invariant — each derived table against the activity
+// rows — and throws std::invalid_argument on malformed tables, which is
+// also how compile() output is checked.
 #pragma once
 
 #include <bit>
@@ -60,27 +59,28 @@ class CompiledProtocol {
   /// raw() and re-imported by adopt() (which validates everything).
   struct RawTables {
     std::uint32_t num_states = 0;
-    /// Active-pair adjacency, (q asc, r asc): pair position p covers
-    /// (q, out_flat[p]) for p in [out_begin[q], out_begin[q+1]).
-    std::vector<std::uint32_t> out_begin;  ///< size |Q|+1
-    std::vector<std::uint32_t> out_flat;   ///< ascending within each row
-    /// The exact transpose of the out CSR.
-    std::vector<std::uint32_t> in_begin;   ///< size |Q|+1
-    std::vector<std::uint32_t> in_flat;    ///< ascending within each row
     std::vector<std::uint8_t> self_active;  ///< size |Q|: the diagonal bit
     /// Pair index: bit r of row q at active_bits[q * row_words + r / 64],
-    /// row_words = ⌈|Q|/64⌉, set exactly for the out row's partners.
+    /// row_words = ⌈|Q|/64⌉, set iff (q, r) is active; no bit at r >= |Q|.
+    /// Every other table is checked against these rows.
     std::vector<std::uint64_t> active_bits;
-    /// Parallel to active_bits: out_begin[q] plus the set bits of row q
-    /// in the words before this one.
+    /// Parallel to active_bits: the set bits of every row before q plus
+    /// those of row q in the words before this one.
     std::vector<std::uint32_t> rank_base;
+    /// The transpose of active_bits: bit q of row r at
+    /// in_bits[r * row_words + q / 64] set iff (q, r) is active.
+    std::vector<std::uint64_t> in_bits;
     /// Candidate CSR by pair position; every active pair has >= 1 cell.
     std::vector<std::uint32_t> cand_begin;  ///< size P+1
     std::vector<Cell> cells;
-    /// Retired stores (dense pair table, perfect hash, any-candidate
-    /// bitset, transition indices): always empty, and adopt() refuses them
-    /// otherwise. They stay declared because the benchmark driver
-    /// (perfbench/driver.cpp) sums the table bytes member by member.
+    /// Retired stores (adjacency CSRs, dense pair table, perfect hash,
+    /// any-candidate bitset, transition indices): always empty, and adopt()
+    /// refuses them otherwise. They stay declared because the benchmark
+    /// driver (perfbench/driver.cpp) sums the table bytes member by member.
+    std::vector<std::uint32_t> out_begin;
+    std::vector<std::uint32_t> out_flat;
+    std::vector<std::uint32_t> in_begin;
+    std::vector<std::uint32_t> in_flat;
     std::vector<std::uint32_t> dense;
     std::vector<std::uint32_t> ph_disp;
     std::vector<std::uint64_t> ph_key;
@@ -95,15 +95,15 @@ class CompiledProtocol {
 
   /// Adopt externally produced tables. Throws std::invalid_argument when
   /// any structural invariant is violated (sizes, CSR monotonicity,
-  /// out-of-range indices, unsorted adjacency, derived tables that disagree
-  /// with the out CSR, cells that change nothing, retired stores in use).
+  /// out-of-range indices, derived tables that disagree with the activity
+  /// rows, cells that change nothing, retired stores in use).
   static std::shared_ptr<const CompiledProtocol> adopt(RawTables tables);
 
   /// Copy of the flat tables (for round-trip/golden tests and tooling).
   const RawTables& raw() const { return t_; }
 
   std::size_t num_states() const { return t_.num_states; }
-  std::size_t num_active_pairs() const { return t_.out_flat.size(); }
+  std::size_t num_active_pairs() const { return t_.cand_begin.size() - 1; }
 
   /// True iff (q, r) has a non-silent candidate.
   bool pair_active(pp::State q, pp::State r) const {
@@ -123,6 +123,11 @@ class CompiledProtocol {
   std::span<const std::uint64_t> active_row(pp::State q) const {
     return {t_.active_bits.data() + q * row_words_, row_words_};
   }
+  /// The transposed row of r: bit q % 64 of word q / 64 set iff (q, r) is
+  /// active.
+  std::span<const std::uint64_t> in_row(pp::State r) const {
+    return {t_.in_bits.data() + r * row_words_, row_words_};
+  }
 
   /// The compiled cells of active pair position `pos`, in transition order.
   std::span<const Cell> cells(std::uint32_t pos) const {
@@ -130,16 +135,6 @@ class CompiledProtocol {
             t_.cells.data() + t_.cand_begin[pos + 1]};
   }
 
-  /// States r such that (q, r) is active, q as the initiator; ascending.
-  std::span<const pp::State> partners_of(pp::State q) const {
-    return {t_.out_flat.data() + t_.out_begin[q],
-            t_.out_flat.data() + t_.out_begin[q + 1]};
-  }
-  /// States q such that (q, r) is active, r as the responder; ascending.
-  std::span<const pp::State> initiators_meeting(pp::State r) const {
-    return {t_.in_flat.data() + t_.in_begin[r],
-            t_.in_flat.data() + t_.in_begin[r + 1]};
-  }
   /// True iff (q, q) is active.
   bool self_active(pp::State q) const { return t_.self_active[q] != 0; }
 

@@ -133,7 +133,7 @@ double chi_squared(const std::vector<double>& a,
 // A 40-state "carousel" (every meeting advances the responder one state):
 // all 1600 ordered pairs are active and the populated list fluctuates
 // around 40 slots — past kMatrixSlots/2 — so the engine's swap-remove
-// surgery and matrix relabelling run at scale, not just on a handful of
+// surgery and matrix id reuse run at scale, not just on a handful of
 // populated states.
 pp::Protocol make_carousel_protocol(std::uint32_t n) {
   pp::Protocol protocol;
@@ -387,14 +387,32 @@ TEST(Ensemble, FleetRethrowsBodyExceptions) {
                std::runtime_error);
 }
 
-// The differential case table of the linear-scan oracle tests. Seven
+/// `agents` agents on each of the carousel's first `states` states.
+pp::Config carousel_initial(const pp::Protocol& carousel, std::uint32_t states,
+                            std::uint32_t agents) {
+  pp::Config initial(carousel.num_states());
+  for (pp::State q = 0; q < states; ++q) initial.add(q, agents);
+  return initial;
+}
+
+/// One agent on every even state of the carousel.
+pp::Config carousel_even(const pp::Protocol& carousel) {
+  pp::Config initial(carousel.num_states());
+  for (pp::State q = 0; q < carousel.num_states(); q += 2) initial.add(q, 1);
+  return initial;
+}
+
+// The differential case table of the linear-scan oracle tests. Nine
 // cases cover the regimes: tiny two-state, the 4-state majority, the
-// converted Czerner n = 1 (≈880 states) at two populations — |F| + 400
-// (~24 populated, heavy populate/depopulate churn) and |F| + 2, the
-// certification regime where every agent sits in its own state — and the
-// carousel with a large populated list: 40 states inside the 64-slot
-// matrix, 80 states beyond it from load, and 80 states starting at 60
-// populated, which outgrows the matrix mid-run (at step 2,318 for seed 1).
+// converted Czerner n = 1 (≈880 states) at three populations — |F| + 400
+// (~24 populated, heavy populate/depopulate churn), |F| + 9 and |F| + 2,
+// the certification regime where nearly every firing moves a lone agent
+// into an empty state — and the carousel with a large populated list: 40
+// states inside the 64-slot matrix, 40 states with one agent on every even
+// state (lone agents moving into empty, self-active states, so the fused
+// singleton move meets diagonal bits), 80 states beyond the matrix from
+// load, and 80 states starting at 60 populated, which outgrows the matrix
+// mid-run (at step 2,318 for seed 1).
 struct OracleCases {
   struct Case {
     const pp::Protocol* protocol;
@@ -410,19 +428,14 @@ struct OracleCases {
                 .machine)),
         carousel40(make_carousel_protocol(40)),
         carousel80(make_carousel_protocol(80)) {
-    const auto carousel_initial = [](const pp::Protocol& carousel,
-                                     std::uint32_t states,
-                                     std::uint32_t agents) {
-      pp::Config initial(carousel.num_states());
-      for (pp::State q = 0; q < states; ++q) initial.add(q, agents);
-      return initial;
-    };
     cases = {
         {&opinion, opinion_initial(opinion, 5, 4), 4'000},
         {&majority, baselines::majority_initial(majority, 23, 20), 4'000},
         {&conv.protocol, conv.initial_config(conv.num_pointers + 400), 12'000},
+        {&conv.protocol, conv.initial_config(conv.num_pointers + 9), 12'000},
         {&conv.protocol, conv.initial_config(conv.num_pointers + 2), 12'000},
         {&carousel40, carousel_initial(carousel40, 40, 3), 12'000},
+        {&carousel40, carousel_even(carousel40), 12'000},
         {&carousel80, carousel_initial(carousel80, 80, 3), 12'000},
         {&carousel80, carousel_initial(carousel80, 60, 4), 12'000},
     };
@@ -617,6 +630,35 @@ TEST(CountSimulator, ResetMatchesFreshConstruction) {
   EXPECT_EQ(fresh.metrics().weight_updates, reused.metrics().weight_updates);
 }
 
+TEST(CountSimulator, ResetAfterMatrixOverflowMatchesFresh) {
+  // A run that outgrows the 64-slot matrix drops it until the next reset;
+  // the reset must rebuild the matrix, the populated bitset and the ids
+  // from scratch. Here the reset lands on 40 lone agents, each on its own
+  // state, so the fused singleton move runs from the first firing.
+  const pp::Protocol carousel = make_carousel_protocol(80);
+  const pp::Config overflowing = carousel_initial(carousel, 60, 4);
+  const pp::Config even = carousel_even(carousel);
+  CountSimulator reused(carousel, overflowing, 1);
+  bool overflowed = false;
+  for (int step = 0; step < 20'000 && !overflowed; ++step) {
+    reused.step();
+    overflowed = populated_states(reused.config()) > 64;
+  }
+  ASSERT_TRUE(overflowed);
+  reused.reset(even, 5);
+  CountSimulator fresh(carousel, even, 5);
+  for (int step = 0; step < 12'000; ++step) {
+    ASSERT_EQ(fresh.step(), reused.step()) << "step " << step;
+    ASSERT_EQ(fresh.config(), reused.config()) << "step " << step;
+    ASSERT_EQ(fresh.interactions(), reused.interactions()) << "step " << step;
+    ASSERT_EQ(fresh.metrics().firings, reused.metrics().firings);
+    ASSERT_EQ(fresh.metrics().populate_events,
+              reused.metrics().populate_events)
+        << "step " << step;
+  }
+  EXPECT_GT(fresh.metrics().populate_events, 0u);
+}
+
 TEST(TrialExecutor, RaisedStopFlagEndsTheRunAtThePollPoint) {
   // The carousel never holds a consensus and every meeting fires, so only
   // the budget or the stop flag ends a run. A raised flag is seen at the
@@ -699,6 +741,7 @@ TEST(RunMetrics, MergeSumsEveryFieldIncludingWallTime) {
   a.weight_updates = 11;
   a.populate_events = 13;
   a.depopulate_events = 17;
+  a.log_evals = 19;
   a.wall_seconds = 0.25;
   RunMetrics b;
   b.meetings = 100;
@@ -709,6 +752,7 @@ TEST(RunMetrics, MergeSumsEveryFieldIncludingWallTime) {
   b.weight_updates = 110;
   b.populate_events = 130;
   b.depopulate_events = 170;
+  b.log_evals = 190;
   b.wall_seconds = 0.5;
 
   a.merge(b);
@@ -720,6 +764,7 @@ TEST(RunMetrics, MergeSumsEveryFieldIncludingWallTime) {
   EXPECT_EQ(a.weight_updates, 121u);
   EXPECT_EQ(a.populate_events, 143u);
   EXPECT_EQ(a.depopulate_events, 187u);
+  EXPECT_EQ(a.log_evals, 209u);
   EXPECT_DOUBLE_EQ(a.wall_seconds, 0.75);
 
   // Merging a default-constructed record is the identity.
@@ -761,10 +806,12 @@ TEST(RunMetrics, ToStringRendersEveryField) {
   m.weight_updates = 6;
   m.populate_events = 7;
   m.depopulate_events = 8;
+  m.log_evals = 9;
   m.wall_seconds = 1.5;
   EXPECT_EQ(m.to_string(),
             "meetings=1 firings=2 null_skip_batches=3 skipped=4 flips=5 "
-            "weight_updates=6 populate=7 depopulate=8 wall=1.500s");
+            "weight_updates=6 populate=7 depopulate=8 log_evals=9 "
+            "wall=1.500s");
 }
 
 TEST(RunMetrics, EffectiveRateGuardsDegenerateWallTimes) {

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -85,25 +87,34 @@ pp::Config czerner_initial(std::uint32_t extra) {
 // ---------------------------------------------------------------------------
 // Lowering.
 
+/// Bit `i` of a compiled bit row.
+bool row_bit(std::span<const std::uint64_t> row, pp::State i) {
+  return (row[i / 64] >> (i % 64)) & 1;
+}
+
 /// The compiled tables must agree with the protocol's own transition list,
 /// read through oracle::TransitionMap: for every ordered state pair,
 /// pair_active says whether it has a non-silent transition, entry_of counts
 /// the active pairs before it in (q, r) order, and its cells are those
-/// transitions' post-states in declaration order; the adjacency lists and
-/// self flags follow.
+/// transitions' post-states in declaration order; the activity rows hold
+/// the map's partner lists, the transposed rows its initiator lists, and
+/// the self flags follow.
 void expect_table_matches_transitions(const pp::Protocol& protocol) {
   const CompiledProtocol& compiled = protocol.compiled();
   const oracle::TransitionMap map(protocol);
+  const auto listed = [](const std::vector<pp::State>& list, pp::State s) {
+    return std::binary_search(list.begin(), list.end(), s);
+  };
   std::uint32_t position = 0;
   for (pp::State q = 0; q < protocol.num_states(); ++q) {
-    ASSERT_TRUE(std::ranges::equal(compiled.partners_of(q),
-                                   map.partners_of(q)))
-        << "q=" << q;
-    ASSERT_TRUE(std::ranges::equal(compiled.initiators_meeting(q),
-                                   map.initiators_meeting(q)))
-        << "q=" << q;
     ASSERT_EQ(compiled.self_active(q), map.self_active(q)) << "q=" << q;
     for (pp::State r = 0; r < protocol.num_states(); ++r) {
+      ASSERT_EQ(row_bit(compiled.active_row(q), r),
+                listed(map.partners_of(q), r))
+          << "q=" << q << " r=" << r;
+      ASSERT_EQ(row_bit(compiled.in_row(r), q),
+                listed(map.initiators_meeting(r), q))
+          << "q=" << q << " r=" << r;
       const std::vector<std::uint32_t>& want = map.candidates(q, r);
       ASSERT_EQ(compiled.pair_active(q, r), !want.empty())
           << "q=" << q << " r=" << r;
@@ -146,12 +157,17 @@ TEST(CompiledProtocol, MarksExactlyTheNonSilentPairs) {
   const pp::State big_b = majority.state("B");
   const pp::State small_a = majority.state("a");
   const pp::State small_b = majority.state("b");
+  const auto bits = [](std::span<const std::uint64_t> row) {
+    int count = 0;
+    for (const std::uint64_t word : row) count += std::popcount(word);
+    return count;
+  };
   EXPECT_EQ(compiled.num_active_pairs(), 4u);
-  EXPECT_EQ(compiled.partners_of(big_a).size(), 2u);  // B and b
-  EXPECT_EQ(compiled.partners_of(big_b).size(), 1u);  // a
-  EXPECT_EQ(compiled.partners_of(small_a).size(), 1u);  // b
-  EXPECT_EQ(compiled.partners_of(small_b).size(), 0u);
-  EXPECT_EQ(compiled.initiators_meeting(small_b).size(), 2u);  // A and a
+  EXPECT_EQ(bits(compiled.active_row(big_a)), 2);    // B and b
+  EXPECT_EQ(bits(compiled.active_row(big_b)), 1);    // a
+  EXPECT_EQ(bits(compiled.active_row(small_a)), 1);  // b
+  EXPECT_EQ(bits(compiled.active_row(small_b)), 0);
+  EXPECT_EQ(bits(compiled.in_row(small_b)), 2);  // A and a
   for (pp::State q : {big_a, big_b, small_a, small_b})
     EXPECT_FALSE(compiled.self_active(q));
 }
@@ -221,22 +237,39 @@ TEST(CompiledProtocol, AdoptRejectsMalformedTables) {
     bad.cells.pop_back();
     expect_refused(std::move(bad), "malformed cand CSR");
   }
+  {  // One flipped bit in a transposed row.
+    CompiledProtocol::RawTables bad = good;
+    bad.in_bits[0] ^= 1;
+    expect_refused(std::move(bad), "transposed rows disagree");
+  }
+  {  // A partner beyond the last state, in the row's padding bits.
+    CompiledProtocol::RawTables bad = good;
+    bad.active_bits[0] |= std::uint64_t{1} << bad.num_states;
+    expect_refused(std::move(bad), "partner out of range");
+  }
+  // Each retired adjacency CSR, non-empty.
+  const auto refuse = [&](auto fill) {
+    CompiledProtocol::RawTables bad = good;
+    fill(bad);
+    expect_refused(std::move(bad), "retired table not empty");
+  };
+  refuse([](auto& t) { t.out_begin.assign(t.num_states + 1, 0); });
+  refuse([](auto& t) { t.out_flat.assign(1, 0); });
+  refuse([](auto& t) { t.in_begin.assign(t.num_states + 1, 0); });
+  refuse([](auto& t) { t.in_flat.assign(1, 0); });
 }
 
-TEST(CompiledProtocol, AdoptRefusesAnInCsrThatIsNotTheTranspose) {
-  // Both in rows stay sorted and in range, but name the wrong initiator:
-  // initiators_meeting(a) would answer {a} instead of {b}.
-  const pp::Protocol protocol = make_two_way_epidemic();
-  CompiledProtocol::RawTables bad = protocol.compiled().raw();
-  ASSERT_EQ(bad.in_flat, (std::vector<std::uint32_t>{1, 0}));
-  bad.in_flat = {0, 1};
-  expect_refused(std::move(bad), "not the transpose");
-}
-
-TEST(CompiledProtocol, AdoptRefusesActivityRowsOffTheOutCsr) {
+TEST(CompiledProtocol, AdoptRefusesActivityRowsOffTheCandidateCsr) {
+  // Activity rows with one pair too many, every derived table re-derived
+  // to match them: only the candidate CSR, still covering two pairs, can
+  // tell.
   CompiledProtocol::RawTables bad = make_two_way_epidemic().compiled().raw();
   bad.active_bits[0] |= 1;  // (a, a) is not active
-  expect_refused(std::move(bad), "activity rows disagree");
+  bad.in_bits[0] |= 1;
+  bad.self_active[0] = 1;
+  ASSERT_EQ(bad.rank_base, (std::vector<std::uint32_t>{0, 1}));
+  bad.rank_base[1] = 2;
+  expect_refused(std::move(bad), "malformed cand CSR");
 }
 
 TEST(CompiledProtocol, AdoptRefusesAWrongRankBase) {
