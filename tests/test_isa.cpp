@@ -259,6 +259,15 @@ TEST(CompiledProtocol, AdoptRejectsMalformedTables) {
   refuse([](auto& t) { t.in_flat.assign(1, 0); });
 }
 
+TEST(CompiledProtocol, AdoptRefusesAnInCsrThatIsNotTheTranspose) {
+  // Both transposed rows keep one in-range bit each, but name the wrong
+  // initiator: in_row(a) would answer {a} instead of {b}.
+  CompiledProtocol::RawTables bad = make_two_way_epidemic().compiled().raw();
+  ASSERT_EQ(bad.in_bits, (std::vector<std::uint64_t>{2, 1}));
+  bad.in_bits = {1, 2};
+  expect_refused(std::move(bad), "transposed rows disagree");
+}
+
 TEST(CompiledProtocol, AdoptRefusesActivityRowsOffTheCandidateCsr) {
   // Activity rows with one pair too many, every derived table re-derived
   // to match them: only the candidate CSR, still covering two pairs, can
