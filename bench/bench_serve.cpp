@@ -4,24 +4,27 @@
 // instance at 1, 2, 4 and 8 forked workers, and reports the wall time of
 // each run plus the certificate digest. The digest MUST be byte-identical
 // at every worker count — the daemon replays the canonical fold over
-// ordered trial records, so sharding is invisible to the certificate —
+// ordered trial records, so dispatch is invisible to the certificate —
 // and this binary exits non-zero if it is not, making it usable as a CI
 // gate as well as a scaling probe.
 //
 // The certify rows pin the invariant, not throughput — the SPRT stops
 // after a handful of trials, so their wall time is fork setup plus the
-// speculative trials the daemon starts before the decision and cancels
-// after it; each row records how many trials its workers executed.
-// Scaling is measured on a second set of rows: a fixed-size ensemble
-// query (no early stopping, every trial runs its full budget), which is
-// the embarrassingly parallel workload the worker fleet exists for.
+// trials the daemon dispatches one at a time up to its look-ahead horizon
+// (2 × live workers past the fold frontier) and cancels on the decision.
+// Each row records the trials the certificate folded and the trials its
+// workers executed; tools/check_bench.py holds the second to at most the
+// first plus 2 × workers. Scaling is measured on a second set of rows: a
+// fixed-size ensemble query (no early stopping, every trial runs its full
+// budget), which is the embarrassingly parallel workload the worker fleet
+// exists for.
 //
 // Not a google-benchmark binary: each measurement forks worker processes,
 // which must happen from a single-threaded parent, and the unit of
 // interest is one whole query, not a tight loop. Writes a machine-
 // readable report (default BENCH_serve.json, override with --json=PATH):
 //
-//   {"bench_serve_v": 2, "host": {...}, "query": {...}, "runs": [...],
+//   {"bench_serve_v": 3, "host": {...}, "query": {...}, "runs": [...],
 //    "ensemble_query": {...}, "ensemble_runs": [...]}
 //
 // EXPERIMENTS.md records the numbers.
@@ -54,7 +57,6 @@ serve::QueryParams bench_query() {
   query.indifference = 0.8;
   query.window = 1'000'000;
   query.budget = 100'000'000;
-  query.shard = 4;
   return query;
 }
 
@@ -87,6 +89,7 @@ struct Run {
   double wall_seconds = 0.0;
   std::string digest;
   std::string verdict;
+  std::uint64_t trials = 0;           ///< certify: trials the fold used
   std::uint64_t trials_executed = 0;  ///< certify: trials the workers ran
 };
 
@@ -94,7 +97,6 @@ Run run_at(unsigned workers, const serve::QueryParams& query) {
   serve::ServerOptions options;
   options.port = 0;  // ephemeral
   options.workers = workers;
-  options.shard = query.shard;
   serve::Server server(options);
   std::thread runner([&server] { server.run(); });
 
@@ -125,8 +127,11 @@ Run run_at(unsigned workers, const serve::QueryParams& query) {
   if (query.req == "certify") {
     run.digest = extract(response, "digest");
     run.verdict = extract(response, "verdict");
-    if (run.digest.empty() || run.verdict.empty())
+    const serve::Json* certificate =
+        serve::Json::parse(response).find("certificate");
+    if (run.digest.empty() || run.verdict.empty() || certificate == nullptr)
       throw std::runtime_error("malformed certificate: " + response);
+    run.trials = certificate->u64("trials", 0);
     const serve::Json stats = serve::Json::parse(flight);
     const serve::Json* records = stats.find("recent");
     if (records == nullptr || records->items().empty())
@@ -152,9 +157,10 @@ int main(int argc, char** argv) {
       runs.push_back(run_at(workers, query));
       const Run& run = runs.back();
       std::printf("certify   workers=%u  wall=%.3fs  verdict=%s  "
-                  "digest=%s  trials executed=%llu\n",
+                  "digest=%s  trials folded=%llu executed=%llu\n",
                   run.workers, run.wall_seconds, run.verdict.c_str(),
                   run.digest.c_str(),
+                  static_cast<unsigned long long>(run.trials),
                   static_cast<unsigned long long>(run.trials_executed));
     }
     for (unsigned workers : {1u, 2u, 4u, 8u}) {
@@ -187,25 +193,25 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(out,
-               "{\"bench_serve_v\": 2, \"host\": %s, \"query\": {\"n\": %d, "
+               "{\"bench_serve_v\": 3, \"host\": %s, \"query\": {\"n\": %d, "
                "\"extra\": %u, \"trials\": %llu, \"seed\": %llu, "
                "\"delta\": %g, \"indifference\": %g, \"window\": %llu, "
-               "\"budget\": %llu, \"shard\": %llu}, \"runs\": [",
+               "\"budget\": %llu}, \"runs\": [",
                bench::host_json().c_str(), query.n, query.extra,
                static_cast<unsigned long long>(query.trials),
                static_cast<unsigned long long>(query.seed), query.delta,
                query.indifference,
                static_cast<unsigned long long>(query.window),
-               static_cast<unsigned long long>(query.budget),
-               static_cast<unsigned long long>(query.shard));
+               static_cast<unsigned long long>(query.budget));
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const Run& run = runs[i];
     std::fprintf(out,
                  "%s{\"workers\": %u, \"wall_seconds\": %.6f, "
                  "\"verdict\": \"%s\", \"digest\": \"%s\", "
-                 "\"trials_executed\": %llu}",
+                 "\"trials\": %llu, \"trials_executed\": %llu}",
                  i == 0 ? "" : ", ", run.workers, run.wall_seconds,
                  run.verdict.c_str(), run.digest.c_str(),
+                 static_cast<unsigned long long>(run.trials),
                  static_cast<unsigned long long>(run.trials_executed));
   }
   std::fprintf(out,

@@ -13,7 +13,6 @@
 // regression artefact.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iterator>
@@ -135,10 +134,14 @@ void print_engine_comparison(std::uint32_t extra_agents,
 // regression metric (work actually done); effective_meetings_per_sec
 // counts closed-form-skipped null meetings too and is the figure
 // comparable across engine modes. "step" rows drive one simulator's
-// step() loop, "fleet" rows drive run_ensemble at threads = 1. Schema v5
-// adds the certification populations m = |F| + 2 and |F| + 9 (16 and 23;
-// count engine only, where certificates are earned) and a "host" object
-// naming the machine and build that produced the rows.
+// step() loop for a fixed wall budget; "fleet" rows drive run_ensemble at
+// threads = 1 over fixed work — 32 trials, each to a fixed interaction
+// budget per m — and record that budget and the firings it took, so two
+// fleet rows compare the speed of the same trajectories. The rows cover
+// the certification populations m = |F| + 2 and |F| + 9 (16 and 23;
+// count engine only, where certificates are earned) and m = 10,014 and
+// 100,014, under a "host" object naming the machine and build. Schema v6
+// added the fleet rows' fixed work.
 // ---------------------------------------------------------------------------
 
 struct ReportRow {
@@ -147,6 +150,10 @@ struct ReportRow {
   const char* harness;
   double firings_per_sec;
   double effective_meetings_per_sec;
+  // Fleet rows only: the fixed work and the firings it took.
+  std::uint64_t trials = 0;
+  std::uint64_t per_trial_interactions = 0;
+  std::uint64_t firings = 0;
 };
 
 /// One fleet measurement: `trials` independent count+null-skip trials run
@@ -166,16 +173,33 @@ ReportRow measure_fleet(const compile::ProtocolConversion& conv,
   const engine::EnsembleStats stats =
       engine::run_ensemble(conv.protocol, conv.initial_config(m), options);
   const double wall = stats.wall_seconds > 0 ? stats.wall_seconds : 1e-9;
-  return {m, "count+null-skip", "fleet",
+  return {m,
+          "count+null-skip",
+          "fleet",
           static_cast<double>(stats.totals.firings) / wall,
-          static_cast<double>(stats.totals.meetings) / wall};
+          static_cast<double>(stats.totals.meetings) / wall,
+          trials,
+          per_trial,
+          stats.totals.firings};
 }
 
 int write_json_report(const char* path, double budget_seconds) {
   const auto conv = czerner_n1();
 
+  // Per-trial interaction budgets of the fleet rows, fixed per m so every
+  // build runs the same trajectories: 1–2 s of fleet work per row on the
+  // reference host (EXPERIMENTS.md S21), except at m = 100,014, where a
+  // trial fires nearly all of its ~2.9M firings within its first 10^10
+  // meetings and the row takes about 7 s.
+  struct Population {
+    std::uint32_t extra;
+    std::uint64_t per_trial_interactions;
+  };
   std::vector<ReportRow> rows;
-  for (const std::uint32_t extra : {2u, 9u, 10'000u, 100'000u}) {
+  for (const auto [extra, per_trial] :
+       {Population{2, 50'000'000}, Population{9, 100'000'000},
+        Population{10'000, 5'000'000'000'000},
+        Population{100'000, 1'000'000'000'000}}) {
     const std::uint32_t m = conv.num_pointers + extra;
     // The per-agent engine only runs beside the count engine at the large
     // populations; certification runs use the count engine alone.
@@ -187,21 +211,12 @@ int write_json_report(const char* path, double budget_seconds) {
     } else {
       steps.push_back(measure_count_step(conv, m, budget_seconds));
     }
-    double null_skip_rate = 0.0;
     for (const EngineRow& row : steps) {
       const double eff = static_cast<double>(row.interactions) / row.seconds;
       const double firings = static_cast<double>(row.firings) / row.seconds;
       rows.push_back({m, row.name, "step", firings, eff});
-      if (std::string_view(row.name) == "count+null-skip")
-        null_skip_rate = eff;
     }
-    // Fleet row: per-trial budget calibrated from the step loop's
-    // measured rate so the fleet spends ~budget_seconds.
-    const std::uint64_t trials = 32;
-    const std::uint64_t per_trial = std::max<std::uint64_t>(
-        100'000,
-        static_cast<std::uint64_t>(null_skip_rate * budget_seconds) / trials);
-    rows.push_back(measure_fleet(conv, m, trials, per_trial));
+    rows.push_back(measure_fleet(conv, m, /*trials=*/32, per_trial));
   }
 
   std::FILE* out = std::fopen(path, "w");
@@ -210,7 +225,7 @@ int write_json_report(const char* path, double budget_seconds) {
                  path);
     return 1;
   }
-  std::fprintf(out, "{\n  \"bench_engine_v\": 5,\n  \"host\": %s,\n  \"rows\": [",
+  std::fprintf(out, "{\n  \"bench_engine_v\": 6,\n  \"host\": %s,\n  \"rows\": [",
                bench::host_json().c_str());
   bool first = true;
   for (const ReportRow& row : rows) {
@@ -218,9 +233,17 @@ int write_json_report(const char* path, double budget_seconds) {
                  "%s\n    {\"protocol\": \"czerner-n1-converted\", "
                  "\"m\": %u, \"mode\": \"%s\", \"harness\": \"%s\", "
                  "\"firings_per_sec\": %.6e, "
-                 "\"effective_meetings_per_sec\": %.6e, \"threads\": 1}",
+                 "\"effective_meetings_per_sec\": %.6e, \"threads\": 1",
                  first ? "" : ",", row.m, row.mode, row.harness,
                  row.firings_per_sec, row.effective_meetings_per_sec);
+    if (row.trials != 0)
+      std::fprintf(out,
+                   ", \"trials\": %llu, \"per_trial_interactions\": %llu, "
+                   "\"firings\": %llu",
+                   static_cast<unsigned long long>(row.trials),
+                   static_cast<unsigned long long>(row.per_trial_interactions),
+                   static_cast<unsigned long long>(row.firings));
+    std::fprintf(out, "}");
     first = false;
   }
   std::fprintf(out, "\n  ]\n}\n");

@@ -34,6 +34,7 @@ std::string FlightRecorder::to_json(const QueryFlight& record) {
     json.field("detail", std::string_view(record.detail));
   json.field("queue_wait_micros", record.queue_wait_micros);
   json.field("trials_executed", record.trials_executed);
+  json.field("trials_folded", record.trials_folded);
   json.field("batches", record.batches);
   json.field("reassigned", record.reassigned);
   if (!record.verdict.empty())

@@ -42,6 +42,9 @@ struct QueryFlight {
   std::string detail;          ///< rejection/error reason, "" when ok
   std::uint64_t queue_wait_micros = 0;
   std::uint64_t trials_executed = 0;  ///< records delivered by workers
+  /// Trials the reply rests on: the certificate's trials (certify) or the
+  /// fleet size (ensemble); 0 for a query that got no reply.
+  std::uint64_t trials_folded = 0;
   std::uint64_t batches = 0;
   std::uint64_t reassigned = 0;  ///< trials re-dispatched off dead workers
   std::string verdict;           ///< certify only

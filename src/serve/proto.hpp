@@ -48,8 +48,9 @@ namespace ppde::serve {
 
 /// One client query. For req == "certify", `trials` is the SPRT trial
 /// budget (CertifyOptions::max_trials); for "ensemble" it is the exact
-/// fleet size. `shard` (certify/ensemble) overrides the daemon's per-batch
-/// dispatch size; 0 keeps the server default. Defaults mirror the CLI
+/// fleet size. `shard` overrides the daemon's ensemble batch size; 0 keeps
+/// the server default, and a certify query's `shard` is accepted but
+/// ignored (certify dispatches one trial at a time). Defaults mirror the CLI
 /// `certify` flag defaults so a client request omitting a field means the
 /// same thing as the CLI omitting the flag. Two members of older queries
 /// are still understood on the wire: `"dispatch"` must be "bytecode"

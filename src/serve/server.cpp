@@ -54,6 +54,7 @@ struct Metrics {
   obs::Counter& worker_deaths;
   obs::Counter& trials_reassigned;
   obs::Counter& trials_delivered;
+  obs::Counter& trials_folded;
   obs::Gauge& active;
   obs::Gauge& queue_depth;
   obs::Histogram& admission_wait;
@@ -66,6 +67,7 @@ struct Metrics {
         obs::Registry::global().counter("serve.worker_deaths"),
         obs::Registry::global().counter("serve.trials_reassigned"),
         obs::Registry::global().counter("serve.trials_delivered"),
+        obs::Registry::global().counter("serve.trials_folded"),
         obs::Registry::global().gauge("serve.active_queries"),
         obs::Registry::global().gauge("serve.queue_depth"),
         obs::Registry::global().histogram("serve.admission_wait_micros"),
@@ -83,18 +85,21 @@ struct Range {
 /// workers, collect responses, retire dead workers (their ranges go back
 /// on the retry queue — outcomes are pure functions of (trial, seed), so
 /// a re-run elsewhere is bit-identical). Shared by certify and ensemble
-/// queries; the caller parameterises the stop condition, the look-ahead
-/// horizon, and the result sink.
+/// queries; the caller parameterises the range size, the stop condition,
+/// the look-ahead horizon, and the result sink.
 struct Pump {
   Supervisor& supervisor;
   BatchRequest prototype;  ///< first/count overwritten per batch
   std::uint64_t total_trials = 0;
+  /// Trials per dispatched range: 1 for certify, so each trial is folded
+  /// the moment its reply lands; the query's or daemon's shard for an
+  /// ensemble, whose every trial is needed anyway.
   std::uint64_t shard = 1;
-  /// Fresh ranges start only below horizon(in_flight), where in_flight =
-  /// live workers × shard trials (certify: StreamingMerger::horizon, the
-  /// same look-ahead rule as the in-process scheduler; ensemble: the fleet
-  /// size, since every trial is needed).
-  std::function<std::uint64_t(std::uint64_t in_flight)> horizon;
+  /// Fresh ranges start only below horizon(live workers) (certify:
+  /// StreamingMerger::horizon with one trial in flight per worker, the
+  /// look-ahead rule of the in-process scheduler; ensemble: the fleet
+  /// size).
+  std::function<std::uint64_t(std::uint64_t workers)> horizon;
   std::function<bool()> done;
   std::function<void(BatchResult&&)> deliver;
   /// Fired after every successful batch dispatch (the server counts
@@ -162,9 +167,7 @@ struct Pump {
         } else {
           const std::uint64_t alive =
               std::max<std::uint64_t>(1, supervisor.alive());
-          const std::uint64_t in_flight =
-              shard > UINT64_MAX / alive ? UINT64_MAX : alive * shard;
-          if (frontier >= std::min(total_trials, horizon(in_flight))) break;
+          if (frontier >= std::min(total_trials, horizon(alive))) break;
           range.first = frontier;
           range.count = std::min(shard, total_trials - frontier);
         }
@@ -415,12 +418,9 @@ struct Server::Impl {
         .supervisor = supervisor,
         .prototype = batch_prototype(query, record.seq),
         .total_trials = certify_options.max_trials,
-        .shard = std::max<std::uint64_t>(1, query.shard ? query.shard
-                                                        : options.shard),
+        .shard = 1,  // the query's shard sizes ensemble batches only
         .horizon =
-            [&](std::uint64_t in_flight) {
-              return merger.horizon(in_flight);
-            },
+            [&](std::uint64_t workers) { return merger.horizon(workers); },
         .done = [&] { return merger.decided(); },
         .deliver =
             [&](BatchResult&& result) {
@@ -453,6 +453,7 @@ struct Server::Impl {
     certificate.expected_output = expected;
     certificate.wall_seconds = seconds_since(began);
     certificate.threads_used = supervisor.alive();
+    record.trials_folded = certificate.trials;
     record.verdict = smc::to_string(certificate.verdict);
     char digest_hex[20];
     std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
@@ -526,6 +527,7 @@ struct Server::Impl {
     engine::EnsembleStats stats = engine::aggregate(results);
     stats.wall_seconds = seconds_since(began);
     stats.threads_used = supervisor.alive();
+    record.trials_folded = total;
 
     smc::JsonWriter out;
     out.field("ok", true);
@@ -719,6 +721,7 @@ struct Server::Impl {
         record.detail = error.what();
       }
       record.wall_seconds = seconds_since(began);
+      metrics.trials_folded.add(record.trials_folded);
       // An "ok":false frame is an error outcome; capture the message so the
       // flight recorder explains it without the client's copy of the reply.
       if (response.rfind("{\"ok\":false", 0) == 0) {

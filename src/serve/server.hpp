@@ -9,9 +9,12 @@
 // range it dispatched, maps the records with smc::outcome_of and replays
 // the canonical certification fold via smc::StreamingMerger, so the
 // certificate digest is byte-identical to in-process smc::certify under
-// any worker count, shard size, arrival order, or mid-query worker death
-// (ranges of a dead or misreplying worker are re-run on survivors —
-// results are pure functions of (trial, seed)). Once the fold decides,
+// any worker count, arrival order, or mid-query worker death (ranges of a
+// dead or misreplying worker are re-run on survivors — results are pure
+// functions of (trial, seed)). A certify query is dispatched one trial at
+// a time, the unit the in-process fleet claims, so each trial is folded
+// as soon as its reply lands; an ensemble query, whose every trial is
+// needed, goes out in batches of `shard` trials. Once the fold decides,
 // or the query's wall budget runs out, every batch still in flight is
 // cancelled (serve/proto.hpp) instead of awaited.
 //
@@ -44,7 +47,8 @@ struct ServerOptions {
   /// Per-query wall budget; an exceeded query returns an error (its
   /// in-flight batches are cancelled, no partial certificate is emitted).
   double max_query_seconds = 600.0;
-  /// Default trials per dispatched batch (a query's `shard` overrides).
+  /// Default trials per dispatched ensemble batch (a query's `shard`
+  /// overrides); certify queries dispatch one trial at a time.
   std::uint64_t shard = 8;
   /// Test hook (CI killed-worker scenario): SIGKILL one local worker after
   /// this many batches have been dispatched process-wide. 0 = never.

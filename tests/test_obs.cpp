@@ -679,6 +679,8 @@ TEST(Flight, RecorderIsBoundedNewestFirstAndSerialises) {
   first.outcome = "ok";
   first.verdict = "CERTIFIED";
   first.digest = "00ff";
+  first.trials_executed = 5;
+  first.trials_folded = 3;
   first.workers.push_back(WorkerLatency{0, 2, 30, 20});
   recorder.add(first);
   QueryFlight second;
@@ -702,6 +704,8 @@ TEST(Flight, RecorderIsBoundedNewestFirstAndSerialises) {
   EXPECT_NE(json.find("\"seq\":1"), std::string::npos);
   EXPECT_NE(json.find("\"verdict\":\"CERTIFIED\""), std::string::npos);
   EXPECT_NE(json.find("\"digest\":\"00ff\""), std::string::npos);
+  EXPECT_NE(json.find("\"trials_executed\":5,\"trials_folded\":3"),
+            std::string::npos);
   EXPECT_EQ(json.find("\"detail\""), std::string::npos);  // empty: omitted
   EXPECT_NE(json.find("\"workers\":[{\"worker\":0,\"batches\":2,"
                       "\"total_micros\":30,\"max_micros\":20}]"),

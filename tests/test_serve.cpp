@@ -5,9 +5,10 @@
 // (cancel included) over a real socketpair, the end-to-end daemon against
 // in-process smc::certify (byte-identical certificate digest, including
 // after a killed-worker trial reassignment and after a worker that
-// replies with the wrong range or record shape), cancellation of
-// speculative batches on the decision and on the wall budget, and the
-// SIGINT/SIGTERM watcher.
+// replies with the wrong range or record shape), one-trial certify
+// dispatch within the look-ahead bound, cancellation of speculative
+// batches on the decision and on the wall budget, and the SIGINT/SIGTERM
+// watcher.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -731,6 +732,19 @@ std::string digest_of(const std::string& json_text) {
   return json_text.substr(start, end - start);
 }
 
+/// The daemon's newest flight record (an empty object if it has none).
+Json newest_flight(const std::string& endpoint) {
+  QueryParams stats{"stats"};
+  stats.recent = 1;
+  std::string response;
+  std::string error;
+  EXPECT_TRUE(rpc(endpoint, encode_query(stats), &response, &error)) << error;
+  const Json parsed = Json::parse(response);
+  const Json* recent = parsed.find("recent");
+  if (recent == nullptr || recent->items().empty()) return Json::parse("{}");
+  return recent->items()[0];
+}
+
 TEST(Statement, ABuildDoesNotBlockLookupsOfOtherN) {
   // A first n = 2 build takes over a second; a lookup of the already
   // built n = 1 must not wait for it.
@@ -1036,9 +1050,9 @@ TEST(Server, MisrangedAndOldShapeRepliesAreRefusedAndReassigned) {
   const std::string reference_digest =
       digest_of(smc::to_jsonl(reference));
   ASSERT_NE(reference_digest, "");
-  const std::uint64_t certify_shard = 2;
-  // The remote worker gets the second shard; the fold needs it.
-  ASSERT_GT(reference.trials, certify_shard);
+  // A certify query goes out one trial at a time, whatever the shard: the
+  // remote worker gets trial 1, and the fold needs it.
+  ASSERT_GT(reference.trials, 1u);
   const QueryParams ensemble = small_ensemble_query();
   const std::uint64_t ensemble_shard = 2;
   const Json expected_summary =
@@ -1061,7 +1075,7 @@ TEST(Server, MisrangedAndOldShapeRepliesAreRefusedAndReassigned) {
       options.port = 0;
       options.workers = 1;
       options.remote_workers = {fake.endpoint()};
-      options.shard = is_certify ? certify_shard : ensemble_shard;
+      options.shard = ensemble_shard;
       options.max_query_seconds = wall_budget;
       RunningServer running(options);
       fake.start();
@@ -1091,25 +1105,26 @@ TEST(Server, MisrangedAndOldShapeRepliesAreRefusedAndReassigned) {
       }
       EXPECT_EQ(fake.batches(), 1u);
       EXPECT_EQ(deaths.value() - deaths_before, 1u);
-      EXPECT_EQ(reassigned.value() - reassigned_before, options.shard);
+      EXPECT_EQ(reassigned.value() - reassigned_before,
+                is_certify ? 1u : ensemble_shard);
     }
   }
 }
 
 TEST(Server, DecidedQueryDoesNotWaitForSpeculativeBatches) {
-  // The local worker's first shard holds the three trials that decide the
-  // smoke query; the remote one's speculative shard is never needed. Once
-  // the fold decides, the daemon cancels it and answers at once instead
-  // of waiting for the whole batch (the fake holds it for kHoldSeconds).
+  // Three local workers take trials 0-2, which decide the smoke query; the
+  // remote worker, the fourth slot, takes trial 3, which the fold never
+  // needs. Once the fold decides, the daemon cancels it and answers at
+  // once instead of waiting for the reply (the fake holds it for
+  // kHoldSeconds).
   const QueryParams query = smoke_query();
   const smc::Certificate reference = reference_certificate(query);
-  ASSERT_LE(reference.trials, 4u);
+  ASSERT_LE(reference.trials, 3u);
   FakeRemoteWorker fake(FakeReply::kHoldUntilCancel);
   ServerOptions options;
   options.port = 0;
-  options.workers = 1;
+  options.workers = 3;
   options.remote_workers = {fake.endpoint()};
-  options.shard = 4;
   RunningServer running(options);
   fake.start();
   obs::Counter& deaths =
@@ -1134,10 +1149,11 @@ TEST(Server, DecidedQueryDoesNotWaitForSpeculativeBatches) {
 }
 
 TEST(Server, WallBudgetCancelsInFlightBatches) {
-  // One batch of 32 budget-bound trials (~0.2 s each) against a 1 s wall
-  // budget: the daemon cancels the batch when the budget runs out, and the
-  // worker stops after the trial it is running, not after all 32.
-  QueryParams query = smoke_query();
+  // One ensemble batch of 32 budget-bound trials (~0.2 s each) against a
+  // 1 s wall budget: the daemon cancels the batch when the budget runs
+  // out, and the worker stops after the trial it is running, not after
+  // all 32.
+  QueryParams query = small_ensemble_query();
   query.trials = 32;
   query.window = 1'000'000'000;
   query.budget = 120'000'000;
@@ -1173,11 +1189,12 @@ TEST(Server, WallBudgetCancelsInFlightBatches) {
 }
 
 TEST(Server, HugeShardCertifiesToTheInProcessDigest) {
-  // A shard near 2^64 / workers must not wrap the look-ahead horizon
-  // (live workers × shard × 2) around to zero: the whole trial budget
-  // goes out as one batch.
+  // A certify query's shard is accepted and ignored: one near 2^62 still
+  // goes out one trial at a time. An ensemble query's shard sizes its
+  // batches: the same shard sends the whole fleet as one batch.
+  const std::uint64_t huge = std::uint64_t{1} << 62;
   QueryParams query = smoke_query();
-  query.shard = std::uint64_t{1} << 62;
+  query.shard = huge;
   ServerOptions options;
   options.port = 0;
   options.workers = 2;
@@ -1188,8 +1205,67 @@ TEST(Server, HugeShardCertifiesToTheInProcessDigest) {
   ASSERT_TRUE(rpc(running.endpoint(), encode_query(query), &response, &error))
       << error;
   ASSERT_TRUE(Json::parse(response).boolean("ok", false)) << response;
-  EXPECT_EQ(digest_of(response),
-            digest_of(smc::to_jsonl(reference_certificate(query))));
+  const smc::Certificate reference = reference_certificate(query);
+  EXPECT_EQ(digest_of(response), digest_of(smc::to_jsonl(reference)));
+  EXPECT_LE(newest_flight(running.endpoint()).u64("trials_executed", 0),
+            reference.trials + 2 * options.workers);
+
+  QueryParams ensemble = small_ensemble_query();
+  ensemble.shard = huge;
+  ASSERT_TRUE(
+      rpc(running.endpoint(), encode_query(ensemble), &response, &error))
+      << error;
+  const Json reply = Json::parse(response);
+  ASSERT_TRUE(reply.boolean("ok", false)) << response;
+  const Json* summary = reply.find("summary");
+  ASSERT_NE(summary, nullptr) << response;
+  EXPECT_EQ(without_execution_record(*summary),
+            Json::parse(reference_ensemble_summary(ensemble)).dump());
+  EXPECT_EQ(newest_flight(running.endpoint()).u64("batches", 0), 1u);
+}
+
+TEST(Server, CertifyDispatchesOneTrialAtATime) {
+  // At the daemon's default shard (8) the smoke query, which decides
+  // within 4 trials, runs no trial past the look-ahead horizon: one worker
+  // runs exactly the trials the certificate folds, and W workers at most
+  // 2 × W more, since each trial is folded as soon as its one-trial reply
+  // lands and none starts after the decision.
+  const QueryParams query = smoke_query();
+  const smc::Certificate reference = reference_certificate(query);
+  ASSERT_LE(reference.trials, 4u);
+  obs::Counter& folded =
+      obs::Registry::global().counter("serve.trials_folded");
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "workers " << workers);
+    ServerOptions options;
+    options.port = 0;
+    options.workers = workers;
+    ASSERT_GT(options.shard, reference.trials);
+    RunningServer running(options);
+    const std::uint64_t folded_before = folded.value();
+    std::string response;
+    std::string error;
+    ASSERT_TRUE(
+        rpc(running.endpoint(), encode_query(query), &response, &error))
+        << error;
+    const Json reply = Json::parse(response);
+    ASSERT_TRUE(reply.boolean("ok", false)) << response;
+    EXPECT_EQ(digest_of(response), digest_of(smc::to_jsonl(reference)));
+    const Json* certificate = reply.find("certificate");
+    ASSERT_NE(certificate, nullptr) << response;
+    const std::uint64_t trials = certificate->u64("trials", 0);
+    EXPECT_EQ(trials, reference.trials);
+
+    const Json flight = newest_flight(running.endpoint());
+    const std::uint64_t executed = flight.u64("trials_executed", 0);
+    EXPECT_EQ(flight.u64("trials_folded", 0), trials);
+    EXPECT_EQ(folded.value() - folded_before, trials);
+    if (workers == 1)
+      EXPECT_EQ(executed, trials);
+    else
+      EXPECT_LE(executed, trials + 2 * workers);
+    EXPECT_GE(executed, trials);
+  }
 }
 
 TEST(Server, EnsembleSummaryMatchesInProcessStats) {
@@ -1370,6 +1446,7 @@ TEST(Server, StatsRollUpFlightRecorderAndPrometheusSurfaces) {
   const std::uint64_t done_before = counter_value("worker.engine.trials_done");
   const std::uint64_t delivered_before =
       counter_value("serve.trials_delivered");
+  const std::uint64_t folded_before = counter_value("serve.trials_folded");
 
   std::string response;
   std::string error;
@@ -1394,6 +1471,7 @@ TEST(Server, StatsRollUpFlightRecorderAndPrometheusSurfaces) {
   EXPECT_EQ(metrics->u64("worker.engine.trials_done", 0) - done_before, 12u);
   EXPECT_EQ(metrics->u64("serve.trials_delivered", 0) - delivered_before,
             12u);
+  EXPECT_EQ(metrics->u64("serve.trials_folded", 0) - folded_before, 12u);
   ASSERT_NE(metrics->find("serve.queue_depth"), nullptr);
   const Json* wait = metrics->find("serve.admission_wait_micros");
   ASSERT_NE(wait, nullptr);
@@ -1413,6 +1491,9 @@ TEST(Server, StatsRollUpFlightRecorderAndPrometheusSurfaces) {
   EXPECT_EQ(record.str("req", ""), "ensemble");
   EXPECT_EQ(record.str("outcome", ""), "ok");
   EXPECT_EQ(record.u64("trials_executed", 0), 12u);
+  // An ensemble reply rests on its whole fleet; the counter rolls up the
+  // same number the record holds.
+  EXPECT_EQ(record.u64("trials_folded", 0), 12u);
   ASSERT_NE(record.find("workers"), nullptr);
   EXPECT_GE(record.find("workers")->items().size(), 1u);
 
@@ -1427,6 +1508,8 @@ TEST(Server, StatsRollUpFlightRecorderAndPrometheusSurfaces) {
   EXPECT_NE(exposition.find("# TYPE ppde_worker_serve_trials_executed"),
             std::string::npos);
   EXPECT_NE(exposition.find("ppde_serve_admission_wait_micros_bucket"),
+            std::string::npos);
+  EXPECT_NE(exposition.find("# TYPE ppde_serve_trials_folded"),
             std::string::npos);
 
   // ...and scraped over HTTP from the --prom-port listener.

@@ -23,7 +23,9 @@ engine change fails loudly instead of anchoring EXPERIMENTS.md to numbers
 nobody can reproduce. Reports whose host objects differ are a
 cross-host comparison, which fails before any row is compared.
 --warn-only prints deviations and host mismatches without failing (for
-noisy CI runners).
+noisy CI runners). A fleet row whose trials, per-trial interaction budget
+or firings differ from the committed row ran other work than it, and
+fails even with --warn-only.
 """
 
 import glob
@@ -54,9 +56,10 @@ def check_host(path, doc):
 
 
 def check_engine(path, doc):
-    """bench_engine_v == 5: a host object and per-(mode, harness, m) rows."""
-    require(path, doc.get("bench_engine_v") == 5,
-            f"bench_engine_v != 5 (got {doc.get('bench_engine_v')})")
+    """bench_engine_v == 6: a host object and per-(mode, harness, m) rows;
+    fleet rows also carry their fixed work."""
+    require(path, doc.get("bench_engine_v") == 6,
+            f"bench_engine_v != 6 (got {doc.get('bench_engine_v')})")
     check_host(path, doc)
     rows = doc.get("rows")
     require(path, isinstance(rows, list) and rows, "rows missing or empty")
@@ -71,6 +74,10 @@ def check_engine(path, doc):
                 f"rows[{i}] nonpositive effective_meetings_per_sec")
         require(path, row["harness"] in ("step", "fleet"),
                 f"rows[{i}] bad harness {row['harness']!r}")
+        if row["harness"] == "fleet":
+            for key in ("trials", "per_trial_interactions", "firings"):
+                require(path, isinstance(row.get(key), int) and row[key] > 0,
+                        f"rows[{i}] fleet row {key} missing or nonpositive")
     # The production engine stepped and as a fleet at the certification
     # populations (|F| + 2 and |F| + 9) and at both large ones, where the
     # per-agent engine is stepped too.
@@ -161,10 +168,23 @@ def compare_fresh(baseline_path, fresh_path, factor, warn_only):
     fresh_rows = {row_key(row): row for row in fresh["rows"]}
     deviations = []
     missing = []
+    other_work = []
     for row in baseline["rows"]:
         other = fresh_rows.get(row_key(row))
         if other is None:
             missing.append(row_key(row))
+            continue
+        # A fleet row is fixed work: a re-measure that fired a different
+        # number of times ran other trajectories, and its rate is no
+        # measure of speed.
+        work = ("trials", "per_trial_interactions", "firings")
+        if row["harness"] == "fleet" and any(
+                row[key] != other[key] for key in work):
+            other_work.append(
+                f"{row_key(row)}: baseline "
+                f"{[row[key] for key in work]} vs fresh "
+                f"{[other[key] for key in work]} (trials, per-trial "
+                f"interactions, firings)")
             continue
         for metric in ("firings_per_sec", "effective_meetings_per_sec"):
             ratio = row[metric] / other[metric]
@@ -172,6 +192,14 @@ def compare_fresh(baseline_path, fresh_path, factor, warn_only):
                 deviations.append(
                     f"{row_key(row)} {metric}: baseline {row[metric]:.3e} "
                     f"vs fresh {other[metric]:.3e} ({ratio:.2f}x)")
+    for line in other_work:
+        print(f"check_bench: fleet row ran other work: {line}")
+    if other_work:
+        raise SystemExit(
+            f"{baseline_path}: {len(other_work)} fleet row(s) of {fresh_path} "
+            f"ran other work than the committed rows (an engine change "
+            f"moved the trajectories, or the budgets changed: regenerate "
+            f"the baseline)")
     for key in missing:
         print(f"check_bench: fresh report has no row {key}")
     for line in deviations:
@@ -187,21 +215,29 @@ def compare_fresh(baseline_path, fresh_path, factor, warn_only):
 
 
 def check_serve(path, doc):
-    """bench_serve_v == 2: a host object, certify digests and executed
-    trials by worker count, and ensemble scaling."""
-    require(path, doc.get("bench_serve_v") == 2,
-            f"bench_serve_v != 2 (got {doc.get('bench_serve_v')})")
+    """bench_serve_v == 3: a host object, certify digests with the trials
+    folded and executed by worker count, and ensemble scaling."""
+    require(path, doc.get("bench_serve_v") == 3,
+            f"bench_serve_v != 3 (got {doc.get('bench_serve_v')})")
     check_host(path, doc)
     runs = doc.get("runs")
     require(path, isinstance(runs, list) and runs, "runs missing or empty")
     digests = set()
     for i, run in enumerate(runs):
-        for key in ("workers", "wall_seconds", "verdict", "digest",
+        for key in ("workers", "wall_seconds", "verdict", "digest", "trials",
                     "trials_executed"):
             require(path, key in run, f"runs[{i}] missing {key}")
-        require(path, isinstance(run["trials_executed"], int)
-                and run["trials_executed"] > 0,
-                f"runs[{i}] trials_executed missing or nonpositive")
+        for key in ("workers", "trials", "trials_executed"):
+            require(path, isinstance(run[key], int) and run[key] > 0,
+                    f"runs[{i}] {key} missing or nonpositive")
+        # The look-ahead rule: a trial starts only below the fold frontier
+        # plus 2 x live workers, so no more than that many trials run
+        # beyond those folded.
+        bound = run["trials"] + 2 * run["workers"]
+        require(path, run["trials_executed"] <= bound,
+                f"runs[{i}] executed {run['trials_executed']} trials for "
+                f"{run['trials']} folded at {run['workers']} workers "
+                f"(at most {bound})")
         digests.add(run["digest"])
     # The whole point of the daemon: sharding is invisible to the digest.
     require(path, len(digests) == 1,

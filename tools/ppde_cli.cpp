@@ -762,9 +762,12 @@ constexpr VerbHelp kVerbs[] = {
      "    --equality   decide the x = k(n) variant\n"},
     {"serve", "[flags]",
      "  Certification/ensemble daemon (S25): accepts framed-JSON queries,\n"
-     "  fans trial batches out to forked worker processes and merges the\n"
+     "  fans trials out to forked worker processes and merges the\n"
      "  SPRT/quantile statistics so the certificate digest is identical to\n"
-     "  in-process `ppde certify` at any worker count or shard layout.\n"
+     "  in-process `ppde certify` at any worker count or arrival order.\n"
+     "  A certify query goes out one trial at a time, at most 2 x live\n"
+     "  workers past the fold frontier, and each trial is folded as soon\n"
+     "  as it lands; an ensemble query goes out in batches of --shard.\n"
      "    --host=H              bind address (default 127.0.0.1)\n"
      "    --port=P              listen port; 0 = ephemeral (default 7421)\n"
      "    --workers=W           forked local workers (default 2)\n"
@@ -773,7 +776,8 @@ constexpr VerbHelp kVerbs[] = {
      "    --queue-limit=Q       admission queue bound (default 16)\n"
      "    --max-trials-cap=N    reject queries above this trial budget\n"
      "    --max-seconds=S       per-query wall budget (default 600)\n"
-     "    --shard=K             trials per worker batch (default 8)\n"
+     "    --shard=K             trials per ensemble batch (default 8;\n"
+     "                          certify dispatches one trial at a time)\n"
      "    --kill-worker-after=N test hook: SIGKILL one worker after the\n"
      "                          Nth dispatched batch (default 0 = never)\n"
      "    --prom-port=P         serve Prometheus text exposition on\n"
@@ -795,10 +799,11 @@ constexpr VerbHelp kVerbs[] = {
      "    certify <n> <extra>   SPRT certification; accepts the same\n"
      "                          --trials/--seed/--delta/--indifference/\n"
      "                          --alpha/--beta/--window/--budget/\n"
-     "                          --scheduler/--fault flags as `ppde certify`,\n"
-     "                          plus --shard=K\n"
+     "                          --scheduler/--fault flags as `ppde certify`\n"
+     "                          (dispatched one trial at a time)\n"
      "    ensemble <n> <extra>  fleet summary; --trials=N is the exact\n"
-     "                          fleet size\n"
+     "                          fleet size, --shard=K the trials per\n"
+     "                          worker batch (default: the daemon's)\n"
      "    stats                 daemon uptime, worker pool state, and the\n"
      "                          full obs metrics registry snapshot\n"
      "                          (fleet-wide `worker.*` roll-ups included)\n"
