@@ -28,7 +28,7 @@ namespace ppde::obs {
 /// batch dispatch to reply collection.
 struct WorkerLatency {
   int worker = 0;  ///< supervisor slot index
-  std::uint64_t batches = 0;
+  std::uint64_t batches = 0;  ///< replies with at least one trial record
   std::uint64_t total_micros = 0;
   std::uint64_t max_micros = 0;
 };
@@ -45,6 +45,7 @@ struct QueryFlight {
   /// Trials the reply rests on: the certificate's trials (certify) or the
   /// fleet size (ensemble); 0 for a query that got no reply.
   std::uint64_t trials_folded = 0;
+  /// Replies that carried at least one trial record.
   std::uint64_t batches = 0;
   std::uint64_t reassigned = 0;  ///< trials re-dispatched off dead workers
   std::string verdict;           ///< certify only

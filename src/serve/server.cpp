@@ -244,7 +244,8 @@ struct Pump {
           shipped > entry.range.count ||
           (!cancelled && shipped != entry.range.count))
         return false;
-      ++batches_collected;
+      // A cancelled worker's empty reply ran no trial: not a batch.
+      if (shipped != 0) ++batches_collected;
       if (observe) observe(worker, result, micros_since(entry.sent));
       deliver(std::move(result));
     } catch (const std::exception&) {
@@ -359,6 +360,8 @@ struct Server::Impl {
   /// The shared observability tail of a batch result (S29): stitch the
   /// worker's trace events into the daemon's tracer, fold its metric
   /// deltas into `worker.*`, and attribute latency to the flight record.
+  /// An empty reply (a cancelled worker that finished no trial) adds no
+  /// batch and no latency.
   void observe_result(int worker, const BatchResult& result,
                       std::uint64_t micros, obs::QueryFlight& record) {
     if (!result.metric_deltas.empty())
@@ -371,6 +374,7 @@ struct Server::Impl {
       for (const obs::CapturedEvent& event : result.trace)
         tracer->emit_foreign(result.worker_pid, group, event);
     }
+    if (result.records.empty()) return;
     record.trials_executed += result.records.size();
     Metrics::get().trials_delivered.add(result.records.size());
     for (obs::WorkerLatency& latency : record.workers) {

@@ -3,7 +3,7 @@
 // All exact verifiers in this library reduce fair-run stabilisation to a
 // property of *bottom* SCCs of a finite reachability graph (a fair run's
 // infinitely-often set is strongly connected and closed under the step
-// relation). This is the shared Tarjan pass, over the graph store the
+// relation). This is the shared SCC pass, over the graph store the
 // verification kernel fills (S22).
 #pragma once
 
@@ -49,7 +49,12 @@ struct SccResult {
   std::vector<std::uint8_t> bottom(const CsrGraph& graph) const;
 };
 
-/// Iterative Tarjan over `graph` (nodes are 0..graph.num_nodes()-1).
+/// Tarjan's SCCs of `graph` (nodes 0..graph.num_nodes()-1) by Pearce's
+/// one-array variant ("A space-efficient algorithm for finding strongly
+/// connected components", IPL 2016), iterative: one u32 per node that holds
+/// its DFS index while it is open and its component once closed, a root
+/// bit per node, and 8-byte DFS frames. Components close in the order
+/// Tarjan's would close them, so scc_of and scc_count are Tarjan's.
 SccResult tarjan_scc(const CsrGraph& graph);
 
 }  // namespace ppde::support

@@ -48,6 +48,11 @@ std::pair<std::uint32_t, bool> Interner::intern(
   return {id, true};
 }
 
+void Interner::release_index() {
+  for (Shard& shard : shards_) shard = Shard{};
+  slots_ = 0;
+}
+
 void Interner::grow(Shard& shard) {
   std::vector<Slot> old(shard.slots.size() * 2);
   old.swap(shard.slots);

@@ -9,6 +9,9 @@
 // holds the id and the low 32 hash bits, so neither a probe nor a table
 // growth reads anything but the slot until a hash matches.
 //
+// Once no state will be interned or looked up again, release_index()
+// frees the tables; the stored states stay readable by id.
+//
 // Concurrency contract (what the kernel's wave discipline relies on):
 //   * intern() must only be called from one thread at a time (the kernel
 //     calls it from the sequential merge pass of each wave);
@@ -58,6 +61,10 @@ class Interner {
   /// Id of `words`, interning it if new; second = inserted.
   std::pair<std::uint32_t, bool> intern(std::span<const std::uint64_t> words,
                                         std::uint64_t hash);
+
+  /// Frees the hash tables. Afterwards only size() and state() may be
+  /// called.
+  void release_index();
 
   /// Bytes of the live store: arena words, node handles and shard slots.
   /// A pure function of the interned states, never of allocation history.

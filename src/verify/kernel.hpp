@@ -37,7 +37,9 @@
 //
 // Storage: the interner's arena and the CSR graph's id store are
 // append-only chunked arrays (support/chunked.hpp), so nothing is copied
-// as the graph grows and spans into them stay valid.
+// as the graph grows and spans into them stay valid. The interner's hash
+// index is only needed to look states up while exploring; run() frees it
+// at the end, and afterwards states are read by id alone.
 //
 // Budgets are explicit (nodes, edges, store bytes); when one is hit the
 // kernel stops expanding and reports a *partial* result — the stats carry
@@ -62,8 +64,8 @@ namespace ppde::verify {
 struct KernelOptions {
   std::uint64_t max_nodes = 2'000'000;
   std::uint64_t max_edges = UINT64_MAX;
-  /// Budget on the live graph store: arena words, node records, interner
-  /// slots and the CSR graph (the `bytes` stat).
+  /// Budget on the graph store while exploring: arena words, node
+  /// records, interner slots and the CSR graph (the `bytes` stat).
   std::uint64_t max_bytes = UINT64_MAX;
   /// Worker threads (including the caller); 0 = hardware concurrency.
   unsigned threads = 1;
@@ -76,6 +78,7 @@ enum class LimitKind : std::uint8_t { kNone, kNodes, kEdges, kBytes };
 struct KernelStats {
   std::uint64_t nodes = 0;
   std::uint64_t edges = 0;
+  /// The graph store when exploration ended, interner slots included.
   std::uint64_t bytes = 0;
   std::uint64_t waves = 0;
   /// emit() calls of the expanded nodes in the graph, repeats included:
@@ -210,8 +213,9 @@ class Kernel {
   Kernel(const Domain& domain, const KernelOptions& options)
       : domain_(domain), options_(options) {}
 
-  /// Explore everything reachable from `roots`. Returns the stats; the
-  /// graph accessors below are valid afterwards (partial on budget hit).
+  /// Explore everything reachable from `roots`; call once. Returns the
+  /// stats; the graph accessors below are valid afterwards (partial on
+  /// budget hit).
   const KernelStats& run(std::span<const std::vector<std::uint64_t>> roots) {
     obs::ObsSpan run_span("kernel_run", "verify");
     for (const std::vector<std::uint64_t>& root : roots)
@@ -321,6 +325,7 @@ class Kernel {
     stats_.bytes = bytes();
     stats_.complete = stats_.limit == LimitKind::kNone;
     registry.counter("verify.successors_emitted").add(stats_.emitted);
+    interner_.release_index();
     return stats_;
   }
 
@@ -338,7 +343,7 @@ class Kernel {
   }
   const KernelStats& stats() const { return stats_; }
 
-  /// Tarjan + bottom-SCC flags over the explored graph.
+  /// SCCs + bottom-SCC flags over the explored graph.
   SccAnalysis analyse() const { return analyse_sccs(graph_, terminal_tags_); }
 
  private:

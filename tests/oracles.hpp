@@ -17,9 +17,10 @@
 //                     the evidence counters.
 //   oracle_certify    smc::certify with every trial run on the two
 //                     oracles above, folded by oracle_fold.
-//   tarjan_scc        Tarjan over one successor vector per node, the
-//                     store the kernel kept before its CSR graph
-//                     (support::tarjan_scc).
+//   tarjan_scc        Tarjan with index, lowlink and on-stack arrays,
+//                     over one successor vector per node, the store the
+//                     kernel kept before its CSR graph
+//                     (support::tarjan_scc, Pearce's one-array pass).
 //   oracle_verify     the sequential explorer the verification kernel
 //                     replaced (pp::Verifier).
 #pragma once

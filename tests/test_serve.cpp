@@ -1265,6 +1265,15 @@ TEST(Server, CertifyDispatchesOneTrialAtATime) {
     else
       EXPECT_LE(executed, trials + 2 * workers);
     EXPECT_GE(executed, trials);
+    // One trial per batch: a cancelled worker's empty reply is no batch,
+    // for the query and for each worker.
+    EXPECT_EQ(flight.u64("batches", 0), executed) << flight.dump();
+    const Json* per_worker = flight.find("workers");
+    ASSERT_NE(per_worker, nullptr);
+    std::uint64_t worker_batches = 0;
+    for (const Json& worker : per_worker->items())
+      worker_batches += worker.u64("batches", 0);
+    EXPECT_EQ(worker_batches, executed) << flight.dump();
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <stdexcept>
@@ -22,9 +23,11 @@
 #include "baselines/majority.hpp"
 #include "compile/lower.hpp"
 #include "compile/to_protocol.hpp"
+#include "czerner/construction.hpp"
 #include "engine/pool.hpp"
 #include "obs/registry.hpp"
 #include "machine/interp.hpp"
+#include "pp/config_domain.hpp"
 #include "pp/verifier.hpp"
 #include "progmodel/explore.hpp"
 #include "progmodel/flat.hpp"
@@ -139,6 +142,108 @@ TEST(Interner, DistinguishesLengths) {
   interner.intern(shorter, verify::hash_words(shorter));
   EXPECT_EQ(interner.find(longer, verify::hash_words(longer)),
             verify::Interner::kNotFound);
+}
+
+TEST(Interner, ReleasedIndexKeepsStatesReadableById) {
+  verify::Interner interner;
+  constexpr u32 kKeys = 5'000;
+  for (u32 i = 0; i < kKeys; ++i) {
+    const std::vector<u64> key = {i, i * 7};
+    interner.intern(key, verify::hash_words(key));
+  }
+  const u64 indexed = interner.bytes();
+  interner.release_index();
+  EXPECT_EQ(interner.size(), kKeys);
+  // Only the arena words and the node handles are left.
+  EXPECT_EQ(interner.bytes(), u64{kKeys} * 3 * sizeof(u64));
+  EXPECT_LT(interner.bytes(), indexed);
+  for (u32 i = 0; i < kKeys; ++i) {
+    const std::span<const u64> state = interner.state(i);
+    ASSERT_EQ(std::vector<u64>(state.begin(), state.end()),
+              (std::vector<u64>{i, i * 7}));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The verifier's configuration codec (pp/config_domain.hpp)
+
+/// Bits of the codec's layout for `sparse`: per occupied state its id and a
+/// flag bit, and count - 2 after a state that holds two or more agents.
+u64 layout_bits(const std::vector<u64>& sparse, std::size_t num_states,
+                u64 population) {
+  const unsigned state_bits =
+      num_states > 1 ? std::bit_width(num_states - 1) : 0;
+  const unsigned count_bits =
+      population > 2 ? std::bit_width(population - 2) : 0;
+  u64 bits = 0;
+  for (const u64 entry : sparse)
+    bits += state_bits + 1 + (pp::sparse_count(entry) >= 2 ? count_bits : 0);
+  return bits;
+}
+
+/// Sparse configurations of `population` agents over `num_states` states:
+/// all in the first state, all in the last, every agent alone (round robin
+/// once the states run out), and seeded random spreads over every state
+/// and over three.
+std::vector<std::vector<u64>> codec_cases(std::size_t num_states,
+                                          u64 population,
+                                          support::Rng& rng) {
+  std::vector<std::vector<u32>> dense(5, std::vector<u32>(num_states, 0));
+  const std::vector<u64> three = {rng.below(num_states),
+                                  rng.below(num_states),
+                                  rng.below(num_states)};
+  for (u64 agent = 0; agent < population; ++agent) {
+    ++dense[0][0];
+    ++dense[1][num_states - 1];
+    ++dense[2][agent % num_states];
+    ++dense[3][rng.below(num_states)];
+    ++dense[4][three[rng.below(3)]];
+  }
+  std::vector<std::vector<u64>> cases;
+  for (const std::vector<u32>& counts : dense) {
+    std::vector<u64> sparse;
+    for (pp::State q = 0; q < num_states; ++q)
+      if (counts[q] != 0) sparse.push_back(pp::sparse_entry(q, counts[q]));
+    cases.push_back(std::move(sparse));
+  }
+  return cases;
+}
+
+TEST(ConfigCodec, RoundTripsEveryShapeCanonically) {
+  // |Q| = 1 and m = 2 give fields of width 0; |Q| = 440 (10-bit state
+  // fields) and m = 21 (5-bit counts) are the m_regs = 7 frontier's, whose
+  // fields straddle word boundaries, as do the 17-bit fields of 2^16.
+  support::Rng rng(20261020);
+  u64 straddling = 0;
+  for (const std::size_t num_states : {1u, 2u, 440u, 65536u}) {
+    for (const u64 population : {0u, 1u, 2u, 3u, 21u, 65536u}) {
+      SCOPED_TRACE(testing::Message() << "|Q| = " << num_states
+                                      << ", m = " << population);
+      const pp::ConfigCodec codec(num_states, population);
+      std::map<std::vector<u64>, std::vector<u64>> by_words;
+      std::vector<u64> words, again, decoded;
+      for (const std::vector<u64>& sparse :
+           codec_cases(num_states, population, rng)) {
+        codec.pack(sparse, words);
+        const u64 bits = layout_bits(sparse, num_states, population);
+        ASSERT_EQ(words.size(), (bits + 63) / 64);
+        if (bits % 64 != 0) {  // the last word's unused bits are zero
+          ASSERT_EQ(words.back() >> (bits % 64), 0u);
+        }
+        if (words.size() > 1) ++straddling;
+        codec.unpack(words, decoded);
+        ASSERT_EQ(decoded, sparse);
+        // Equal configurations give equal words, different ones different
+        // words.
+        const std::vector<u64> copy = sparse;
+        codec.pack(copy, again);
+        ASSERT_EQ(again, words);
+        const auto [it, inserted] = by_words.try_emplace(words, sparse);
+        ASSERT_EQ(it->second, sparse);
+      }
+    }
+  }
+  EXPECT_GT(straddling, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -426,6 +531,18 @@ TEST(SccCsr, MatchesOracleOnSeededRandomGraphs) {
     }
     expect_same_sccs(lists);
   }
+  // 3,000 small graphs of every density from none to complete, self-loops
+  // and repeated edges included.
+  for (int round = 0; round < 3000; ++round) {
+    const u32 n = static_cast<u32>(rng.below(40));
+    const u64 per_mille = rng.below(1001);
+    std::vector<std::vector<u32>> lists(n);
+    for (u32 v = 0; v < n; ++v)
+      for (u32 w = 0; w < n; ++w)
+        if (rng.below(1000) < per_mille)
+          lists[v].push_back(static_cast<u32>(rng.below(n)));
+    expect_same_sccs(lists);
+  }
 }
 
 TEST(SccCsr, MatchesOracleOnALongPathWithABackEdge) {
@@ -435,6 +552,104 @@ TEST(SccCsr, MatchesOracleOnALongPathWithABackEdge) {
   expect_same_sccs(lists);
   lists[kLength - 1] = {kLength / 2};  // the tail half becomes one SCC
   expect_same_sccs(lists);
+  // The path reversed: each root after the first reaches only closed
+  // components.
+  for (u32 v = 0; v < kLength; ++v) lists[v] = {};
+  for (u32 v = 1; v < kLength; ++v) lists[v] = {v - 1};
+  expect_same_sccs(lists);
+}
+
+TEST(SccCsr, MatchesOracleOnEdgeShapes) {
+  expect_same_sccs({});                    // the empty graph
+  expect_same_sccs({{0}});                 // one self-loop
+  expect_same_sccs({{0, 1}, {1}, {0, 2}});  // self-loops everywhere
+  // One giant SCC: a ring of 100,000 nodes with seeded chords, entered
+  // from a tail that leaves it again.
+  constexpr u32 kRing = 100'000;
+  support::Rng rng(7);
+  std::vector<std::vector<u32>> lists(kRing + 2);
+  for (u32 v = 0; v < kRing; ++v) {
+    lists[v].push_back((v + 1) % kRing);
+    if (v % 3 == 0) lists[v].push_back(static_cast<u32>(rng.below(kRing)));
+  }
+  lists[kRing] = {kRing / 2, kRing + 1};
+  lists[kRing + 1] = {kRing + 1};
+  expect_same_sccs(lists);
+}
+
+/// The czerner n = 1 converted protocol and pi(C) with `m_regs` agents in
+/// its input register: the graph `ppde verify 1 <m_regs>` explores.
+struct VerifyWorkload {
+  explicit VerifyWorkload(u64 m_regs)
+      : construction(czerner::build_construction(1)),
+        lowered(compile::lower_program(construction.program)),
+        conv(compile::machine_to_protocol(lowered.machine, no_broadcast())),
+        initial(conv.pi(machine::initial_state(lowered.machine,
+                                               registers(m_regs)),
+                        false)),
+        codec(conv.protocol.num_states(), initial.total()),
+        domain(conv.protocol, codec) {}
+
+  static compile::ConversionOptions no_broadcast() {
+    compile::ConversionOptions options;
+    options.with_broadcast = false;
+    return options;
+  }
+  std::vector<u64> registers(u64 m_regs) const {
+    std::vector<u64> regs(construction.num_registers(), 0);
+    regs[construction.R()] = m_regs;
+    return regs;
+  }
+  std::vector<std::vector<u64>> roots() const {
+    std::vector<std::vector<u64>> roots(1);
+    codec.pack(pp::to_sparse(initial), roots[0]);
+    return roots;
+  }
+
+  czerner::Construction construction;
+  compile::LoweredMachine lowered;
+  compile::ProtocolConversion conv;
+  pp::Config initial;
+  pp::ConfigCodec codec;
+  pp::ConfigDomain domain;
+};
+
+TEST(SccCsr, MatchesOracleOnTheGraphOfVerify1x5) {
+  const VerifyWorkload workload(5);
+  verify::KernelOptions options;
+  options.threads = 4;
+  options.max_nodes = 8'000'000;
+  verify::Kernel<pp::ConfigDomain> kernel(workload.domain, options);
+  ASSERT_TRUE(kernel.run(workload.roots()).complete);
+  EXPECT_EQ(kernel.num_nodes(), 806'312u);
+  expect_same_sccs(successor_lists(kernel));
+}
+
+TEST(Kernel, ConfigGraphOutlivesTheHashIndex) {
+  // run() frees the interner's hash index; the graph must stay readable by
+  // id. Every stored configuration decodes to the population and packs
+  // back to the same words, and the SCCs are Tarjan's. The toy, program
+  // and machine domains are read the same way after run() by the Kernel.*,
+  // ProgramExplorer.* and MachineExplorer.* tests.
+  const VerifyWorkload workload(2);
+  verify::KernelOptions options;
+  options.threads = 4;
+  verify::Kernel<pp::ConfigDomain> kernel(workload.domain, options);
+  ASSERT_TRUE(kernel.run(workload.roots()).complete);
+  std::vector<u64> sparse, words;
+  for (u32 id = 0; id < kernel.num_nodes(); ++id) {
+    workload.codec.unpack(kernel.state(id), sparse);
+    u64 agents = 0;
+    for (const u64 entry : sparse) agents += pp::sparse_count(entry);
+    ASSERT_EQ(agents, workload.initial.total());
+    workload.codec.pack(sparse, words);
+    ASSERT_TRUE(std::ranges::equal(words, kernel.state(id)));
+  }
+  const std::vector<std::vector<u32>> lists = successor_lists(kernel);
+  const oracle::SccResult expected = oracle::tarjan_scc(lists);
+  const verify::SccAnalysis analysis = kernel.analyse();
+  EXPECT_EQ(analysis.scc.scc_of, expected.scc_of);
+  EXPECT_EQ(analysis.is_bottom, expected.is_bottom);
 }
 
 // ---------------------------------------------------------------------------
@@ -521,8 +736,8 @@ TEST(VerifierOracle, ConvertedProtocolMatchesUnderWitnessSemantics) {
 }
 
 TEST(VerifierOracle, PopulationBeyond16BitsMatches) {
-  // 70,000 agents do not fit a 16-bit count, so configurations are stored
-  // one entry per word; the epidemic I + S -> I + I walks all 70,000.
+  // 70,000 agents need 17-bit count fields; the epidemic I + S -> I + I
+  // walks all 70,000.
   pp::Protocol epidemic;
   const pp::State i = epidemic.add_state("I");
   const pp::State s = epidemic.add_state("S");

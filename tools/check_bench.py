@@ -93,13 +93,14 @@ def check_engine(path, doc):
 
 
 # The exhaustive frontier of `ppde verify 1 <m_regs>`: (configurations,
-# edges, successors emitted) per m_regs. The kernel must explore exactly
-# these graphs, with exactly this much expansion work, at every thread
-# count.
+# edges, successors emitted, store bytes) per m_regs. The kernel must
+# explore exactly these graphs, with exactly this much expansion work, at
+# every thread count. The store's bytes are a pure function of the graph
+# and the configuration layout, so a layout that grows fails here.
 VERIFY_GRAPHS = {
-    5: (806312, 849152, 1947440),
-    6: (1455408, 1538280, 3526892),
-    7: (2431108, 2576804, 5903308),
+    5: (806312, 849152, 1947440, 55651552),
+    6: (1455408, 1538280, 3526892, 87423088),
+    7: (2431108, 2576804, 5903308, 153685344),
 }
 
 
@@ -122,12 +123,14 @@ def check_verify(path, doc):
         expected = VERIFY_GRAPHS.get(row["m_regs"])
         require(path, expected is not None,
                 f"rows[{i}] unexpected m_regs {row['m_regs']}")
-        explored = (row["configs"], row["edges"], row["successors_emitted"])
+        explored = (row["configs"], row["edges"], row["successors_emitted"],
+                    row["store_bytes"])
         require(path, explored == expected,
                 f"rows[{i}] m_regs={row['m_regs']} threads={row['threads']} "
                 f"explored {explored[0]} configs, {explored[1]} edges, "
-                f"{explored[2]} successors emitted; expected {expected[0]}, "
-                f"{expected[1]}, {expected[2]} at every thread count")
+                f"{explored[2]} successors emitted in {explored[3]} store "
+                f"bytes; expected {expected[0]}, {expected[1]}, "
+                f"{expected[2]}, {expected[3]} at every thread count")
         seen.add((row["m_regs"], row["threads"]))
     for m_regs in VERIFY_GRAPHS:
         for threads in (1, 2, 4):

@@ -752,9 +752,11 @@ constexpr VerbHelp kVerbs[] = {
      "    --threads=T        worker threads; 0 = all hardware (default)\n"
      "    --max-configs=N    configuration budget (default 8000000)\n"
      "    --max-edges=E      edge budget (default unlimited)\n"
-     "    --max-bytes=B      graph store budget: packed configurations,\n"
-     "                       node records, interner slots and successor\n"
-     "                       lists, counted from the explored counts so it\n"
+     "    --max-bytes=B      graph store budget while exploring: the\n"
+     "                       configurations' bit-stream records, node\n"
+     "                       records, interner slots and successor lists\n"
+     "                       (about 63 bytes per configuration at m_regs =\n"
+     "                       7), counted from the explored counts so it\n"
      "                       stops at the same configuration at every\n"
      "                       thread count (default unlimited)\n"},
     {"decide", "<n> <m> [--equality]",
